@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import linalg
 from .exterior import (KForm, ce_d, interior, lie_derivative, solve_potential,
                        twisted_cohomology_dim, wedge)
 from .exterior import dual_pairing
@@ -22,7 +21,7 @@ from .lie_core import LieAlgebra, center
 from .scalars import Scalar
 from .structures import (CONVENTION_DEF, CONVENTION_THM, ComplexStructure,
                          StructureReport, assemble_lck, compatibility_check,
-                         lcs_check, metric_from, nijenhuis, signature_at,
+                         lcs_check, nijenhuis, signature_at,
                          vaisman_check, biinvariant_identities)
 
 
@@ -176,11 +175,6 @@ class CatalogEntry:
         self.excluded_locus = excluded_locus
 
 
-def _poly(g, text_vars):
-    # small helper: polynomial from scalar arithmetic
-    return text_vars.num
-
-
 def get(id_):
     """Fresh catalog entry for one of u2, gl2r, su2, sl2r, abelian_<n>."""
     if id_ == "u2":
@@ -195,8 +189,7 @@ def get(id_):
             "omega_std": lcs_form(g, oneform(g, {1: 1})),
             "lambda_std": oneform(g, {0: -1}),
         }
-        excl = [_poly(g, _sc(g, "b")),
-                _poly(g, a1 * a1 + a2 * a2 + a3 * a3)]
+        excl = [_sc(g, "b").num, (a1 * a1 + a2 * a2 + a3 * a3).num]
         entry = CatalogEntry("u2", g, families,
                              {"B": biinvariant_B(g)}, excl)
     elif id_ == "gl2r":
@@ -211,8 +204,7 @@ def get(id_):
             "omega_std": lcs_form(g, oneform(g, {2: 1, 3: -1})),
             "lambda_std": oneform(g, {0: -1}),
         }
-        excl = [_poly(g, _sc(g, "mu1")),
-                _poly(g, ah * ah + 4 * ap * am)]
+        excl = [_sc(g, "mu1").num, (ah * ah + 4 * ap * am).num]
         entry = CatalogEntry("gl2r", g, families,
                              {"B": biinvariant_B(g)}, excl)
     elif id_ == "su2":

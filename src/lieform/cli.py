@@ -13,15 +13,14 @@ import sys
 from fractions import Fraction
 
 from . import catalog, document
-from .exterior import (FormError, KForm, ce_d, solve_potential,
-                       twisted_cohomology_dim, wedge)
+from .exterior import (FormError, KForm, ce_d, dual_pairing,
+                       twisted_cohomology_dim)
 from .lie_core import LieAlgebra, LieError, center
 from .constructions import ConstructionError, coadjoint_stabilizer, lcs_from_orbit
-from .scalars import DenominatorVanishes, ScalarError
+from .scalars import ScalarError
 from .structures import (CONVENTION_DEF, CONVENTION_THM, ComplexStructure,
                          FAIL, StructureReport, StructureError, assemble_lck,
-                         compatibility_check, lcs_check, signature_at,
-                         vaisman_check)
+                         lcs_check, signature_at, vaisman_check)
 
 
 class CliError(Exception):
@@ -173,7 +172,7 @@ def cmd_check_lck(args):
 def cmd_check_vaisman(args):
     def body(rep):
         g, at, lck = _build_lck(args, rep)
-        ok, vanishing, data = vaisman_check(lck)
+        ok, vanishing, _ = vaisman_check(lck)
         detail = ""
         if not ok:
             if any(p.is_constant() for p in vanishing):
@@ -182,8 +181,8 @@ def cmd_check_vaisman(args):
                 detail = "Vaisman exactly on the locus: " + "; ".join(
                     f"{p} = 0" for p in vanishing[:4])
         rep.check("Lee field is parallel (Vaisman)", ok, detail)
-        rep.info("g(xi, xi)", str(data["g(xi,xi)"]))
-        rep.info("lam(xi)", str(data["lam(xi)"]))
+        rep.info("g(xi, xi)", str(lck.metric.pair(lck.xi, lck.xi)))
+        rep.info("lam(xi)", str(dual_pairing(lck.lcs.lam, lck.xi)))
     return _run(f"check-vaisman {args.omega} {args.J}", args.format, body)
 
 

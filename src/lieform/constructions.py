@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from . import linalg
 from .exterior import KForm, ce_d, dual_pairing, wedge
-from .lie_core import Derivation, LieAlgebra, Subspace, extend_by_derivation
+from .lie_core import Subspace, extend_by_derivation
 from .structures import StructureError, lcs_check
 
 

@@ -24,7 +24,6 @@ identity.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .exterior import KForm
 from .lie_core import LieAlgebra

@@ -36,12 +36,6 @@ def mat_copy(rows):
     return [list(r) for r in rows]
 
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum((a[i][t] * b[t][j] for t in range(1, k)), a[i][0] * b[0][j])
-             for j in range(m)] for i in range(n)]
-
-
 def mat_vec(a, v):
     return [sum((row[t] * v[t] for t in range(1, len(v))), row[0] * v[0])
             for row in a]
@@ -116,12 +110,9 @@ def rank(rows):
     return len(pivot_cols), locus
 
 
-def nullspace(rows, zero):
-    """Basis of the (generic) kernel of the matrix; vectors of length n."""
-    if not rows:
-        return [], []
-    n = len(rows[0])
-    red, pivot_cols, locus = rref(rows)
+def _kernel(red, pivot_cols, n, zero):
+    """Kernel basis read off a reduced matrix whose first n columns are in
+    reduced row echelon form with the given pivot columns."""
     one = zero + 1
     free = [c for c in range(n) if c not in pivot_cols]
     basis = []
@@ -131,13 +122,23 @@ def nullspace(rows, zero):
         for r, pc in enumerate(pivot_cols):
             v[pc] = -red[r][fc]
         basis.append(v)
-    return basis, locus
+    return basis
+
+
+def nullspace(rows, zero):
+    """Basis of the (generic) kernel of the matrix; vectors of length n."""
+    if not rows:
+        return [], []
+    red, pivot_cols, locus = rref(rows)
+    return _kernel(red, pivot_cols, len(rows[0]), zero), locus
 
 
 def solve(rows, rhs, zero):
     """One solution of A x = b, or None when inconsistent (generically).
 
-    Returns (particular, kernel_basis, locus).
+    Returns (particular, kernel_basis, locus).  Pivot choice depends only on
+    the column being reduced, so the first n columns of rref([A|b]) are
+    rref(A) with the same locus, and the kernel is read off them.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -148,9 +149,7 @@ def solve(rows, rhs, zero):
     x = [zero] * n
     for r, pc in enumerate(pivot_cols):
         x[pc] = red[r][n]
-    kernel, klocus = nullspace(rows, zero) if m else ([], [])
-    merge_locus(locus, klocus)
-    return x, kernel, locus
+    return x, _kernel(red, pivot_cols, n, zero), locus
 
 
 def det(rows):
@@ -195,10 +194,8 @@ def inverse(rows, zero):
 
 
 def in_span(vectors, v, zero):
-    """Membership of v in span(vectors) by a rank comparison."""
-    if not vectors:
-        return vec_is_zero(v)
-    base = [list(w) for w in vectors]
-    r0, _ = rank(base)
-    r1, _ = rank(base + [list(v)])
-    return r0 == r1
+    """Membership of v in span(vectors): with the vectors and v as columns,
+    v is in the span iff its column is not a pivot column."""
+    cols = list(vectors) + [v]
+    _, pivot_cols, _ = rref([[w[i] for w in cols] for i in range(len(v))])
+    return len(vectors) not in pivot_cols

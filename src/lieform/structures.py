@@ -11,10 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .exterior import (KForm, ce_d, dual_pairing, interior, lie_derivative,
-                       solve_potential, twisted_d, wedge, wedge_power)
+from .exterior import KForm, ce_d, dual_pairing, solve_potential, wedge
 from .lie_core import Subspace, centralizer, derived_subalgebra
-from .scalars import CScalar, Scalar, scalar_eval
+from .scalars import CScalar, scalar_eval
 
 
 class StructureError(Exception):
@@ -546,9 +545,10 @@ class LckData:
 def assemble_lck(g, omega, J, convention=CONVENTION_THM):
     """Assemble the full lcK data set.
 
-    The Lee vector is computed from the defining convention g = omega(., J.)
-    (which makes Z = J xi an identity); the returned Metric carries the
-    requested convention tag.
+    The Lee vector is xi = -1/2 g^{-1} lam in the defining convention
+    g = omega(., J.), which makes Z = J xi an identity; the other convention
+    negates g, so there xi = +1/2 g^{-1} lam.  The returned Metric carries
+    the requested convention tag.
     """
     lcs = lcs_check(g, omega)
     ok, defects = compatibility_check(lcs, J)
@@ -557,16 +557,14 @@ def assemble_lck(g, omega, J, convention=CONVENTION_THM):
         raise NotCompatible(
             f"omega is not J-invariant; defect {defects[pair]} at {pair}")
     metric = metric_from(lcs, J, convention)
-    gdef = metric if convention == CONVENTION_DEF else \
-        metric_from(lcs, J, CONVENTION_DEF)
-    # xi = -1/2 g^{-1} lam in the defining convention
     n = g.dim
     half = Fraction(1, 2)
-    rhs = [-(lcs.lam.coefficient((j,)) * half) for j in range(n)]
-    xi, _, locus = linalg.solve(gdef.matrix, rhs, g.zero())
+    s = -half if convention == CONVENTION_DEF else half
+    rhs = [lcs.lam.coefficient((j,)) * s for j in range(n)]
+    xi, _, locus = linalg.solve(metric.matrix, rhs, g.zero())
     if xi is None:
         raise DegenerateMetric("metric does not determine the Lee vector",
-                               gdef.locus)
+                               metric.locus)
     linalg.merge_locus(locus, lcs.locus)
     theta = J.pullback(lcs.lam).scaled(half)
     jxi = J.apply(xi)
@@ -579,9 +577,10 @@ def assemble_lck(g, omega, J, convention=CONVENTION_THM):
 def vaisman_check(lck):
     """Parallel-Lee-field test: nabla xi = 0 identically.
 
-    Returns (is_vaisman, vanishing, report) where vanishing lists numerator
+    Returns (is_vaisman, vanishing, locus) where vanishing lists numerator
     polynomials whose common zero locus is where the structure is Vaisman,
-    and report carries g(xi,xi) and lam(xi).
+    and locus lists the exclusion polynomials off which the Levi-Civita
+    table, and so the verdict, is generic.
     """
     g = lck.algebra
     table, locus = levi_civita(g, lck.metric)
@@ -593,12 +592,7 @@ def vaisman_check(lck):
             if not c.is_zero():
                 ok = False
                 linalg.merge_locus(vanishing, [c.num])
-    report = {
-        "g(xi,xi)": lck.metric.pair(lck.xi, lck.xi),
-        "lam(xi)": dual_pairing(lck.lcs.lam, lck.xi),
-        "locus": locus,
-    }
-    return ok, vanishing, report
+    return ok, vanishing, locus
 
 
 # ---------------------------------------------------------------------------
@@ -618,24 +612,15 @@ def biinvariant_identities(g, B, lck):
             if B[i][j] != B[j][i]:
                 raise NotAdInvariant(f"B not symmetric at ({i},{j})")
 
-    def bpair(x, y):
-        total = g.zero()
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(y):
-                if not yj.is_zero():
-                    total = total + xi * B[i][j] * yj
-        return total
-
+    bform = Metric(g, B, None)
     for i in range(n):
         ei = g.basis_vector(i)
         for j in range(n):
             ej = g.basis_vector(j)
             for k in range(n):
                 ek = g.basis_vector(k)
-                val = bpair(g.bracket(ei, ej), ek) \
-                    + bpair(ej, g.bracket(ei, ek))
+                val = bform.pair(g.bracket(ei, ej), ek) \
+                    + bform.pair(ej, g.bracket(ei, ek))
                 if not val.is_zero():
                     raise NotAdInvariant(
                         f"ad-invariance fails on triple ({i},{j},{k})")
@@ -650,7 +635,7 @@ def biinvariant_identities(g, B, lck):
     v, _, _ = linalg.solve(B, phi_vec, g.zero())
     lam_vec = [lam.coefficient((j,)) for j in range(n)]
     w, _, _ = linalg.solve(B, lam_vec, g.zero())
-    if bpair(w, w).is_zero():
+    if bform.pair(w, w).is_zero():
         raise IsotropicLeeVector("B^{-1} lam is isotropic")
 
     adv = g.ad(v)
@@ -661,7 +646,7 @@ def biinvariant_identities(g, B, lck):
         for j in range(i + 1, n):
             ej = g.basis_vector(j)
             lhs = dphi.evaluate(ei, ej)
-            rhs = -bpair(g.bracket(v, ei), ej)
+            rhs = -bform.pair(g.bracket(v, ei), ej)
             if lhs != rhs:
                 ok = False
     report.check("d(phi) = B o (-ad_v)", ok)

@@ -66,6 +66,9 @@ def test_check_vaisman_positive_and_negative(capsys):
     code, out = run(capsys, "check-vaisman", U2, "omega_std", "J_ab")
     assert code == 0
     assert "[PASS] Lee field is parallel (Vaisman)" in out
+    lines = out.splitlines()
+    assert "[INFO] g(xi, xi) :: (1/4*a^2 + 1/4)/b" in lines
+    assert "[INFO] lam(xi) :: (-1/2*a^2 - 1/2)/b" in lines
     code2, out2 = run(capsys, "check-vaisman", GL2R, "omega_general", "J_mu1",
                       "--at", "mu1=1,mu2=0,ah=1,ap=1,am=1")
     assert code2 == 1

@@ -24,6 +24,12 @@ def M(rows, params=P):
 Z = Scalar.zero(P)
 
 
+def mat_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    return [[sum((a[i][t] * b[t][j] for t in range(1, k)), a[i][0] * b[0][j])
+             for j in range(m)] for i in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # Hand-enumerated oracles
 # ---------------------------------------------------------------------------
@@ -62,7 +68,7 @@ def test_det_singular_is_zero():
 def test_inverse_known():
     rows = M([[1, 1], [0, "b"]])
     inv, locus = linalg.inverse(rows, Z)
-    prod = linalg.mat_mul(rows, inv)
+    prod = mat_mul(rows, inv)
     assert prod[0][0] == 1 and prod[1][1] == 1
     assert prod[0][1].is_zero() and prod[1][0].is_zero()
     assert any(str(p) == "b" for p in locus)
@@ -97,6 +103,12 @@ def test_in_span():
     assert linalg.in_span(span, [S("2"), S("3"), S("5")], Z)
     assert not linalg.in_span(span, [S("0"), S("0"), S("1")], Z)
     assert linalg.in_span([], [Z, Z], Z)
+    # over Q(a): (a, 1) and (1, a) span the plane only off a^2 = 1
+    par = M([["a", 1, 0], [1, "a", 0]])
+    assert linalg.in_span(par, [S("a^2 + 1"), S("2*a"), Z], Z)
+    assert linalg.in_span(par, [S("1"), Z, Z], Z)
+    assert not linalg.in_span(par, [Z, Z, S("1")], Z)
+    assert not linalg.in_span(M([["a", 1, 0]]), [S("1"), S("a"), Z], Z)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +134,19 @@ def test_solve_solutions_verify(rows, rhs):
             linalg.vec_sub(linalg.mat_vec(rows, x), b))
         for k in kernel:
             assert linalg.vec_is_zero(linalg.mat_vec(rows, k))
+        assert kernel == linalg.nullspace(rows, Z)[0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(entries, min_size=3, max_size=3), max_size=4),
+       st.lists(entries, min_size=3, max_size=3))
+def test_in_span_matches_rank_comparison(vectors, v):
+    vectors = [[Scalar.const(P, c) for c in w] for w in vectors]
+    v = [Scalar.const(P, c) for c in v]
+    # reference: v is in the span iff appending it leaves the rank unchanged
+    want = (linalg.vec_is_zero(v) if not vectors else
+            linalg.rank(vectors)[0] == linalg.rank(vectors + [v])[0])
+    assert linalg.in_span(vectors, v, Z) == want
 
 
 @settings(max_examples=50, deadline=None)
@@ -148,7 +173,7 @@ def test_inverse_round_trip(rows):
             linalg.inverse(rows, Z)
         return
     inv, _ = linalg.inverse(rows, Z)
-    prod = linalg.mat_mul(rows, inv)
+    prod = mat_mul(rows, inv)
     for i in range(3):
         for j in range(3):
             want = Fraction(1 if i == j else 0)
