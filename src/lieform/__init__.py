@@ -12,8 +12,9 @@ from .structures import (CONVENTION_DEF, CONVENTION_THM, ComplexStructure,
                          LckData, LcsData, Metric, StructureError,
                          StructureReport, assemble_lck, biinvariant_identities,
                          compatibility_check, exact_signature, lcs_check,
-                         levi_civita, metric_from, nijenhuis, signature_at,
-                         subalgebra_to_J, J_to_subalgebra, vaisman_check)
+                         metric_from, nabla_of_vector, nijenhuis,
+                         signature_at, subalgebra_to_J, J_to_subalgebra,
+                         vaisman_check)
 from .constructions import (OrbitData, coadjoint_stabilizer,
                             kirillov_kostant_form, lcs_from_orbit)
 from . import catalog, document

@@ -199,31 +199,31 @@ def wedge_power(alpha, k):
     return out
 
 
-def _d_basis_oneform(g, k):
-    """d(e^k) = -sum_{i<j} c_{ij}^k e^i ^ e^j."""
-    coeffs = {}
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            c = g.bracket_basis(i, j)[k]
-            if not c.is_zero():
-                coeffs[(i, j)] = -c
-    return KForm(g, 2, coeffs)
-
-
 def ce_d(alpha):
-    """Chevalley-Eilenberg differential (anti-derivation extension)."""
+    """Chevalley-Eilenberg differential (anti-derivation extension).
+
+    d(e^k) = -sum_{i<j} c_{ij}^k e^i ^ e^j is a 2-form, so it commutes past
+    the 1-forms before e^k in a monomial:
+    d(e^{idx}) = sum_a (-1)^a d(e^{idx[a]}) ^ e^{idx without position a}.
+    """
     g = alpha.algebra
-    if alpha.degree == 0:
-        return KForm.zero(g, 1)
-    out = KForm.zero(g, alpha.degree + 1)
+    brackets = [((i, j), g.bracket_basis(i, j))
+                for i in range(g.dim) for j in range(i + 1, g.dim)]
+    coeffs = {}
     for idx, c in alpha.coeffs.items():
-        for a, i in enumerate(idx):
-            rest_left = KForm.monomial(g, idx[:a], g.one())
-            rest_right = KForm.monomial(g, idx[a + 1:], g.one())
-            piece = wedge(wedge(rest_left, _d_basis_oneform(g, i)), rest_right)
-            sign = (-1) ** a
-            out = out + piece.scaled(c if sign == 1 else -c)
-    return out
+        for a, k in enumerate(idx):
+            rest = idx[:a] + idx[a + 1:]
+            for ij, b in brackets:
+                if b[k].is_zero():
+                    continue
+                merged, sign = _merge_sign(ij, rest)
+                if merged is None:
+                    continue
+                term = c * b[k]
+                if sign * (-1) ** a == 1:
+                    term = -term
+                coeffs[merged] = coeffs.get(merged, g.zero()) + term
+    return KForm(g, alpha.degree + 1, coeffs)
 
 
 def twisted_d(alpha, lam, warn=None):
@@ -337,6 +337,8 @@ def twisted_cohomology_dim(g, lam, k):
 
     Requires the twisting form to be closed.
     """
+    if k < 0:
+        raise FormError(f"cohomology degree {k} is negative")
     if not ce_d(lam).is_zero():
         raise NonClosedLambda("twisting 1-form is not closed")
     dim_k, rank_k, locus = _twisted_d_rank(g, lam, k)

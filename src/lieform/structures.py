@@ -1,5 +1,6 @@
 """Geometric-structure checkers: complex structures, lcs/lcK data, metrics,
-the Koszul connection, the Vaisman test and bi-invariant-form identities.
+the covariant derivative of a left-invariant vector (Koszul formula), the
+Vaisman test and bi-invariant-form identities.
 
 All verdicts are exact.  Parametric inputs get symbolic verdicts; when an
 identity fails to hold identically the nonzero numerator polynomials are
@@ -203,22 +204,6 @@ def nijenhuis(g, J):
 
 # -- correspondence between J and its i-eigenspace --------------------------
 
-def _cbracket(g, x, y):
-    """Bracket extended to CScalar vectors."""
-    out = [CScalar(g.zero()) for _ in range(g.dim)]
-    for i, xi in enumerate(x):
-        if xi.is_zero():
-            continue
-        for j, yj in enumerate(y):
-            if yj.is_zero():
-                continue
-            b = g.bracket_basis(i, j)
-            for k in range(g.dim):
-                if not b[k].is_zero():
-                    out[k] = out[k] + xi * yj * CScalar(b[k])
-    return out
-
-
 def subalgebra_to_J(g, span):
     """Complex structure with Eig(J, i) = span, for span of two vectors.
 
@@ -241,7 +226,7 @@ def subalgebra_to_J(g, span):
     is_subalg = True
     for a in range(len(ell)):
         for b in range(a + 1, len(ell)):
-            br = _cbracket(g, ell[a], ell[b])
+            br = g.bracket(ell[a], ell[b])
             if not linalg.in_span(ell, br, czero):
                 is_subalg = False
     jmat = [[None] * n for _ in range(n)]
@@ -306,6 +291,8 @@ def lcs_check(g, omega):
     the Lee form, checks d(lam) = 0 separately (automatic only above
     dimension 4), and solves omega(Z, .) = lam/2 for the Reeb vector.
     """
+    if omega.degree != 2:
+        raise StructureError(f"omega has degree {omega.degree}, not 2")
     n = g.dim
     h_dim = 0
     if g.h_subalgebra:
@@ -372,11 +359,10 @@ def compatibility_check(lcs, J):
 class Metric:
     """Symmetric Scalar matrix with its producing sign convention."""
 
-    def __init__(self, algebra, matrix, convention_tag, locus=None):
+    def __init__(self, algebra, matrix, convention_tag):
         self.algebra = algebra
         self.matrix = matrix
         self.convention_tag = convention_tag
-        self.locus = list(locus or [])
 
     def pair(self, x, y):
         total = self.algebra.zero()
@@ -410,11 +396,7 @@ def metric_from(lcs, J, convention=CONVENTION_THM):
                 raise NotCompatible(
                     f"metric not symmetric at ({i},{j}); "
                     "omega is not J-invariant")
-    d = linalg.det(mat)
-    locus = [d.num] if (not d.is_zero() and not d.num.is_constant()) else []
-    if d.is_zero():
-        locus = []
-    return Metric(g, mat, convention, locus)
+    return Metric(g, mat, convention)
 
 
 def exact_signature(rows):
@@ -480,47 +462,37 @@ def signature_at(gm, assignment):
 
 
 # ---------------------------------------------------------------------------
-# Levi-Civita connection and the Vaisman test
+# Covariant derivative and the Vaisman test
 # ---------------------------------------------------------------------------
 
-def levi_civita(g, gm):
-    """Connection table via the Koszul formula for left-invariant metrics:
-    2 g(nabla_X Y, W) = g([X,Y],W) - g([Y,W],X) + g([W,X],Y).
+def nabla_of_vector(g, gm, y):
+    """Covariant derivatives nabla_{e_i} y of a left-invariant vector y.
 
-    Returns (table, locus) with table[(i,j)] = nabla_{e_i} e_j.
+    The Koszul formula for a left-invariant metric,
+    2 g(nabla_X Y, W) = g([X,Y],W) - g([Y,W],X) + g([W,X],Y),
+    with X = e_i, Y = y and W running over the basis gives the covector
+    of nabla_{e_i} y; one inverse of the metric turns each into a vector.
+    Returns ([nabla_{e_i} y for i], locus).
     """
     n = g.dim
     try:
         ginv, locus = linalg.inverse(gm.matrix, g.zero())
     except linalg.LinalgError as exc:
-        raise DegenerateMetric("metric is singular", gm.locus) from exc
+        raise DegenerateMetric("metric is singular") from exc
     half = Fraction(1, 2)
-    table = {}
+    out = []
     for i in range(n):
         ei = g.basis_vector(i)
-        for j in range(n):
-            ej = g.basis_vector(j)
-            rhs = []
-            for k in range(n):
-                ek = g.basis_vector(k)
-                val = gm.pair(g.bracket(ei, ej), ek) \
-                    - gm.pair(g.bracket(ej, ek), ei) \
-                    + gm.pair(g.bracket(ek, ei), ej)
-                rhs.append(val * half)
-            table[(i, j)] = linalg.mat_vec(ginv, rhs)
-    return table, locus
-
-
-def nabla_of_vector(g, table, xi):
-    """List of nabla_{e_i} xi for a constant (left-invariant) vector xi."""
-    out = []
-    for i in range(g.dim):
-        v = g.zero_vector()
-        for j, c in enumerate(xi):
-            if not c.is_zero():
-                v = linalg.vec_add(v, linalg.vec_scale(c, table[(i, j)]))
-        out.append(v)
-    return out
+        ei_y = g.bracket(ei, y)
+        rhs = []
+        for k in range(n):
+            ek = g.basis_vector(k)
+            val = gm.pair(ei_y, ek) \
+                - gm.pair(g.bracket(y, ek), ei) \
+                + gm.pair(g.bracket(ek, ei), y)
+            rhs.append(val * half)
+        out.append(linalg.mat_vec(ginv, rhs))
+    return out, locus
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +536,7 @@ def assemble_lck(g, omega, J, convention=CONVENTION_THM):
     xi, _, locus = linalg.solve(metric.matrix, rhs, g.zero())
     if xi is None:
         raise DegenerateMetric("metric does not determine the Lee vector",
-                               metric.locus)
+                               locus)
     linalg.merge_locus(locus, lcs.locus)
     theta = J.pullback(lcs.lam).scaled(half)
     jxi = J.apply(xi)
@@ -577,14 +549,13 @@ def assemble_lck(g, omega, J, convention=CONVENTION_THM):
 def vaisman_check(lck):
     """Parallel-Lee-field test: nabla xi = 0 identically.
 
+    Only the derivatives of xi itself are computed (``nabla_of_vector``).
     Returns (is_vaisman, vanishing, locus) where vanishing lists numerator
     polynomials whose common zero locus is where the structure is Vaisman,
-    and locus lists the exclusion polynomials off which the Levi-Civita
-    table, and so the verdict, is generic.
+    and locus lists the exclusion polynomials off which the inverse metric,
+    and so the verdict, is generic.
     """
-    g = lck.algebra
-    table, locus = levi_civita(g, lck.metric)
-    nxi = nabla_of_vector(g, table, lck.xi)
+    nxi, locus = nabla_of_vector(lck.algebra, lck.metric, lck.xi)
     vanishing = []
     ok = True
     for v in nxi:

@@ -73,6 +73,14 @@ def test_check_vaisman_positive_and_negative(capsys):
                       "--at", "mu1=1,mu2=0,ah=1,ap=1,am=1")
     assert code2 == 1
     assert "[FAIL] Lee field is parallel (Vaisman)" in out2
+    code3, out3 = run(capsys, "check-vaisman", U2, "omega_general", "J_01")
+    assert code3 == 1
+    assert (
+        "[FAIL] Lee field is parallel (Vaisman) :: Vaisman exactly on the "
+        "locus: 1/2*a1^2*a2 + 1/2*a2^3 + 1/2*a2*a3^2 = 0; "
+        "1/2*a1^2*a3 + 1/2*a2^2*a3 + 1/2*a3^3 = 0; "
+        "-1/2*a1^2*a2 - 1/2*a2^3 - 1/2*a2*a3^2 = 0; "
+        "-1/2*a1^2*a3 - 1/2*a2^2*a3 - 1/2*a3^3 = 0") in out3.splitlines()
 
 
 def test_cohomology(capsys):
@@ -80,6 +88,26 @@ def test_cohomology(capsys):
                     "--degree", "1")
     assert code == 0
     assert "dim H^1 twisted by lambda_std :: 0" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-lcs", "one"),
+    ("check-lcs", "three"),
+    ("check-lck", "one", "J_01"),
+    ("check-vaisman", "three", "J_01"),
+    ("cohomology", "--lambda", "lambda_std", "--degree", "-1"),
+])
+def test_bad_degree_fails_without_traceback(capsys, tmp_path, argv):
+    with open(U2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["forms"].update({"one": "e1", "three": "e1^e2^e3"})
+    path = tmp_path / "u2_extra.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = cli.main([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "[FAIL] error:" in captured.out
+    assert captured.err == ""
 
 
 def test_construct_orbit(capsys):

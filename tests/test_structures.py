@@ -18,9 +18,9 @@ from lieform.structures import (CONVENTION_DEF, CONVENTION_THM,
                                 NotAlmostComplex, NotCompatible,
                                 StructureReport, assemble_lck,
                                 compatibility_check, exact_signature,
-                                lcs_check, levi_civita, metric_from,
-                                nabla_of_vector, nijenhuis, signature_at,
-                                subalgebra_to_J, vaisman_check)
+                                lcs_check, metric_from, nabla_of_vector,
+                                nijenhuis, signature_at, subalgebra_to_J,
+                                vaisman_check)
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +72,21 @@ def test_complex_structure_subalgebra_round_trip():
     assert len(span) == 2
     J2, is_subalg = subalgebra_to_J(g, span)
     assert is_subalg  # J_01 is integrable
+    for i in range(4):
+        for j in range(4):
+            assert J2.matrix[i][j] == J.matrix[i][j]
+
+
+def test_nonintegrable_structure_subalgebra_round_trip():
+    # on gl(2,R): J e0 = e+, J e+ = -e0, J h = e-, J e- = -h
+    g = gl2r()
+    z, o = g.zero(), g.one()
+    J = ComplexStructure(g, [[z, z, -o, z], [z, z, z, -o],
+                             [o, z, z, z], [z, o, z, z]])
+    _, integrable, _ = nijenhuis(g, J)
+    assert not integrable
+    J2, is_subalg = subalgebra_to_J(g, J_to_subalgebra(J))
+    assert is_subalg is False
     for i in range(4):
         for j in range(4):
             assert J2.matrix[i][j] == J.matrix[i][j]
@@ -193,9 +208,13 @@ def test_levi_civita_is_metric_and_torsion_free():
     g = u2()
     om = lcs_form(g, oneform(g, {1: 1}))
     lck = assemble_lck(g, om, J_01(g), CONVENTION_DEF)
-    table, _ = levi_civita(g, lck.metric)
     gm = lck.metric
     n = g.dim
+    table = {}
+    for j in range(n):
+        nabla_ej, _ = nabla_of_vector(g, gm, g.basis_vector(j))
+        for i in range(n):
+            table[(i, j)] = nabla_ej[i]
     for i in range(n):
         for j in range(n):
             # torsion: nabla_i e_j - nabla_j e_i = [e_i, e_j]
@@ -207,6 +226,41 @@ def test_levi_civita_is_metric_and_torsion_free():
                 val = gm.pair(table[(i, j)], g.basis_vector(k)) + \
                     gm.pair(g.basis_vector(j), table[(i, k)])
                 assert val.is_zero()
+
+
+def _lck_u2_J_ab():
+    g = u2(("a", "b"))
+    return assemble_lck(g, lcs_form(g, oneform(g, {1: 1})), J_ab(g),
+                        CONVENTION_DEF)
+
+
+def _lck_u2_general_J_01():
+    # not Vaisman: nabla xi != 0 off a locus
+    g = u2(("a1", "a2", "a3"))
+    phi = oneform(g, {1: "a1", 2: "a2", 3: "a3"})
+    return assemble_lck(g, lcs_form(g, phi), J_01(g), CONVENTION_DEF)
+
+
+def _lck_gl2r_J_mu1():
+    g = gl2r(("ap",))
+    ap = Scalar.var(g.params, "ap")
+    om = lcs_form(g, KForm(g, 1, {(2,): ap, (3,): -ap}))
+    return assemble_lck(g, om, J_mu1(g), CONVENTION_DEF)
+
+
+@pytest.mark.parametrize("make_lck", [_lck_u2_J_ab, _lck_u2_general_J_01,
+                                      _lck_gl2r_J_mu1])
+def test_nabla_of_vector_is_linear_in_the_vector(make_lck):
+    # reference: the basis derivatives nabla_{e_i} e_j contracted with xi
+    lck = make_lck()
+    g, gm, xi = lck.algebra, lck.metric, lck.xi
+    want = [g.zero_vector() for _ in range(g.dim)]
+    for j, c in enumerate(xi):
+        nabla_ej, _ = nabla_of_vector(g, gm, g.basis_vector(j))
+        for i in range(g.dim):
+            want[i] = linalg.vec_add(want[i], linalg.vec_scale(c, nabla_ej[i]))
+    got, _ = nabla_of_vector(g, gm, xi)
+    assert got == want
 
 
 def test_vaisman_flat_on_standard_structure_and_not_on_perturbed():
