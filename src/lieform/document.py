@@ -94,9 +94,6 @@ class Document:
     def build_endo(self, name, g):
         return self.build_matrix(self.endos, name, g)
 
-    def build_bilinear(self, name, g):
-        return self.build_matrix(self.bilinears, name, g)
-
     # -- (de)serialization --------------------------------------------
 
     def to_dict(self):

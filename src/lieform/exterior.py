@@ -150,17 +150,14 @@ class KForm:
         return self.coeffs.get(tuple(idx), self.algebra.zero())
 
     def evaluate(self, *vectors):
-        """Evaluate on vectors (shuffle convention: determinant of duals)."""
+        """alpha(v_1..v_k), by contraction: i_{v_k} .. i_{v_1} alpha."""
         if len(vectors) != self.degree:
             raise FormError(
                 f"degree {self.degree} form applied to {len(vectors)} vectors")
-        if self.degree == 0:
-            return self.coeffs.get((), self.algebra.zero())
-        total = self.algebra.zero()
-        for idx, c in self.coeffs.items():
-            sub = [[v[i] for v in vectors] for i in idx]
-            total = total + c * linalg.det(sub)
-        return total
+        form = self
+        for v in vectors:
+            form = interior(v, form)
+        return form.coefficient(())
 
     def __str__(self):
         if self.is_zero():

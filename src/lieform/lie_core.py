@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
+from .exterior import KForm, ce_d
 from .scalars import Scalar
 
 
@@ -276,7 +277,6 @@ def extend_by_derivation(g, D, new_name="D"):
     ext = LieAlgebra([new_name] + list(g.basis_names), brackets,
                      params=g.params, h_subalgebra=h_sub,
                      name=f"{g.name}(D)" if g.name else "extension")
-    from .exterior import KForm, ce_d
     lam = KForm.monomial(ext, (0,), ext.one())
     if not ce_d(lam).is_zero():
         raise NotADerivation("dual form of D is not closed")

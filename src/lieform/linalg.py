@@ -32,10 +32,6 @@ def merge_locus(locus, extra):
     return locus
 
 
-def mat_copy(rows):
-    return [list(r) for r in rows]
-
-
 def mat_vec(a, v):
     return [sum((row[t] * v[t] for t in range(1, len(v))), row[0] * v[0])
             for row in a]
@@ -97,7 +93,7 @@ def _row_echelon(rows):
 
 
 def rref(rows):
-    rows = mat_copy(rows)
+    rows = [list(r) for r in rows]
     pivot_cols, locus = _row_echelon(rows)
     return rows, pivot_cols, locus
 
@@ -150,35 +146,6 @@ def solve(rows, rhs, zero):
     for r, pc in enumerate(pivot_cols):
         x[pc] = red[r][n]
     return x, _kernel(red, pivot_cols, n, zero), locus
-
-
-def det(rows):
-    """Exact determinant by fraction-field elimination."""
-    n = len(rows)
-    if n == 0:
-        raise LinalgError("empty matrix")
-    a = mat_copy(rows)
-    d = None
-    sign = 1
-    for c in range(n):
-        piv_row = None
-        for i in range(c, n):
-            if not a[i][c].is_zero():
-                piv_row = i
-                break
-        if piv_row is None:
-            return rows[0][0] - rows[0][0]  # zero of the right kind
-        if piv_row != c:
-            a[c], a[piv_row] = a[piv_row], a[c]
-            sign = -sign
-        piv = a[c][c]
-        d = piv if d is None else d * piv
-        inv = piv.inverse()
-        for i in range(c + 1, n):
-            if not a[i][c].is_zero():
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return d if sign > 0 else -d
 
 
 def inverse(rows, zero):

@@ -13,7 +13,7 @@ common monomial factors) keeps sizes under control.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 
 class ScalarError(Exception):
@@ -172,8 +172,9 @@ class Poly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -223,6 +224,10 @@ class Poly:
         parts = []
         for e in sorted(self.terms, key=_grlex_key, reverse=True):
             c = self.terms[e]
+            try:
+                text = str(c)
+            except ValueError as exc:  # more digits than int -> str allows
+                raise ScalarError("coefficient too long to print") from exc
             mono = "*".join(
                 p if k == 1 else f"{p}^{k}"
                 for p, k in zip(self.params, e) if k)
@@ -232,9 +237,9 @@ class Poly:
                 elif c == -1:
                     term = f"-{mono}"
                 else:
-                    term = f"{c}*{mono}"
+                    term = f"{text}*{mono}"
             else:
-                term = str(c)
+                term = text
             parts.append(term)
         out = parts[0]
         for term in parts[1:]:
@@ -445,10 +450,6 @@ class CScalar:
         self.im = im
 
     @classmethod
-    def from_real(cls, s):
-        return cls(s)
-
-    @classmethod
     def i(cls, params):
         return cls(Scalar.zero(params), Scalar.one(params))
 
@@ -458,9 +459,6 @@ class CScalar:
 
     def is_zero(self):
         return self.re.is_zero() and self.im.is_zero()
-
-    def is_real(self):
-        return self.im.is_zero()
 
     def conj(self):
         return CScalar(self.re, -self.im)
@@ -540,11 +538,20 @@ class CScalar:
 # integer exponents, parentheses.  Example: -(1+a^2)/b
 # ---------------------------------------------------------------------------
 
+# Limits that keep a short literal from exhausting the stack or building a
+# huge power.  The literals of the shipped documents and demos nest at most 2
+# deep and raise only monomials to at most the 2nd power.
+MAX_NESTING = 100      # open parentheses and unary minus signs
+MAX_POWER_TERMS = 100  # C(t+k-1, k): terms of a t-term polynomial to the k
+MAX_POWER_BITS = 4096  # |k| times the bit length of the largest coefficient
+
+
 class _Parser:
     def __init__(self, text, params):
         self.text = text
         self.params = tuple(params)
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg):
         raise ScalarParseError(self.text, self.pos, msg)
@@ -610,21 +617,42 @@ class _Parser:
                 self.pos += 1
                 sign = -1
             exponent = self.integer()
+            self.check_power(base, sign, exponent)
             return base ** (sign * exponent)
         return base
 
+    def check_power(self, base, sign, k):
+        """Reject base^(sign*k) before computing it when it would be large."""
+        if sign < 0 and base.is_zero():
+            self.error("division by zero")
+        polys = (base.num, base.den)
+        # first, since it also bounds k, and so the cost of comb()
+        bits = max(max(abs(c.numerator), c.denominator).bit_length()
+                   for p in polys for c in p.terms.values())
+        if k * bits > MAX_POWER_BITS:
+            self.error(f"power may have {k * bits}-bit coefficients "
+                       f"(limit {MAX_POWER_BITS})")
+        terms = comb(max(len(p.terms) for p in polys) + k - 1, k)
+        if terms > MAX_POWER_TERMS:
+            self.error(f"power may have {terms} terms "
+                       f"(limit {MAX_POWER_TERMS})")
+
     def atom(self):
         ch = self.peek()
-        if ch == "(":
+        if ch in ("(", "-"):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                self.error(f"nesting deeper than {MAX_NESTING}")
             self.pos += 1
-            value = self.expr()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
+            if ch == "(":
+                value = self.expr()
+                if self.peek() != ")":
+                    self.error("expected ')'")
+                self.pos += 1
+            else:
+                value = -self.atom()
+            self.depth -= 1
             return value
-        if ch == "-":
-            self.pos += 1
-            return -self.atom()
         if ch.isdigit():
             return Scalar.const(self.params, self.integer())
         if ch.isalpha() or ch == "_":
@@ -641,7 +669,10 @@ class _Parser:
             self.pos += 1
         if start == self.pos:
             self.error("expected integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than int() converts
+            self.error("integer too long")
 
     def identifier(self):
         self.skip_ws()

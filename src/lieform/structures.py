@@ -12,8 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .exterior import KForm, ce_d, dual_pairing, solve_potential, wedge
-from .lie_core import Subspace, centralizer, derived_subalgebra
+from .exterior import (KForm, ce_d, dual_pairing, form_monomials,
+                       form_to_vector, solve_potential, wedge)
+from .lie_core import Subspace, center, centralizer, derived_subalgebra
 from .scalars import CScalar, scalar_eval
 
 
@@ -304,7 +305,6 @@ def lcs_check(g, omega):
             f"rank {r} on the quotient (need {n - h_dim})", locus)
     dom = ce_d(omega)
     # solve lam ^ omega = d(omega), lam = sum x_i e^i
-    from .exterior import form_monomials, form_to_vector
     target = form_monomials(g, 3)
     columns = [form_to_vector(wedge(KForm.basis_oneform(g, i), omega), target)
                for i in range(n)]
@@ -523,11 +523,6 @@ def assemble_lck(g, omega, J, convention=CONVENTION_THM):
     the requested convention tag.
     """
     lcs = lcs_check(g, omega)
-    ok, defects = compatibility_check(lcs, J)
-    if not ok:
-        pair = next(iter(defects))
-        raise NotCompatible(
-            f"omega is not J-invariant; defect {defects[pair]} at {pair}")
     metric = metric_from(lcs, J, convention)
     n = g.dim
     half = Fraction(1, 2)
@@ -595,17 +590,16 @@ def biinvariant_identities(g, B, lck):
                 if not val.is_zero():
                     raise NotAdInvariant(
                         f"ad-invariance fails on triple ({i},{j},{k})")
-    if linalg.det(B).is_zero():
-        raise DegenerateB("B is degenerate")
+    try:
+        binv, _ = linalg.inverse(B, g.zero())
+    except linalg.LinalgError as exc:
+        raise DegenerateB("B is degenerate") from exc
 
     report = StructureReport("bi-invariant identities")
     phi = lck.phi
     lam = lck.lcs.lam
-    # v = B^{-1} phi
-    phi_vec = [phi.coefficient((j,)) for j in range(n)]
-    v, _, _ = linalg.solve(B, phi_vec, g.zero())
-    lam_vec = [lam.coefficient((j,)) for j in range(n)]
-    w, _, _ = linalg.solve(B, lam_vec, g.zero())
+    v = linalg.mat_vec(binv, [phi.coefficient((j,)) for j in range(n)])
+    w = linalg.mat_vec(binv, [lam.coefficient((j,)) for j in range(n)])
     if bform.pair(w, w).is_zero():
         raise IsotropicLeeVector("B^{-1} lam is isotropic")
 
@@ -622,25 +616,23 @@ def biinvariant_identities(g, B, lck):
                 ok = False
     report.check("d(phi) = B o (-ad_v)", ok)
 
-    from .lie_core import center as center_of
-    z = center_of(g)
     report.check("A_g xi central (B^{-1} lam in the center)",
-                 z.contains(w))
+                 center(g).contains(w))
     rk, _ = linalg.rank(adv)
     report.check(f"rank(ad_v) = {rk} >= dim - 2", rk >= n - 2)
     zv = centralizer(g, v)
-    report.info("dim Z_g(v)", zv.dim)
-    s = derived_subalgebra(g)
-    inter = _intersection_dim(zv.span, s.span, g.zero())
+    dim_zv = zv.dim
+    report.info("dim Z_g(v)", dim_zv)
+    inter = _intersection_dim(zv.span, derived_subalgebra(g).span)
     report.check(f"dim Z_s(v) = {inter} == 1", inter == 1)
-    return report, {"v": v, "rank_ad_v": rk, "dim_Zg_v": zv.dim,
+    return report, {"v": v, "rank_ad_v": rk, "dim_Zg_v": dim_zv,
                     "dim_Zs_v": inter}
 
 
-def _intersection_dim(span_a, span_b, zero):
-    if not span_a or not span_b:
+def _intersection_dim(basis_a, basis_b):
+    """Dimension of the intersection of two spans, given by bases (such as
+    a nullspace basis or rref pivot rows), whose lengths are their ranks."""
+    if not basis_a or not basis_b:
         return 0
-    ra, _ = linalg.rank(span_a)
-    rb, _ = linalg.rank(span_b)
-    rab, _ = linalg.rank(span_a + span_b)
-    return ra + rb - rab
+    rab, _ = linalg.rank(basis_a + basis_b)
+    return len(basis_a) + len(basis_b) - rab

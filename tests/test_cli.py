@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, output formats, exit-code contract."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieform import cli
 
@@ -110,9 +115,47 @@ def test_bad_degree_fails_without_traceback(capsys, tmp_path, argv):
     assert captured.err == ""
 
 
+ATOMS = st.sampled_from(
+    ["a", "b", "a1", "2", "1/3", "0", "(a + b + 1)", "e0^e1", "e2^e3", "e1"])
+EXPRESSIONS = st.recursive(ATOMS, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from([" + ", " - ", "*", "/"]), inner)
+    .map("".join),
+    inner.map(lambda s: f"({s})"),
+    inner.map(lambda s: f"-{s}"),
+    st.tuples(inner, st.integers(-10**6, 10**6))
+    .map(lambda t: f"({t[0]})^{t[1]}"),
+), max_leaves=8)
+FORM_LITERALS = st.one_of(
+    st.tuples(EXPRESSIONS, st.sampled_from(
+        [" * e0^e1 + e2^e3", " * e2^e3 + e0^e1 - e1^e3", ""])).map("".join),
+    # deep nesting of parentheses or unary minus signs
+    st.tuples(st.integers(1, 5000), st.sampled_from(["(", "-"]), ATOMS)
+    .map(lambda t: t[1] * t[0] + t[2] + (")" * t[0] if t[1] == "(" else "")),
+    # stray characters spliced into a well-formed literal
+    st.tuples(EXPRESSIONS, st.integers(0, 40), st.text(max_size=3))
+    .map(lambda t: t[0][:t[1]] + t[2] + t[0][t[1]:]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(FORM_LITERALS)
+def test_form_literal_fuzz_keeps_exit_contract(literal):
+    with open(U2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["forms"]["fuzz"] = literal
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "u2_fuzz.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["check-lcs", path, "fuzz"])
+    assert code in (0, 1)
+    assert err.getvalue() == ""
+
+
 def test_construct_orbit(capsys):
     # drive the construction from a hand-written document
-    import tempfile
     doc = {
         "parameters": [],
         "algebra": {"dim": 3, "basis": ["e1", "e2", "e3"],

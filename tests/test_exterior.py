@@ -3,9 +3,11 @@ twisted complexes.  Each operation is cross-checked against an independent
 pointwise oracle built from evaluation on vectors."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieform import linalg
 from lieform.catalog import abelian, gl2r, sl2r, su2, u2
@@ -14,6 +16,7 @@ from lieform.exterior import (FormError, KForm, NoSolution, ce_d,
                               lie_derivative, solve_potential,
                               twisted_cohomology_dim, twisted_d, wedge,
                               wedge_power)
+from lieform.scalars import parse_scalar
 from conftest import make_rng, random_form, random_vector
 
 
@@ -24,6 +27,22 @@ def e(g, *idx):
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------
+
+def leibniz_oracle(alpha, vectors):
+    """alpha(v_1..v_k) = sum_I c_I det(e^{I_i}(v_j)), each determinant
+    expanded by the Leibniz formula."""
+    k = alpha.degree
+    total = alpha.algebra.zero()
+    for idx, c in alpha.coeffs.items():
+        for perm in permutations(range(k)):
+            inv = sum(1 for i in range(k) for j in range(i + 1, k)
+                      if perm[i] > perm[j])
+            term = c
+            for i in range(k):
+                term = term * vectors[perm[i]][idx[i]]
+            total = total + (term if inv % 2 == 0 else -term)
+    return total
+
 
 def wedge_oracle(alpha, beta, vectors):
     """(alpha ^ beta)(v_1..v_{k+l}) via the shuffle-sum definition."""
@@ -87,6 +106,24 @@ def test_dual_basis_pairing():
     assert om.evaluate(g.basis_vector(3), g.basis_vector(1)) == -1
     assert om.evaluate(g.basis_vector(1), g.basis_vector(2)).is_zero()
     assert dual_pairing(e(g, 2), g.vector([1, 2, 3, 4])) == 3
+
+
+LITERALS = st.sampled_from(
+    ["0", "1", "-2", "1/3", "a", "-b", "a*b - 1", "(a + 1)/b", "a^2/(b - 2)"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.data())
+def test_evaluate_matches_leibniz_expansion(k, data):
+    params = ("a", "b")
+    g = u2(params)
+    coeffs = data.draw(st.dictionaries(
+        st.sampled_from(form_monomials(g, k)), LITERALS, min_size=1))
+    alpha = KForm(g, k, {idx: parse_scalar(c, params)
+                         for idx, c in coeffs.items()})
+    vectors = [[parse_scalar(c, params) for c in data.draw(
+        st.lists(LITERALS, min_size=4, max_size=4))] for _ in range(k)]
+    assert alpha.evaluate(*vectors) == leibniz_oracle(alpha, vectors)
 
 
 def test_wedge_known_values():

@@ -1,14 +1,15 @@
 """Exact scalar field: arithmetic, equality, substitution, parsing."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lieform.scalars import (CScalar, DenominatorVanishes, Poly, Scalar,
-                             ScalarError, ScalarParseError, parse_scalar,
-                             scalar_eval)
+from lieform.scalars import (MAX_NESTING, CScalar, DenominatorVanishes, Poly,
+                             Scalar, ScalarError, ScalarParseError,
+                             parse_scalar, scalar_eval)
 
 P = ("a", "b")
 
@@ -140,6 +141,37 @@ def test_parse_errors_carry_positions():
         S("(a + 1")         # unbalanced
     with pytest.raises(ScalarParseError):
         S("1/0")
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 5000 + "a" + ")" * 5000,
+    "-" * 5000 + "a",
+    "(a+b+1)^60",       # C(62, 60) = 1891 terms
+    "(a+b+1)^-13",      # C(15, 13) = 105 terms
+    "2^99999999999",
+    "(2^64)^64",        # 64 * 65 bits
+    "0^-1",
+    "9" * 5000,         # more digits than int() converts
+])
+def test_parse_limits_reject_before_computing(text):
+    with pytest.raises(ScalarParseError):
+        S(text)
+
+
+def test_parse_limits_admit_literals_at_the_bounds():
+    assert S("(" * MAX_NESTING + "a" + ")" * MAX_NESTING) == S("a")
+    assert S("-" * MAX_NESTING + "a") == S("a")
+    assert len(S("(a+b+1)^12").num.terms) == 91
+    assert S("2^2048") == Scalar.const(P, 2 ** 2048)
+    assert S("0^0") == Scalar.one(P)
+
+
+def test_str_rejects_a_coefficient_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int -> str conversion has no digit limit")
+    with pytest.raises(ScalarError, match="too long to print"):
+        str(S("a") * Scalar.const(P, 10 ** limit))
 
 
 def test_parser_precedence():

@@ -8,15 +8,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lieform import linalg
-from lieform.catalog import (J_01, J_ab, J_mu1, abelian, gl2r, lcs_form,
-                             oneform, u2)
+from lieform.catalog import (J_01, J_ab, J_ab_at, J_mu1, abelian, gl2r,
+                             lcs_form, oneform, u2)
 from lieform.exterior import KForm, ce_d, wedge
 from lieform.scalars import Scalar
 from lieform.structures import (CONVENTION_DEF, CONVENTION_THM,
                                 ComplexStructure, Degenerate,
-                                DegenerateAtPoint, J_to_subalgebra,
-                                NotAlmostComplex, NotCompatible,
-                                StructureReport, assemble_lck,
+                                DegenerateAtPoint, DegenerateB,
+                                J_to_subalgebra, NotAlmostComplex,
+                                NotCompatible, StructureReport, assemble_lck,
+                                biinvariant_identities,
                                 compatibility_check, exact_signature,
                                 lcs_check, metric_from, nabla_of_vector,
                                 nijenhuis, signature_at, subalgebra_to_J,
@@ -290,6 +291,22 @@ def test_assemble_lck_identities():
     from lieform.exterior import dual_pairing, twisted_d
     assert twisted_d(lck.phi, lck.lcs.lam) == om
     assert dual_pairing(lck.phi, lck.xi).is_zero()
+
+
+def test_assemble_lck_rejects_incompatible_pair():
+    g = u2()
+    om = lcs_form(g, oneform(g, {1: 1, 2: 1}))
+    with pytest.raises(NotCompatible, match="omega is not J-invariant"):
+        assemble_lck(g, om, J_ab_at(g, 1, 2))
+
+
+def test_biinvariant_identities_rejects_degenerate_B():
+    g = u2()
+    lck = assemble_lck(g, lcs_form(g, oneform(g, {1: 1})), J_01(g))
+    # e0 spans the center, so this B is ad-invariant but degenerate
+    B = [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    with pytest.raises(DegenerateB):
+        biinvariant_identities(g, B, lck)
 
 
 # ---------------------------------------------------------------------------
