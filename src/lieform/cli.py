@@ -13,8 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import catalog, document
-from .exterior import (FormError, KForm, ce_d, dual_pairing,
-                       twisted_cohomology_dim)
+from .exterior import FormError, KForm, ce_d, twisted_cohomology_dim
 from .lie_core import LieAlgebra, LieError, center
 from .constructions import ConstructionError, coadjoint_stabilizer, lcs_from_orbit
 from .scalars import ScalarError
@@ -179,10 +178,10 @@ def cmd_check_vaisman(args):
                 detail = "the Lee field is not parallel"
             else:
                 detail = "Vaisman exactly on the locus: " + "; ".join(
-                    f"{p} = 0" for p in vanishing[:4])
+                    f"{p} = 0" for p in vanishing)
         rep.check("Lee field is parallel (Vaisman)", ok, detail)
         rep.info("g(xi, xi)", str(lck.metric.pair(lck.xi, lck.xi)))
-        rep.info("lam(xi)", str(dual_pairing(lck.lcs.lam, lck.xi)))
+        rep.info("lam(xi)", str(lck.lcs.lam.evaluate(lck.xi)))
     return _run(f"check-vaisman {args.omega} {args.J}", args.format, body)
 
 

@@ -4,9 +4,9 @@ orbit-plus-derivation construction of homogeneous lcs data."""
 from __future__ import annotations
 
 from . import linalg
-from .exterior import KForm, ce_d, dual_pairing, wedge
+from .exterior import KForm, ce_d, interior, wedge
 from .lie_core import Subspace, extend_by_derivation
-from .structures import StructureError, lcs_check
+from .structures import StructureError, gram_matrix, lcs_check
 
 
 class ConstructionError(StructureError):
@@ -46,7 +46,7 @@ def kirillov_kostant_form(g, phi):
     coeffs = {}
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            c = dual_pairing(phi, g.bracket_basis(i, j))
+            c = phi.evaluate(g.bracket_basis(i, j))
             if not c.is_zero():
                 coeffs[(i, j)] = c
     return KForm(g, 2, coeffs)
@@ -60,15 +60,11 @@ def coadjoint_stabilizer(g, phi):
     """
     if phi.is_zero():
         raise ZeroForm("coadjoint stabilizer of the zero form")
-    n = g.dim
     omega_Q = kirillov_kostant_form(g, phi)
-    # rows: j-th condition phi([x, e_j]) = 0 for x = sum x_i e_i
-    rows = [[dual_pairing(phi, g.bracket_basis(i, j)) for i in range(n)]
-            for j in range(n)]
-    kbasis, locus = linalg.nullspace(rows, g.zero())
+    kbasis, locus = linalg.nullspace(gram_matrix(omega_Q), g.zero())
     k = Subspace(g, kbasis, locus)
     # h = k intersect ker(phi)
-    h_rows = [[dual_pairing(phi, v) for v in kbasis]]
+    h_rows = [[phi.evaluate(v) for v in kbasis]]
     coeff_kernel, _ = linalg.nullspace(h_rows, g.zero())
     hbasis = []
     for cv in coeff_kernel:
@@ -77,7 +73,7 @@ def coadjoint_stabilizer(g, phi):
             v = linalg.vec_add(v, linalg.vec_scale(c, kb))
         hbasis.append(v)
     h = Subspace(g, hbasis, locus)
-    non_conical = any(not dual_pairing(phi, v).is_zero() for v in kbasis)
+    non_conical = any(not c.is_zero() for c in h_rows[0])
     return OrbitData(g, phi, k, h, omega_Q, non_conical)
 
 
@@ -107,11 +103,7 @@ def lcs_from_orbit(orbit, D=None):
     # d(omega) = lam ^ omega and omega(Z, .) = phi(Z) lam, exactly
     if not (ce_d(omega) - wedge(lam, omega)).is_zero():
         raise ConstructionError("lcs equation fails on the extension")
-    phiZ = dual_pairing(phi, lcs.Z)
-    contraction = KForm(ext, 1, {
-        (j,): omega.evaluate(lcs.Z, ext.basis_vector(j))
-        for j in range(ext.dim)})
-    if not (contraction - lam.scaled(phiZ)).is_zero():
+    if interior(lcs.Z, omega) != lam.scaled(phi.evaluate(lcs.Z)):
         raise ConstructionError("omega(Z,.) = phi(Z) lam fails")
     if not ext.h_subalgebra and lcs.lam != lam:
         raise ConstructionError("extracted Lee form differs from dual of D")

@@ -83,16 +83,13 @@ class Document:
             raise DocumentError(f"document has no form named {name!r}")
         return parse_form(self.forms[name], g)
 
-    def build_matrix(self, table, name, g):
-        if name not in table:
+    def build_endo(self, name, g):
+        if name not in self.endos:
             raise DocumentError(f"document has no entry named {name!r}")
-        rows = table[name]
+        rows = self.endos[name]
         if len(rows) != g.dim or any(len(r) != g.dim for r in rows):
             raise DocumentError(f"matrix {name!r} has the wrong shape")
         return [[parse_scalar(c, g.params) for c in row] for row in rows]
-
-    def build_endo(self, name, g):
-        return self.build_matrix(self.endos, name, g)
 
     # -- (de)serialization --------------------------------------------
 
@@ -131,11 +128,6 @@ def load(path):
 
 def dumps(doc):
     return json.dumps(doc.to_dict(), indent=2) + "\n"
-
-
-def dump(doc, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +239,6 @@ def emit_form(f):
     return " + ".join(parts)
 
 
-def emit_scalar(s):
-    return str(s)
-
-
 def document_from_entry(entry):
     """Serialize a catalog entry (algebra + families) as a document."""
     g = entry.algebra
@@ -258,7 +246,7 @@ def document_from_entry(entry):
     for (i, j), vec in sorted(g.structure_table().items()):
         brackets.append({
             "i": i, "j": j,
-            "coeffs": {g.basis_names[k]: emit_scalar(c)
+            "coeffs": {g.basis_names[k]: str(c)
                        for k, c in enumerate(vec) if not c.is_zero()}})
     forms = {}
     endos = {}
@@ -266,9 +254,8 @@ def document_from_entry(entry):
         if isinstance(fam, KForm):
             forms[name] = emit_form(fam)
         else:
-            endos[name] = [[emit_scalar(c) for c in row]
-                           for row in fam.matrix]
-    bilinears = {name: [[emit_scalar(c) for c in row] for row in mat]
+            endos[name] = [[str(c) for c in row] for row in fam.matrix]
+    bilinears = {name: [[str(c) for c in row] for row in mat]
                  for name, mat in entry.bilinears.items()}
     return Document(
         list(g.params),

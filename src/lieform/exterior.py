@@ -257,17 +257,6 @@ def lie_derivative(v, alpha):
     return ce_d(interior(v, alpha)) + interior(v, ce_d(alpha))
 
 
-def dual_pairing(alpha, v):
-    """Evaluate a 1-form on a vector."""
-    if alpha.degree != 1:
-        raise FormError("pairing requires a 1-form")
-    g = alpha.algebra
-    total = g.zero()
-    for (i,), c in alpha.coeffs.items():
-        total = total + c * v[i]
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Relative complex C^k(g, h) and twisted cohomology
 # ---------------------------------------------------------------------------
@@ -375,13 +364,13 @@ def solve_potential(omega, lam, gauge=None):
     phi = build(x)
     if gauge is None:
         return phi
-    val = dual_pairing(phi, gauge)
+    val = phi.evaluate(gauge)
     if val.is_zero():
         return phi
     # adjust along the kernel of d_lam on C^1 to impose phi(gauge) = 0
     for kv in kernel:
         kform = build(kv)
-        kval = dual_pairing(kform, gauge)
+        kval = kform.evaluate(gauge)
         if not kval.is_zero():
             return phi - kform.scaled(val / kval)
     raise GaugeUnresolvable(

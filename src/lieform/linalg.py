@@ -1,4 +1,4 @@
-"""Exact linear algebra over the scalar field (or its complexification).
+"""Exact linear algebra over the scalar field.
 
 Matrices are plain lists of row lists.  Elimination divides by pivots inside
 the rational-function field, which is exact; whenever a pivot depends on
@@ -9,8 +9,6 @@ resolved.
 
 from __future__ import annotations
 
-from .scalars import CScalar, Scalar
-
 
 class LinalgError(Exception):
     pass
@@ -18,11 +16,7 @@ class LinalgError(Exception):
 
 def pivot_locus(x):
     """Exclusion polynomial of a pivot, or None when the pivot is constant."""
-    if isinstance(x, CScalar):
-        x = x.re * x.re + x.im * x.im
-    if isinstance(x, Scalar) and not x.num.is_constant():
-        return x.num
-    return None
+    return None if x.num.is_constant() else x.num
 
 
 def merge_locus(locus, extra):
@@ -35,6 +29,12 @@ def merge_locus(locus, extra):
 def mat_vec(a, v):
     return [sum((row[t] * v[t] for t in range(1, len(v))), row[0] * v[0])
             for row in a]
+
+
+def mat_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    return [[sum((a[i][t] * b[t][j] for t in range(1, k)), a[i][0] * b[0][j])
+             for j in range(m)] for i in range(n)]
 
 
 def vec_add(u, v):

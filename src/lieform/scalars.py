@@ -3,7 +3,7 @@
 A ``Poly`` is a multivariate polynomial with exact rational coefficients,
 stored sparsely as a map from exponent vectors to coefficients.  A ``Scalar``
 is a quotient of two such polynomials and is the coefficient field used
-everywhere else in the package.  ``CScalar`` is the complexification.
+everywhere else in the package.
 
 Equality of scalars is decided by cross-multiplication, so correctness never
 depends on polynomial GCDs.  A cheap normalization (rational content and
@@ -436,101 +436,7 @@ def scalar_eval(s, assignment):
     return s.num.evaluate(assignment) / den
 
 
-class CScalar:
-    """Complex extension of the scalar field: re + i*im."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=None):
-        if im is None:
-            im = Scalar.zero(re.params)
-        if re.params != im.params:
-            raise ScalarError("parameter mismatch in complex scalar")
-        self.re = re
-        self.im = im
-
-    @classmethod
-    def i(cls, params):
-        return cls(Scalar.zero(params), Scalar.one(params))
-
-    @property
-    def params(self):
-        return self.re.params
-
-    def is_zero(self):
-        return self.re.is_zero() and self.im.is_zero()
-
-    def conj(self):
-        return CScalar(self.re, -self.im)
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CScalar(Scalar.const(self.params, other))
-        if isinstance(other, Scalar):
-            return CScalar(other)
-        if isinstance(other, CScalar):
-            return other
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CScalar(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CScalar(-self.re, -self.im)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CScalar(self.re * other.re - self.im * other.im,
-                       self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        n = self.re * self.re + self.im * self.im
-        if n.is_zero():
-            raise ZeroDivisionError("inverse of zero complex scalar")
-        return CScalar(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __str__(self):
-        if self.im.is_zero():
-            return str(self.re)
-        if self.re.is_zero():
-            return f"({self.im})*i"
-        return f"({self.re}) + ({self.im})*i"
-
-    def __repr__(self):
-        return f"CScalar({self})"
+CScalar = None  # read only by the bench's result sizer, bench/spans.py
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .exterior import (KForm, ce_d, dual_pairing, form_monomials,
-                       form_to_vector, solve_potential, wedge)
+from .exterior import (KForm, ce_d, form_monomials, form_to_vector,
+                       solve_potential, wedge)
 from .lie_core import Subspace, center, centralizer, derived_subalgebra
-from .scalars import CScalar, scalar_eval
+from .scalars import scalar_eval
 
 
 class StructureError(Exception):
@@ -147,12 +147,9 @@ class ComplexStructure:
     def __init__(self, algebra, matrix):
         self.algebra = algebra
         self.matrix = [[algebra._scalar(c) for c in row] for row in matrix]
-        n = algebra.dim
-        for i in range(n):
-            for j in range(n):
-                acc = algebra.zero()
-                for k in range(n):
-                    acc = acc + self.matrix[i][k] * self.matrix[k][j]
+        square = linalg.mat_mul(self.matrix, self.matrix)
+        for i, row in enumerate(square):
+            for j, acc in enumerate(row):
                 want = -algebra.one() if i == j else algebra.zero()
                 if acc != want:
                     raise NotAlmostComplex(
@@ -206,58 +203,49 @@ def nijenhuis(g, J):
 # -- correspondence between J and its i-eigenspace --------------------------
 
 def subalgebra_to_J(g, span):
-    """Complex structure with Eig(J, i) = span, for span of two vectors.
+    """Complex structure with Eig(J, i) = span, for real pairs (u, v) that
+    stand for the vectors u + iv.
 
-    Returns (ComplexStructure, is_subalgebra): the flag records whether the
-    span is closed under the bracket (equivalently J is integrable).
+    J(u + iv) = i(u + iv) says Ju = -v and Jv = u, so J maps the real basis
+    [u.., v..] to [-v.., u..].  Returns (ComplexStructure, is_subalgebra):
+    the span is closed under the bracket iff J is integrable.
     """
     n = g.dim
-    czero = CScalar(g.zero())
-    cone = CScalar(g.one())
-    ci = CScalar(g.zero(), g.one())
-    ell = [[c if isinstance(c, CScalar) else CScalar(g._scalar(c))
-            for c in v] for v in span]
-    rho = [[c.conj() for c in v] for v in ell]
-    cols = ell + rho
-    # transversality: the columns must span g^C
-    mat = [[cols[c][r] for c in range(len(cols))] for r in range(n)]
-    r, _ = linalg.rank(mat)
-    if r < n or len(cols) != n:
-        raise NotTransverse("span and its conjugate do not decompose g^C")
-    is_subalg = True
-    for a in range(len(ell)):
-        for b in range(a + 1, len(ell)):
-            br = g.bracket(ell[a], ell[b])
-            if not linalg.in_span(ell, br, czero):
-                is_subalg = False
-    jmat = [[None] * n for _ in range(n)]
-    for k in range(n):
-        ek = [cone if t == k else czero for t in range(n)]
-        x, _, _ = linalg.solve(mat, ek, czero)
-        if x is None:
-            raise NotTransverse("decomposition of basis vector failed")
-        u = [czero] * n
-        for a in range(len(ell)):
-            u = linalg.vec_add(u, linalg.vec_scale(x[a], ell[a]))
-        # J e_k = i u - i (e_k - u) = 2 i u - i e_k
-        jek = [ci * (u[t] + u[t]) - ci * ek[t] for t in range(n)]
-        for t in range(n):
-            if not jek[t].im.is_zero():
-                raise NotTransverse("resulting endomorphism is not real")
-            jmat[t][k] = jek[t].re
-    return ComplexStructure(g, jmat), is_subalg
+    if 2 * len(span) != n:
+        raise NotTransverse(
+            f"{len(span)} pairs give {2 * len(span)} real vectors, need {n}")
+    us = [[g._scalar(c) for c in u] for u, _ in span]
+    vs = [[g._scalar(c) for c in v] for _, v in span]
+    basis = us + vs
+    images = [[-c for c in v] for v in vs] + us
+    try:
+        inv, _ = linalg.inverse(
+            [[w[r] for w in basis] for r in range(n)], g.zero())
+    except linalg.LinalgError as exc:
+        raise NotTransverse(
+            "span and its conjugate do not decompose g^C") from exc
+    J = ComplexStructure(
+        g, linalg.mat_mul([[w[r] for w in images] for r in range(n)], inv))
+    return J, nijenhuis(g, J)[1]
 
 
 def J_to_subalgebra(J):
-    """Basis of ker(J - i Id) in the complexification."""
+    """Basis of ker(J - i Id) as real pairs (u, v) standing for u + iv.
+
+    Each x - iJx lies in the kernel; x runs over the basis vectors that are
+    not in the span of the earlier x and Jx.
+    """
     g = J.algebra
-    czero = CScalar(g.zero())
-    ci = CScalar(g.zero(), g.one())
-    n = g.dim
-    rows = [[CScalar(J.matrix[i][j]) - (ci if i == j else czero)
-             for j in range(n)] for i in range(n)]
-    basis, _ = linalg.nullspace(rows, czero)
-    return basis
+    seen = []
+    span = []
+    for k in range(g.dim):
+        x = g.basis_vector(k)
+        if linalg.in_span(seen, x, g.zero()):
+            continue
+        jx = J.apply(x)
+        seen += [x, jx]
+        span.append((x, [-c for c in jx]))
+    return span
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +314,7 @@ def lcs_check(g, omega):
         raise Degenerate("no Reeb vector: omega(Z,.) = lam/2 unsolvable",
                          locus)
     linalg.merge_locus(locus, locus3)
-    if not dual_pairing(lam, z).is_zero():
+    if not lam.evaluate(z).is_zero():
         raise StructureError("lam(Z) != 0; omega is not skew")
     return LcsData(g, omega, lam, z, proper=not dom.is_zero(), locus=locus)
 
@@ -335,22 +323,19 @@ def lcs_check(g, omega):
 # Compatibility, metrics, signatures
 # ---------------------------------------------------------------------------
 
-def compatibility_check(lcs, J):
-    """omega(JX, JY) = omega(X, Y) on basis pairs.
+def compatibility_check(omega, J):
+    """J-invariance of a 2-form: omega(X, JY) = omega(Y, JX).
 
-    Accepts either LcsData or a raw 2-form for lcs.  Returns
-    (compatible, defects) where defects maps basis pairs to the nonzero
-    defect scalars (empty iff compatible identically).
+    For J^2 = -Id this is omega(JX, JY) = omega(X, Y).  Returns
+    (compatible, defects) where defects maps basis pairs (i, j), i < j, to
+    the nonzero asymmetries omega(e_i, J e_j) - omega(e_j, J e_i) (empty iff
+    compatible identically).
     """
-    omega = lcs.omega if isinstance(lcs, LcsData) else lcs
-    g = omega.algebra
+    mat = linalg.mat_mul(gram_matrix(omega), J.matrix)  # omega(e_i, J e_j)
     defects = {}
-    for i in range(g.dim):
-        ji = J.apply(g.basis_vector(i))
-        for j in range(i + 1, g.dim):
-            jj = J.apply(g.basis_vector(j))
-            d = omega.evaluate(ji, jj) - omega.evaluate(
-                g.basis_vector(i), g.basis_vector(j))
+    for i in range(len(mat)):
+        for j in range(i + 1, len(mat)):
+            d = mat[i][j] - mat[j][i]
             if not d.is_zero():
                 defects[(i, j)] = d
     return (not defects), defects
@@ -379,13 +364,11 @@ CONVENTION_DEF = "def"   # g = omega(., J.)
 CONVENTION_THM = "thm"   # g = -omega(., J.)
 
 
-def metric_from(lcs, J, convention=CONVENTION_THM):
+def metric_from(omega, J, convention=CONVENTION_THM):
     """Metric in either sign convention; the two differ by an overall sign."""
-    omega = lcs.omega if isinstance(lcs, LcsData) else lcs
     g = omega.algebra
     n = g.dim
-    mat = [[omega.evaluate(g.basis_vector(i), J.apply(g.basis_vector(j)))
-            for j in range(n)] for i in range(n)]
+    mat = linalg.mat_mul(gram_matrix(omega), J.matrix)  # omega(e_i, J e_j)
     if convention == CONVENTION_THM:
         mat = [[-c for c in row] for row in mat]
     elif convention != CONVENTION_DEF:
@@ -523,7 +506,7 @@ def assemble_lck(g, omega, J, convention=CONVENTION_THM):
     the requested convention tag.
     """
     lcs = lcs_check(g, omega)
-    metric = metric_from(lcs, J, convention)
+    metric = metric_from(omega, J, convention)
     n = g.dim
     half = Fraction(1, 2)
     s = -half if convention == CONVENTION_DEF else half
@@ -609,10 +592,8 @@ def biinvariant_identities(g, B, lck):
     for i in range(n):
         ei = g.basis_vector(i)
         for j in range(i + 1, n):
-            ej = g.basis_vector(j)
-            lhs = dphi.evaluate(ei, ej)
-            rhs = -bform.pair(g.bracket(v, ei), ej)
-            if lhs != rhs:
+            rhs = -bform.pair(g.bracket(v, ei), g.basis_vector(j))
+            if dphi.coefficient((i, j)) != rhs:
                 ok = False
     report.check("d(phi) = B o (-ad_v)", ok)
 

@@ -86,6 +86,14 @@ def test_check_vaisman_positive_and_negative(capsys):
         "1/2*a1^2*a3 + 1/2*a2^2*a3 + 1/2*a3^3 = 0; "
         "-1/2*a1^2*a2 - 1/2*a2^3 - 1/2*a2*a3^2 = 0; "
         "-1/2*a1^2*a3 - 1/2*a2^2*a3 - 1/2*a3^3 = 0") in out3.splitlines()
+    # every vanishing condition is printed, not only the first four
+    code4, out4 = run(capsys, "check-vaisman", GL2R, "omega_general", "J_mu1",
+                      "--at", "ah=1,ap=2")
+    assert code4 == 1
+    fail = [ln for ln in out4.splitlines()
+            if ln.startswith("[FAIL] Lee field is parallel (Vaisman)")]
+    assert len(fail) == 1
+    assert fail[0].count(" = 0") == 6
 
 
 def test_cohomology(capsys):

@@ -23,12 +23,6 @@ def M(rows, params=P):
 Z = Scalar.zero(P)
 
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum((a[i][t] * b[t][j] for t in range(1, k)), a[i][0] * b[0][j])
-             for j in range(m)] for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # Hand-enumerated oracles
 # ---------------------------------------------------------------------------
@@ -46,10 +40,18 @@ def test_rank_and_nullspace_known():
     assert linalg.in_span([[S("1"), S("-2"), S("1")]], v, Z)
 
 
+def test_mat_mul_known():
+    a = M([[1, "a"], [0, "b"]])
+    b = M([["b", 0], [1, 1]])
+    assert linalg.mat_mul(a, b) == M([["a + b", "a"], ["b", "b"]])
+    # non-square shapes: (1 x 2)(2 x 1)
+    assert linalg.mat_mul(M([[1, 2]]), M([["a"], ["b"]])) == M([["a + 2*b"]])
+
+
 def test_inverse_known():
     rows = M([[1, 1], [0, "b"]])
     inv, locus = linalg.inverse(rows, Z)
-    prod = mat_mul(rows, inv)
+    prod = linalg.mat_mul(rows, inv)
     assert prod[0][0] == 1 and prod[1][1] == 1
     assert prod[0][1].is_zero() and prod[1][0].is_zero()
     assert any(str(p) == "b" for p in locus)
@@ -147,7 +149,7 @@ def test_inverse_round_trip(rows):
             linalg.inverse(rows, Z)
         return
     inv, _ = linalg.inverse(rows, Z)
-    prod = mat_mul(rows, inv)
+    prod = linalg.mat_mul(rows, inv)
     for i in range(3):
         for j in range(3):
             want = Fraction(1 if i == j else 0)

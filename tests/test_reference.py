@@ -1,0 +1,22 @@
+"""Every CLI call recorded in bench/reference.json prints the same bytes and
+exits with the same code as when it was recorded."""
+
+import json
+import os
+
+import pytest
+
+from lieform import cli
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+with open(os.path.join(ROOT, "bench", "reference.json"),
+          encoding="utf-8") as fh:
+    CALLS = json.load(fh)["cli"]
+
+
+@pytest.mark.parametrize("call", sorted(CALLS))
+def test_cli_output_matches_reference(call, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)  # the recorded calls use repo-relative paths
+    code = cli.main(call.split())
+    assert code == CALLS[call]["code"]
+    assert capsys.readouterr().out == CALLS[call]["out"]

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lieform.scalars import (MAX_NESTING, CScalar, DenominatorVanishes, Poly,
-                             Scalar, ScalarError, ScalarParseError,
-                             parse_scalar, scalar_eval)
+from lieform.scalars import (MAX_NESTING, DenominatorVanishes, Poly, Scalar,
+                             ScalarError, ScalarParseError, parse_scalar,
+                             scalar_eval)
 
 P = ("a", "b")
 
@@ -111,20 +111,6 @@ def test_scalar_str_round_trip():
     for text in ("-(1+a^2)/b", "a/2 - b/3", "(a + b)/(a*b - 1)", "0", "7/4"):
         s = S(text)
         assert parse_scalar(str(s), P) == s
-
-
-# ---------------------------------------------------------------------------
-# Complex extension
-# ---------------------------------------------------------------------------
-
-def test_cscalar_arithmetic():
-    i = CScalar.i(P)
-    a = CScalar(S("a"))
-    assert i * i == CScalar(Scalar.const(P, -1))
-    assert (a + i) * (a - i) == CScalar(S("a^2 + 1"))
-    assert (a + i).conj() == a - i
-    z = a + i
-    assert z * z.inverse() == CScalar(Scalar.one(P))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lieform import linalg
-from lieform.catalog import (J_01, J_ab, J_ab_at, J_mu1, abelian, gl2r,
+from lieform import catalog, linalg
+from lieform.catalog import (J_01, J_ab, J_ab_at, J_mu, J_mu1, abelian, gl2r,
                              lcs_form, oneform, u2)
 from lieform.exterior import KForm, ce_d, wedge
 from lieform.scalars import Scalar
@@ -16,7 +16,8 @@ from lieform.structures import (CONVENTION_DEF, CONVENTION_THM,
                                 ComplexStructure, Degenerate,
                                 DegenerateAtPoint, DegenerateB,
                                 J_to_subalgebra, NotAlmostComplex,
-                                NotCompatible, StructureReport, assemble_lck,
+                                NotCompatible, NotTransverse,
+                                StructureReport, assemble_lck,
                                 biinvariant_identities,
                                 compatibility_check, exact_signature,
                                 lcs_check, metric_from, nabla_of_vector,
@@ -59,11 +60,10 @@ def test_pullback_is_dual_of_apply():
     g = u2()
     J = J_01(g)
     alpha = KForm(g, 1, {(0,): g._scalar(2), (2,): g._scalar(-3)})
-    from lieform.exterior import dual_pairing
     for i in range(4):
         v = g.basis_vector(i)
-        assert dual_pairing(J.pullback(alpha), v) == \
-            dual_pairing(alpha, J.apply(v))
+        assert J.pullback(alpha).evaluate(v) == \
+            alpha.evaluate(J.apply(v))
 
 
 def test_complex_structure_subalgebra_round_trip():
@@ -93,6 +93,33 @@ def test_nonintegrable_structure_subalgebra_round_trip():
             assert J2.matrix[i][j] == J.matrix[i][j]
 
 
+@pytest.mark.parametrize("make_J", [
+    lambda: J_ab(u2(("a", "b"))),
+    lambda: J_mu(gl2r(("mu1", "mu2"))),
+], ids=["J_ab", "J_mu"])
+def test_parametric_subalgebra_round_trip(make_J):
+    J = make_J()
+    span = J_to_subalgebra(J)
+    assert len(span) == 2
+    for u, v in span:
+        # J(u + iv) = i(u + iv)
+        assert J.apply(u) == [-c for c in v]
+        assert J.apply(v) == u
+    J2, is_subalg = subalgebra_to_J(J.algebra, span)
+    assert is_subalg  # both families are integrable
+    assert J2.matrix == J.matrix
+
+
+def test_subalgebra_to_J_rejects_non_transverse_spans():
+    g = u2()
+    e = g.basis_vector
+    with pytest.raises(NotTransverse):
+        # u and v are linearly dependent: e0, e1, e1, e0
+        subalgebra_to_J(g, [(e(0), e(1)), (e(1), e(0))])
+    with pytest.raises(NotTransverse):
+        subalgebra_to_J(g, [(e(0), e(1))])
+
+
 # ---------------------------------------------------------------------------
 # lcs extraction
 # ---------------------------------------------------------------------------
@@ -116,9 +143,9 @@ def test_lcs_check_standard_u2():
     assert lcs.proper
     # defining identities hold exactly
     assert ce_d(om) == wedge(lcs.lam, om)
-    from lieform.exterior import dual_pairing, interior
+    from lieform.exterior import interior
     assert interior(lcs.Z, om) == lcs.lam.scaled(Fraction(1, 2))
-    assert dual_pairing(lcs.lam, lcs.Z).is_zero()
+    assert lcs.lam.evaluate(lcs.Z).is_zero()
 
 
 def test_lcs_check_rejects_degenerate():
@@ -157,6 +184,40 @@ def test_metric_from_rejects_incompatible_pair():
     from lieform.catalog import J_ab_at
     with pytest.raises(NotCompatible):
         metric_from(om, J_ab_at(g, 1, 2))
+
+
+@pytest.mark.parametrize("algebra, J_name, omega_name, compatible", [
+    ("u2", "J_ab", "omega_std", True),
+    ("u2", "J_ab", "omega_general", False),
+    ("u2", "J_01", "omega_std", True),
+    ("u2", "J_01", "omega_general", True),
+    ("gl2r", "J_mu", "omega_std", True),
+    ("gl2r", "J_mu", "omega_general", False),
+    ("gl2r", "J_mu1", "omega_std", True),
+    ("gl2r", "J_mu1", "omega_general", True),
+])
+def test_matrix_path_matches_basis_evaluation(algebra, J_name, omega_name,
+                                              compatible):
+    # references: omega evaluated on basis vectors and their images under J
+    fams = catalog.get(algebra).families
+    om, J = fams[omega_name], fams[J_name]
+    g = om.algebra
+    e = g.basis_vector
+    n = g.dim
+    invariant = all(
+        om.evaluate(J.apply(e(i)), J.apply(e(j))) == om.evaluate(e(i), e(j))
+        for i in range(n) for j in range(i + 1, n))
+    assert invariant == compatible
+    ok, defects = compatibility_check(om, J)
+    assert ok == invariant and ok == (not defects)
+    if not compatible:
+        with pytest.raises(NotCompatible):
+            metric_from(om, J, CONVENTION_DEF)
+        return
+    m = metric_from(om, J, CONVENTION_DEF)
+    for i in range(n):
+        for j in range(n):
+            assert m.matrix[i][j] == om.evaluate(e(i), J.apply(e(j)))
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +349,9 @@ def test_assemble_lck_identities():
     gx = linalg.mat_vec(lck.metric.matrix, lck.xi)
     assert gx == [c * Fraction(-1, 2) for c in lam_vec]
     # the potential satisfies d_lam(phi) = omega and phi(xi) = 0
-    from lieform.exterior import dual_pairing, twisted_d
+    from lieform.exterior import twisted_d
     assert twisted_d(lck.phi, lck.lcs.lam) == om
-    assert dual_pairing(lck.phi, lck.xi).is_zero()
+    assert lck.phi.evaluate(lck.xi).is_zero()
 
 
 def test_assemble_lck_rejects_incompatible_pair():
