@@ -31,7 +31,11 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 def _parse_at(text):
-    """``a=0,b=-1`` -> {name: Fraction}."""
+    """``a=0,b=-1/2,c=0.25`` -> {name: Fraction}.
+
+    A value with an exponent (``1e5``) is rejected: ``Fraction`` would expand
+    it, and the work grows without bound in the exponent.
+    """
     if not text:
         return {}
     out = {}
@@ -39,6 +43,9 @@ def _parse_at(text):
         if "=" not in piece:
             raise CliError(f"bad --at entry {piece!r} (expected name=value)")
         name, value = piece.split("=", 1)
+        if "e" in value or "E" in value:
+            raise CliError(f"bad --at value {value!r}: exponents are not "
+                           "accepted; write p/q or a plain decimal")
         try:
             out[name.strip()] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -189,8 +196,9 @@ def cmd_cohomology(args):
     def body(rep):
         doc, g, graw, at = _load(args)
         lam = _specialize_form(doc.build_form(args.lam, graw), g, at)
-        if not ce_d(lam).is_zero():
-            rep.check("twisting form is closed", False, str(ce_d(lam)))
+        dlam = ce_d(lam)
+        if not dlam.is_zero():
+            rep.check("twisting form is closed", False, str(dlam))
             return
         rep.check("twisting form is closed", True)
         dim, locus = twisted_cohomology_dim(g, lam, args.degree)

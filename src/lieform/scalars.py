@@ -5,15 +5,23 @@ stored sparsely as a map from exponent vectors to coefficients.  A ``Scalar``
 is a quotient of two such polynomials and is the coefficient field used
 everywhere else in the package.
 
+Arithmetic runs on Python ints wherever the values allow it: a ``Poly``
+stores an integral coefficient as an ``int`` and only a proper fraction as a
+``Fraction`` (the int normal form), and multiplies over Z after clearing
+denominators.  An ``int`` prints, compares and hashes like the equal
+``Fraction``, so the normal form changes no output.
+
 Equality of scalars is decided by cross-multiplication, so correctness never
 depends on polynomial GCDs.  A cheap normalization (rational content and
-common monomial factors) keeps sizes under control.
+common monomial factors) keeps sizes under control; a scalar whose
+denominator is 1 is a polynomial and skips it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
+from operator import add
 
 
 class ScalarError(Exception):
@@ -40,23 +48,26 @@ def _grlex_key(expts):
 
 
 class Poly:
-    """Sparse multivariate polynomial over Q in a fixed parameter list."""
+    """Sparse multivariate polynomial over Q in a fixed parameter list.
+
+    ``terms`` maps exponent tuples to nonzero coefficients.  An integral
+    coefficient is always an ``int``, a proper fraction a ``Fraction``.
+    """
 
     __slots__ = ("params", "terms")
 
     def __init__(self, params, terms):
         self.params = tuple(params)
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        self.terms = {e: c.numerator if c.denominator == 1 else c
+                      for e, c in terms.items() if c}
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def const(cls, params, value):
-        value = Fraction(value)
-        n = len(params)
-        if value == 0:
-            return cls(params, {})
-        return cls(params, {(0,) * n: value})
+        if not isinstance(value, int):
+            value = Fraction(value)
+        return cls(params, {(0,) * len(params): value})
 
     @classmethod
     def zero(cls, params):
@@ -71,7 +82,7 @@ class Poly:
         params = tuple(params)
         i = params.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(params)))
-        return cls(params, {e: Fraction(1)})
+        return cls(params, {e: 1})
 
     # -- queries ------------------------------------------------------
 
@@ -81,12 +92,18 @@ class Poly:
     def is_constant(self):
         return all(sum(e) == 0 for e in self.terms)
 
+    def is_one(self):
+        if len(self.terms) != 1:
+            return False
+        (e, c), = self.terms.items()
+        return c == 1 and not any(e)
+
     def constant_value(self):
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise ScalarError(f"not a constant polynomial: {self}")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def total_degree(self):
         if self.is_zero():
@@ -142,7 +159,7 @@ class Poly:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
+            terms[e] = terms.get(e, 0) + c
         return Poly(self.params, terms)
 
     def __neg__(self):
@@ -151,15 +168,30 @@ class Poly:
     def __sub__(self, other):
         return self + (-other)
 
+    def _integral(self):
+        """(l, terms times l), l the lcm of the coefficient denominators."""
+        l = lcm(*(c.denominator for c in self.terms.values()))
+        if l == 1:
+            return 1, self.terms
+        return l, {e: c.numerator * (l // c.denominator)
+                   for e, c in self.terms.items()}
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.params, other)
+        if not isinstance(other, Poly):  # an int or a Fraction
+            return Poly(self.params,
+                        {e: c * other for e, c in self.terms.items()})
         self._check(other)
+        # multiply over Z and divide each product term once
+        l1, a = self._integral()
+        l2, b = other._integral()
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(add, e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        l = l1 * l2
+        if l != 1:
+            terms = {e: Fraction(c, l) for e, c in terms.items()}
         return Poly(self.params, terms)
 
     __rmul__ = __mul__
@@ -203,12 +235,12 @@ class Poly:
             if c == 0:
                 continue
             e2 = tuple(0 if i in idx else k for i, k in enumerate(e))
-            terms[e2] = terms.get(e2, Fraction(0)) + c
+            terms[e2] = terms.get(e2, 0) + c
         return Poly(self.params, terms)
 
     def evaluate(self, assignment):
-        """Evaluate at a map parameter -> Fraction; exact."""
-        vals = [Fraction(assignment[p]) for p in self.params]
+        """Evaluate at a map parameter -> int or Fraction; exact Fraction."""
+        vals = [assignment[p] for p in self.params]
         total = Fraction(0)
         for e, c in self.terms.items():
             t = c
@@ -254,8 +286,10 @@ class Scalar:
     """Element of the rational-function field Q(p1,...,pm).
 
     Immutable.  The denominator is normalized so that its rational content is
-    1 and its graded-lex leading coefficient is positive; common monomial
-    factors of numerator and denominator are cancelled.
+    1 (so all its coefficients are ints) and its graded-lex leading
+    coefficient is positive; common monomial factors of numerator and
+    denominator are cancelled.  A polynomial (denominator None or 1) is
+    already in this form and is kept as given.
     """
 
     __slots__ = ("num", "den")
@@ -263,10 +297,14 @@ class Scalar:
     def __init__(self, num, den=None):
         if den is None:
             den = Poly.one(num.params)
+        elif num.params != den.params:
+            raise ScalarError("parameter mismatch in scalar")
+        if den.is_one():
+            self.num = num
+            self.den = den
+            return
         if den.is_zero():
             raise ScalarError("zero denominator")
-        if num.params != den.params:
-            raise ScalarError("parameter mismatch in scalar")
         if num.is_zero():
             den = Poly.one(num.params)
         else:
@@ -333,10 +371,10 @@ class Scalar:
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Scalar.const(self.params, other)
         if isinstance(other, Scalar):
             return other
+        if isinstance(other, (int, Fraction)):
+            return Scalar.const(self.params, other)
         return None
 
     def __add__(self, other):
@@ -405,7 +443,7 @@ class Scalar:
         return hash((self.num, self.den))
 
     def __str__(self):
-        if self.den == Poly.one(self.params):
+        if self.den.is_one():
             return str(self.num)
         num = str(self.num)
         den = str(self.den)
@@ -426,7 +464,7 @@ class Scalar:
 
 
 def scalar_eval(s, assignment):
-    """Evaluate a scalar at a parameter point; exact rational result.
+    """Evaluate a scalar at a point of ints and Fractions; exact result.
 
     Raises DenominatorVanishes when the point lies on the denominator locus.
     """

@@ -434,11 +434,18 @@ def exact_signature(rows):
 
 
 def signature_at(gm, assignment):
-    """Exact signature of the metric at a rational parameter point."""
+    """Exact signature of the metric at a rational parameter point.
+
+    ``metric_from`` has checked that the metric is symmetric, so only the
+    upper triangle is evaluated and mirrored.
+    """
     n = len(gm.matrix)
+    rows = [[None] * n for _ in range(n)]
     try:
-        rows = [[scalar_eval(gm.matrix[i][j], assignment) for j in range(n)]
-                for i in range(n)]
+        point = {p: Fraction(v) for p, v in assignment.items()}
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = scalar_eval(gm.matrix[i][j], point)
     except Exception as exc:
         raise DegenerateAtPoint(f"cannot evaluate metric: {exc}") from exc
     return exact_signature(rows)

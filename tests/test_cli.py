@@ -228,6 +228,27 @@ def test_bad_at_value(capsys):
     assert "FAIL" in out
 
 
+def test_at_value_with_exponent_fails_before_expanding(capsys):
+    # Fraction("1e5000") would build a 5001-digit integer
+    code = cli.main(["check-algebra", U2, "--at", "a=1e5000"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "[FAIL] error: CliError" in captured.out
+    assert captured.err == ""
+    code, out = run(capsys, "check-algebra", U2, "--at", "a=1/2")
+    assert code == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text(alphabet="0123456789/.eE+-", max_size=30))
+def test_at_value_fuzz_keeps_exit_contract(value):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["check-algebra", U2, "--at", f"a={value}"])
+    assert code in (0, 1)
+    assert err.getvalue() == ""
+
+
 def test_unknown_at_parameter(capsys):
     code, out = run(capsys, "check-algebra", U2, "--at", "q=1")
     assert code == 1

@@ -2,6 +2,7 @@
 
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -236,3 +237,123 @@ def test_substitute_agrees_with_evaluate(x, v):
         # substitution may reject a denominator that only vanishes partially
         return
     assert scalar_eval(sub, point) == expect
+
+
+
+# ---------------------------------------------------------------------------
+# Int normal form, against a Fraction-only reference
+# ---------------------------------------------------------------------------
+
+def _assert_normal_form(s):
+    for c in s.num.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+    assert all(type(c) is int for c in s.den.terms.values())
+
+
+# The reference keeps every coefficient a Fraction and repeats the
+# polynomial arithmetic and normalization of the Fraction-only design.
+
+def _ref_add(p, q):
+    terms = dict(p)
+    for e, c in q.items():
+        terms[e] = terms.get(e, Fraction(0)) + c
+    return {e: c for e, c in terms.items() if c != 0}
+
+
+def _ref_mul(p, q):
+    terms = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in terms.items() if c != 0}
+
+
+def _ref_substitute_a(p, v):
+    terms = {}
+    for e, c in p.items():
+        e2 = (0,) + e[1:]
+        terms[e2] = terms.get(e2, Fraction(0)) + c * v ** e[0]
+    return {e: c for e, c in terms.items() if c != 0}
+
+
+def _ref_scalar(num, den):
+    if not num:
+        den = {(0,) * len(P): Fraction(1)}
+    else:
+        mono = tuple(map(min, *num, *den))
+        num, den = ({tuple(a - b for a, b in zip(e, mono)): c
+                     for e, c in p.items()} for p in (num, den))
+    top, bottom = 0, 1
+    for d in den.values():
+        top = gcd(top, d.numerator)
+        bottom = lcm(bottom, d.denominator)
+    c = Fraction(top, bottom)
+    if den[max(den, key=lambda e: (sum(e), e))] < 0:
+        c = -c
+    return ({e: v / c for e, v in num.items()},
+            {e: v / c for e, v in den.items()})
+
+
+def _ref(s):
+    return ({e: Fraction(c) for e, c in s.num.terms.items()},
+            {e: Fraction(c) for e, c in s.den.terms.items()})
+
+
+def _ref_plus(x, y):
+    if x[1] == y[1]:
+        return _ref_scalar(_ref_add(x[0], y[0]), x[1])
+    return _ref_scalar(_ref_add(_ref_mul(x[0], y[1]), _ref_mul(y[0], x[1])),
+                       _ref_mul(x[1], y[1]))
+
+
+def _ref_str(pair):
+    """Render a reference pair with the Poly and Scalar printers, bypassing
+    the constructors so that the coefficients stay Fractions."""
+    s = object.__new__(Scalar)
+    s.num, s.den = object.__new__(Poly), object.__new__(Poly)
+    for p, terms in ((s.num, pair[0]), (s.den, pair[1])):
+        assert all(type(c) is Fraction for c in terms.values())
+        p.params, p.terms = P, terms
+    return str(s)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.large_base_example])
+@given(scalars(), scalars(), st.fractions(min_value=-3, max_value=3))
+def test_int_normal_form_prints_like_the_fraction_reference(x, y, v):
+    (xn, xd), (yn, yd) = rx, ry = _ref(x), _ref(y)
+    cases = [
+        (x + y, _ref_plus(rx, ry)),
+        (x - y, _ref_plus(rx, ({e: -c for e, c in yn.items()}, yd))),
+        (x * y, _ref_scalar(_ref_mul(xn, yn), _ref_mul(xd, yd))),
+        (x ** 3, _ref_scalar(_ref_mul(xn, _ref_mul(xn, xn)),
+                             _ref_mul(xd, _ref_mul(xd, xd)))),
+    ]
+    if not y.is_zero():
+        cases.append((x / y, _ref_scalar(_ref_mul(xn, yd), _ref_mul(xd, yn))))
+    den = _ref_substitute_a(xd, v)
+    if den:
+        cases.append((x.substitute({"a": v}),
+                      _ref_scalar(_ref_substitute_a(xn, v), den)))
+    for got, want in cases:
+        _assert_normal_form(got)
+        _assert_normal_form(parse_scalar(str(got), P))
+        assert str(got) == _ref_str(want)
+
+
+def test_constant_value_is_a_fraction():
+    value = S("6/3").constant_value()
+    assert type(value) is Fraction and value == 2
+    assert type(Poly.const(P, 2).constant_value()) is Fraction
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.large_base_example])
+@given(scalars())
+def test_polynomial_fast_path_matches_normalization(x):
+    p = x.num
+    fast = Scalar(p, Poly.one(P))
+    slow = Scalar(p * 2, Poly.const(P, 2))
+    assert fast == slow and str(fast) == str(slow)
+    assert fast.num == slow.num and fast.den == slow.den

@@ -11,7 +11,7 @@ from lieform import catalog, linalg
 from lieform.catalog import (J_01, J_ab, J_ab_at, J_mu, J_mu1, abelian, gl2r,
                              lcs_form, oneform, u2)
 from lieform.exterior import KForm, ce_d, wedge
-from lieform.scalars import Scalar
+from lieform.scalars import DenominatorVanishes, Scalar, scalar_eval
 from lieform.structures import (CONVENTION_DEF, CONVENTION_THM,
                                 ComplexStructure, Degenerate,
                                 DegenerateAtPoint, DegenerateB,
@@ -390,3 +390,28 @@ def test_structure_report_accounting():
     assert sub.entries[0][0].startswith("demo: ")
     js = rep.to_json()
     assert js["ok"] is False and len(js["checks"]) == 4
+
+
+@pytest.mark.parametrize("algebra, J_name, x, y", [
+    ("u2", "J_ab", "a", "b"),
+    ("gl2r", "J_mu", "mu1", "mu2"),
+])
+def test_signature_at_upper_triangle_matches_full_evaluation(algebra, J_name,
+                                                            x, y):
+    fams = catalog.get(algebra).families
+    om = fams["omega_std"]
+    m = metric_from(om, fams[J_name], CONVENTION_THM)
+    grid = [Fraction(k, 2) for k in range(-4, 5)]
+    for xv in grid:
+        for yv in grid:
+            point = dict.fromkeys(om.algebra.params, 0) | {x: xv, y: yv}
+            try:
+                full = exact_signature([[scalar_eval(c, point) for c in row]
+                                        for row in m.matrix])
+            except (DenominatorVanishes, DegenerateAtPoint):
+                full = None
+            try:
+                upper = signature_at(m, point)
+            except DegenerateAtPoint:
+                upper = None
+            assert upper == full, point
