@@ -8,7 +8,7 @@ structure.
 
 Run:  python3 demos/02_classification.py            (about a second)
       python3 demos/02_classification.py gl2        (the non-compact case,
-                                                     takes ~half a minute)
+                                                     about half a second)
 """
 
 import sys

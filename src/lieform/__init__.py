@@ -2,9 +2,8 @@
 
 from .scalars import (DenominatorVanishes, Poly, Scalar, ScalarError,
                       ScalarParseError, parse_scalar, scalar_eval)
-from .lie_core import (Derivation, LieAlgebra, LieError, Subspace, center,
-                       centralizer, derived_subalgebra, extend_by_derivation,
-                       is_derivation)
+from .lie_core import (LieAlgebra, LieError, Subspace, center, centralizer,
+                       derived_subalgebra, extend_by_derivation, is_derivation)
 from .exterior import (KForm, ce_d, interior, lie_derivative, solve_potential,
                        twisted_cohomology_dim, twisted_d, wedge, wedge_power)
 from .structures import (CONVENTION_DEF, CONVENTION_THM, ComplexStructure,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exterior import (KForm, ce_d, interior, lie_derivative, solve_potential,
-                       twisted_cohomology_dim, wedge)
+                       twisted_cohomology_dim, twisted_d, wedge)
 from .lie_core import LieAlgebra, center
 from .scalars import Scalar
 from .structures import (CONVENTION_DEF, CONVENTION_THM, ComplexStructure,
@@ -103,26 +103,27 @@ def _from_columns(g, cols):
                                 for i in range(n)])
 
 
-def J_ab(g):
+def J_ab(g, a="a", b="b"):
     """Calabi-Eckmann family on u(2): J e0 = a e0 + b e1, J e1 = c e0 - a e1,
-    J e2 = -e3, J e3 = e2, with c = -(1+a^2)/b."""
-    a, b = _sc(g, "a"), _sc(g, "b")
+    J e2 = -e3, J e3 = e2, with c = -(1+a^2)/b.
+
+    a and b are parameter names or rationals; (a, b) = (0, 1) is the
+    exceptional member J_01.
+    """
+    a, b = _sc(g, a), _sc(g, b)
     c = -(1 + a * a) / b
     z, o = g.zero(), g.one()
     return _from_columns(g, [
         [a, b, z, z], [c, -a, z, z], [z, z, z, -o], [z, z, o, z]])
 
 
-def J_01(g):
-    """The exceptional member (a, b) = (0, 1) of the u(2) family."""
-    z, o = g.zero(), g.one()
-    return _from_columns(g, [
-        [z, o, z, z], [-o, z, z, z], [z, z, z, -o], [z, z, o, z]])
+def J_mu(g, mu1="mu1", mu2="mu2"):
+    """Two-parameter family on gl(2,R), in the basis (e0, h, e+, e-).
 
-
-def J_mu(g):
-    """Two-parameter family on gl(2,R), in the basis (e0, h, e+, e-)."""
-    m1, m2 = _sc(g, "mu1"), _sc(g, "mu2")
+    mu1 and mu2 are parameter names or rationals; mu = (1, 0) is the
+    exceptional member J_mu1.
+    """
+    m1, m2 = _sc(g, mu1), _sc(g, mu2)
     z, o = g.zero(), g.one()
     half = Scalar.const(g.params, Fraction(1, 2))
     n2 = m1 * m1 + m2 * m2
@@ -131,17 +132,6 @@ def J_mu(g):
         [z, z, o, o],
         [o / m1, -half, -m2 / (2 * m1), m2 / (2 * m1)],
         [-o / m1, -half, m2 / (2 * m1), -m2 / (2 * m1)]])
-
-
-def J_mu1(g):
-    """The exceptional member mu = 1 of the gl(2,R) family."""
-    z, o = g.zero(), g.one()
-    half = Scalar.const(g.params, Fraction(1, 2))
-    return _from_columns(g, [
-        [z, z, -half, half],
-        [z, z, o, o],
-        [o, -half, z, z],
-        [-o, -half, z, z]])
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +172,7 @@ def get(id_):
         phi = oneform(g, {1: "a1", 2: "a2", 3: "a3"})
         families = {
             "J_ab": J_ab(g),
-            "J_01": J_01(g),
+            "J_01": J_ab(g, 0, 1),
             "phi_general": phi,
             "omega_general": lcs_form(g, phi),
             "omega_std": lcs_form(g, oneform(g, {1: 1})),
@@ -197,7 +187,7 @@ def get(id_):
         phi = oneform(g, {1: "ah", 2: "ap", 3: "am"})
         families = {
             "J_mu": J_mu(g),
-            "J_mu1": J_mu1(g),
+            "J_mu1": J_mu(g, 1, 0),
             "phi_general": phi,
             "omega_general": lcs_form(g, phi),
             "omega_std": lcs_form(g, oneform(g, {2: 1, 3: -1})),
@@ -242,10 +232,6 @@ def lattice(dims, step=Fraction(1, 2), box=3):
     return pts
 
 
-def _definite(sig):
-    return 0 in sig
-
-
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
@@ -263,36 +249,82 @@ def run_suite(name):
     raise UnknownId(f"unknown suite {name!r}")
 
 
-def _forms_equal(f, other_coeffs):
-    """Compare a KForm against expected {index tuple: Scalar} coefficients."""
-    g = f.algebra
-    keys = set(f.coeffs) | set(other_coeffs)
-    for k in keys:
-        if f.coefficient(k) != other_coeffs.get(k, g.zero()):
-            return False
-    return True
+def _minus_e0(g):
+    """-e^0, the Lee form of every catalog lcs family."""
+    return KForm(g, 1, {(0,): -g.one()})
+
+
+def _check_family(rep, g0, label, J, family):
+    """Jacobi on the bare algebra and integrability of a J family."""
+    rep.check(f"{label}: antisymmetry and Jacobi hold",
+              bool(g0.check_jacobi()))
+    g = J.algebra
+    rep.check(f"{family}: J^2 = -Id and Nijenhuis tensor vanishes over "
+              f"Q({','.join(g.params)})", nijenhuis(g, J)[1])
+
+
+def _check_general_lcs(rep, om):
+    """Lee form and properness of the general lcs family omega."""
+    lcs = lcs_check(om.algebra, om)
+    rep.check("general omega: Lee form is -e^0",
+              lcs.lam == _minus_e0(om.algebra))
+    rep.check("general omega: d(omega) != 0 (proper lcs)", lcs.proper)
+
+
+def _metric_is(metric, upper):
+    """Whether the metric has upper triangle {(i, j): scalar}, i <= j, and
+    zeros elsewhere; ``metric_from`` has checked that it is symmetric."""
+    g = metric.algebra
+    return all(metric.matrix[i][j] == upper.get((i, j), g.zero())
+               for i in range(g.dim) for j in range(i, g.dim))
+
+
+def _check_census(rep, name, metric, params, points, agrees, minimum=50):
+    """Check agrees(point, signature) at every sample point.
+
+    ``name`` is formatted with the sample count n, of which there must be
+    at least ``minimum``.
+    """
+    good = sum(1 for pt in points
+               if agrees(pt, signature_at(metric, dict(zip(params, pt)))))
+    rep.check(name.format(n=len(points)),
+              good == len(points) and len(points) >= minimum)
+
+
+def _vaisman_misses(make, J, convention, samples):
+    """The samples (a1, a2, a3) whose Vaisman verdict is not the expected
+    one, for omega = e^0 ^ phi + d(phi), phi = a1 e^1 + a2 e^2 + a3 e^3, on
+    the algebra make() with the complex structure J(g)."""
+    misses = []
+    for pt, want in samples:
+        g = make()
+        om = lcs_form(g, oneform(g, dict(zip((1, 2, 3), pt))))
+        if vaisman_check(assemble_lck(g, om, J(g), convention))[0] != want:
+            misses.append(pt)
+    return misses
+
+
+def _check_twisted(rep, g0, om):
+    """H^1 twisted by -e^0 on the bare algebra and [omega] = 0."""
+    h1, _ = twisted_cohomology_dim(g0, _minus_e0(g0), 1)
+    rep.check("H^1 twisted by -e^0 vanishes", h1 == 0)
+    lam = _minus_e0(om.algebra)
+    rep.check("[omega] = 0: the twisted potential exists for general omega",
+              twisted_d(solve_potential(om, lam), lam) == om)
 
 
 def _suite_u2():
     rep = StructureReport("u2_classification")
 
     g0 = u2()
-    rep.check("u(2): antisymmetry and Jacobi hold", bool(g0.check_jacobi()))
-
     gab = u2(("a", "b"))
     Jab = J_ab(gab)
-    _, integrable, _ = nijenhuis(gab, Jab)
-    rep.check("J_{a,b}: J^2 = -Id and Nijenhuis tensor vanishes over Q(a,b)",
-              integrable)
+    _check_family(rep, g0, "u(2)", Jab, "J_{a,b}")
 
     # the general lcs family omega = e^0 ^ phi + d(phi), phi = sum a_i e^i
     ga = u2(("a1", "a2", "a3"))
-    phi = oneform(ga, {1: "a1", 2: "a2", 3: "a3"})
-    om = lcs_form(ga, phi)
-    lcs = lcs_check(ga, om)
-    rep.check("general omega: Lee form is -e^0",
-              _forms_equal(lcs.lam, {(0,): -ga.one()}))
-    rep.check("general omega: d(omega) != 0 (proper lcs)", lcs.proper)
+    om = lcs_form(ga, oneform(ga, {1: "a1", 2: "a2", 3: "a3"}))
+    _check_general_lcs(rep, om)
 
     # compatibility criterion: J-invariance holds iff a2 = a3 = 0 or the
     # complex structure is the exceptional member (a, b) = (0, 1)
@@ -302,16 +334,14 @@ def _suite_u2():
     ok_generic, _ = compatibility_check(omf, Jfull)
     rep.check("general (omega, J_{a,b}): not J-invariant identically",
               not ok_generic)
-    om_i = lcs_form(gf, oneform(gf, {1: "a1"}))
-    ok_i, _ = compatibility_check(om_i, Jfull)
+    ok_i, _ = compatibility_check(lcs_form(gf, oneform(gf, {1: "a1"})), Jfull)
     rep.check("J-invariance holds identically once a2 = a3 = 0", ok_i)
-    ok_ii, _ = compatibility_check(
-        lcs_form(ga, phi), J_01(ga))
+    J0 = J_ab(ga, 0, 1)
+    ok_ii, _ = compatibility_check(om, J0)
     rep.check("the (0,1) member is J-invariant for every omega", ok_ii)
     # a sample away from both branches stays incompatible
-    gpt = u2()
     ok_pt, _ = compatibility_check(
-        lcs_form(gpt, oneform(gpt, {1: 1, 2: 1})), J_ab_at(gpt, 1, 2))
+        lcs_form(g0, oneform(g0, {1: 1, 2: 1})), J_ab(g0, 1, 2))
     rep.check("sample (a,b)=(1,2), a2=1: not J-invariant", not ok_pt)
 
     # case (i): the standard structure omega = e^{01} + e^{23}
@@ -320,59 +350,31 @@ def _suite_u2():
     a, b = _sc(gab, "a"), _sc(gab, "b")
     c = -(1 + a * a) / b
     half = Scalar.const(gab.params, Fraction(1, 2))
-    rep.check("case (i): Lee form -e^0",
-              _forms_equal(lck.lcs.lam, {(0,): -gab.one()}))
-    rep.check("case (i): Reeb vector e1/2",
-              lck.lcs.Z == [gab.zero(), half, gab.zero(), gab.zero()])
+    z, o = gab.zero(), gab.one()
+    rep.check("case (i): Lee form -e^0", lck.lcs.lam == _minus_e0(gab))
+    rep.check("case (i): Reeb vector e1/2", lck.lcs.Z == [z, half, z, z])
     rep.check("case (i): Lee vector (a e1 - c e0)/2",
-              lck.xi == [-c * half, a * half, gab.zero(), gab.zero()])
+              lck.xi == [-c * half, a * half, z, z])
     ok_v, _, _ = vaisman_check(lck)
     rep.check("case (i): Vaisman identically over Q(a,b)", ok_v)
-    expect_thm = {
-        (0, 0): -b, (0, 1): a, (1, 0): a, (1, 1): c,
-        (2, 2): gab.one(), (3, 3): gab.one(),
-    }
-    ok_m = all(lck.metric.matrix[i][j] ==
-               expect_thm.get((i, j), gab.zero()) for i in range(4)
-               for j in range(4))
     rep.check("case (i): metric -b(e^0)^2+2a e^0e^1+c(e^1)^2+(e^2)^2+(e^3)^2",
-              ok_m)
-
-    good = total = 0
-    for av, bv in lattice(2):
-        if bv == 0:
-            continue
-        total += 1
-        sig = signature_at(lck.metric, {"a": av, "b": bv})
-        if _definite(sig) == (bv < 0):
-            good += 1
-    rep.check(f"case (i): metric definite iff b < 0 on {total} samples",
-              good == total and total >= 50)
+              _metric_is(lck.metric, {(0, 0): -b, (0, 1): a, (1, 1): c,
+                                      (2, 2): o, (3, 3): o}))
+    _check_census(rep, "case (i): metric definite iff b < 0 on {n} samples",
+                  lck.metric, ("a", "b"), [p for p in lattice(2) if p[1] != 0],
+                  lambda p, sig: (0 in sig) == (p[1] < 0))
 
     # case (ii): the exceptional member with a general omega
-    J0 = J_01(ga)
     lck2 = assemble_lck(ga, om, J0, CONVENTION_THM)
     a1, a2, a3 = (_sc(ga, n) for n in ("a1", "a2", "a3"))
-    expect2 = {
-        (0, 0): -a1, (1, 1): -a1, (2, 2): a1, (3, 3): a1,
-        (0, 2): a3, (2, 0): a3, (0, 3): -a2, (3, 0): -a2,
-        (1, 2): -a2, (2, 1): -a2, (1, 3): -a3, (3, 1): -a3,
-    }
-    ok_m2 = all(lck2.metric.matrix[i][j] ==
-                expect2.get((i, j), ga.zero()) for i in range(4)
-                for j in range(4))
     rep.check("case (ii): metric matrix matches the displayed expansion",
-              ok_m2)
-    sig_ok = total = 0
-    for pt in lattice(3, step=Fraction(1)):
-        if pt == (0, 0, 0):
-            continue
-        total += 1
-        asn = {"a1": pt[0], "a2": pt[1], "a3": pt[2]}
-        if signature_at(lck2.metric, asn) == (2, 2):
-            sig_ok += 1
-    rep.check(f"case (ii): signature (2,2) at all {total} nonzero samples",
-              sig_ok == total and total >= 50)
+              _metric_is(lck2.metric, {
+                  (0, 0): -a1, (1, 1): -a1, (2, 2): a1, (3, 3): a1,
+                  (0, 2): a3, (0, 3): -a2, (1, 2): -a2, (1, 3): -a3}))
+    _check_census(rep, "case (ii): signature (2,2) at all {n} nonzero samples",
+                  lck2.metric, ("a1", "a2", "a3"),
+                  [p for p in lattice(3, step=Fraction(1)) if any(p)],
+                  lambda p, sig: sig == (2, 2))
 
     # case (ii) Vaisman criterion via the Lee-vector ansatz: the Lee vector
     # must lie in span{e0, vec a}; applying omega o J to that span forces
@@ -382,77 +384,47 @@ def _suite_u2():
     betaA = interior(J0.apply(veca), om)
     norm = a1 * a1 + a2 * a2 + a3 * a3
     rep.check("ansatz: (omega o J)(vec a) = -|a|^2 e^1 (vec-a component dies)",
-              _forms_equal(betaA, {(1,): -norm}))
+              betaA == oneform(ga, {1: -norm}))
     rep.check("ansatz: (omega o J)(e0) = -a1 e^0 - a2 e^3 + a3 e^2",
-              _forms_equal(beta0, {(0,): -a1, (2,): a3, (3,): -a2}))
+              beta0 == oneform(ga, {0: -a1, 2: a3, 3: -a2}))
     rep.info("ansatz: proportionality to e^0 forces a2 = a3 = 0",
              "vanishing locus {a2, a3}")
 
     # Vaisman verdicts: the standard structure is Vaisman, perturbed ones not
     g1 = u2(("a1",))
-    lck_std = assemble_lck(
-        g1, lcs_form(g1, oneform(g1, {1: "a1"})), J_01(g1), CONVENTION_THM)
+    lck_std = assemble_lck(g1, lcs_form(g1, oneform(g1, {1: "a1"})),
+                           J_ab(g1, 0, 1), CONVENTION_THM)
     ok_vs, _, _ = vaisman_check(lck_std)
     rep.check("case (ii): omega = a1(e^{01}+e^{23}) is Vaisman over Q(a1)",
               ok_vs)
-    bad = []
-    for pt in [(0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 3), (2, 0, -1)]:
-        gs = u2()
-        oms = lcs_form(gs, oneform(gs, dict(zip((1, 2, 3), pt))))
-        lcks = assemble_lck(gs, oms, J_01(gs), CONVENTION_THM)
-        ok_s, _, _ = vaisman_check(lcks)
-        if ok_s:
-            bad.append(pt)
+    bad = _vaisman_misses(
+        u2, lambda g: J_ab(g, 0, 1), CONVENTION_THM,
+        [(pt, False) for pt in
+         [(0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 3), (2, 0, -1)]])
     rep.check("case (ii): samples with (a2,a3) != 0 are never Vaisman",
-              not bad, detail=str(bad) if bad else "")
+              not bad, detail=bad or "")
 
     # twisted cohomology: H^1 vanishes and [omega] = 0 for lambda = -e^0
-    lam0 = KForm(g0, 1, {(0,): -g0.one()})
-    h1, _ = twisted_cohomology_dim(g0, lam0, 1)
-    rep.check("H^1 twisted by -e^0 vanishes", h1 == 0)
-    lam_a = KForm(ga, 1, {(0,): -ga.one()})
-    pot = solve_potential(om, lam_a)
-    rep.check("[omega] = 0: the twisted potential exists for general omega",
-              (ce_d(pot) - wedge(lam_a, pot) - om).is_zero())
+    _check_twisted(rep, g0, om)
     return rep
-
-
-def J_ab_at(g, a, b):
-    """Parameter-free member of the u(2) family at a rational point (a, b)."""
-    a = Fraction(a)
-    b = Fraction(b)
-    c = -(1 + a * a) / b
-    z, o = g.zero(), g.one()
-    asc = _sc(g, a)
-    return _from_columns(g, [
-        [asc, _sc(g, b), z, z], [_sc(g, c), -asc, z, z],
-        [z, z, z, -o], [z, z, o, z]])
 
 
 def _suite_gl2():
     rep = StructureReport("gl2_classification")
 
     g0 = gl2r()
-    rep.check("gl(2,R): antisymmetry and Jacobi hold", bool(g0.check_jacobi()))
-
     gmu = gl2r(("mu1", "mu2"))
     Jm = J_mu(gmu)
-    _, integrable, _ = nijenhuis(gmu, Jm)
-    rep.check("J_mu: J^2 = -Id and Nijenhuis tensor vanishes over Q(mu1,mu2)",
-              integrable)
+    _check_family(rep, g0, "gl(2,R)", Jm, "J_mu")
 
     # the general lcs family
     ga = gl2r(("ah", "ap", "am"))
-    phi = oneform(ga, {1: "ah", 2: "ap", 3: "am"})
-    om = lcs_form(ga, phi)
+    om = lcs_form(ga, oneform(ga, {1: "ah", 2: "ap", 3: "am"}))
     ah, ap, am = (_sc(ga, n) for n in ("ah", "ap", "am"))
-    om2 = wedge(om, om)
     rep.check("omega^2 = -2(ah^2 + 4 ap am) e^0^h^*^e^+^e^-",
-              _forms_equal(om2, {(0, 1, 2, 3): -2 * (ah * ah + 4 * ap * am)}))
-    lcs = lcs_check(ga, om)
-    rep.check("general omega: Lee form is -e^0",
-              _forms_equal(lcs.lam, {(0,): -ga.one()}))
-    rep.check("general omega: d(omega) != 0 (proper lcs)", lcs.proper)
+              wedge(om, om) == KForm(ga, 4, {
+                  (0, 1, 2, 3): -2 * (ah * ah + 4 * ap * am)}))
+    _check_general_lcs(rep, om)
 
     # case (i): mu != 1, the unique compatible structure
     om_std = lcs_form(gmu, oneform(gmu, {2: 1, 3: -1}))
@@ -460,16 +432,10 @@ def _suite_gl2():
     ok_vi, _, _ = vaisman_check(lck_i)
     rep.check("case (i): omega = e^0^(e^+-e^-) - 2h^*^(e^++e^-) is Vaisman "
               "over Q(mu1,mu2)", ok_vi)
-    sig_ok = total = 0
-    for m1v, m2v in lattice(2):
-        if m1v == 0:
-            continue
-        total += 1
-        sig = signature_at(lck_i.metric, {"mu1": m1v, "mu2": m2v})
-        if _definite(sig) == (m1v > 0):
-            sig_ok += 1
-    rep.check(f"case (i): metric definite iff mu1 > 0 on {total} samples",
-              sig_ok == total and total >= 50)
+    _check_census(rep, "case (i): metric definite iff mu1 > 0 on {n} samples",
+                  lck_i.metric, ("mu1", "mu2"),
+                  [p for p in lattice(2) if p[0] != 0],
+                  lambda p, sig: (0 in sig) == (p[0] > 0))
     # uniqueness: generic omega is not J_mu-invariant, the ah = 0, am = -ap
     # branch is
     gu = gl2r(("mu1", "mu2", "ah", "ap", "am"))
@@ -479,77 +445,52 @@ def _suite_gl2():
     gq = gl2r(("mu1", "mu2", "ap"))
     apq = _sc(gq, "ap")
     ok_br, _ = compatibility_check(
-        lcs_form(gq, KForm(gq, 1, {(2,): apq, (3,): -apq})), J_mu(gq))
+        lcs_form(gq, oneform(gq, {2: apq, 3: -apq})), J_mu(gq))
     rep.check("J-invariance holds identically once ah = 0, am = -ap", ok_br)
 
     # case (ii): mu = 1 is compatible with every omega
-    J1 = J_mu1(ga)
+    J1 = J_mu(ga, 1, 0)
     ok_all, _ = compatibility_check(om, J1)
     rep.check("the mu = 1 member is J-invariant for every omega", ok_all)
     lck = assemble_lck(ga, om, J1, CONVENTION_DEF)
-    halfa = Scalar.const(ga.params, Fraction(1, 2))
-    expect = {
-        (0, 0): -halfa * (ap - am), (1, 1): -2 * (ap - am),
-        (0, 1): ap + am, (1, 0): ap + am,
-        (2, 2): -2 * ap, (3, 3): 2 * am,
-        (0, 2): -halfa * ah, (2, 0): -halfa * ah,
-        (0, 3): -halfa * ah, (3, 0): -halfa * ah,
-        (1, 2): -ah, (2, 1): -ah, (1, 3): ah, (3, 1): ah,
-    }
-    ok_m = all(lck.metric.matrix[i][j] == expect.get((i, j), ga.zero())
-               for i in range(4) for j in range(4))
+    half = Scalar.const(ga.params, Fraction(1, 2))
     rep.check("case (ii): metric matches the displayed coefficient matrix",
-              ok_m)
+              _metric_is(lck.metric, {
+                  (0, 0): -half * (ap - am), (1, 1): -2 * (ap - am),
+                  (0, 1): ap + am, (2, 2): -2 * ap, (3, 3): 2 * am,
+                  (0, 2): -half * ah, (0, 3): -half * ah,
+                  (1, 2): -ah, (1, 3): ah}))
 
     # Vaisman criterion: ah = 0 and ap = -am != 0
     gv = gl2r(("ap",))
     apv = _sc(gv, "ap")
-    om_v = lcs_form(gv, KForm(gv, 1, {(2,): apv, (3,): -apv}))
-    lck_v = assemble_lck(gv, om_v, J_mu1(gv), CONVENTION_DEF)
+    om_v = lcs_form(gv, oneform(gv, {2: apv, 3: -apv}))
+    lck_v = assemble_lck(gv, om_v, J_mu(gv, 1, 0), CONVENTION_DEF)
     ok_v, _, _ = vaisman_check(lck_v)
     rep.check("Vaisman identically on the branch ah = 0, am = -ap over Q(ap)",
               ok_v)
-    expect_v = {(0, 0): -apv, (1, 1): -4 * apv, (2, 2): -2 * apv,
-                (3, 3): -2 * apv}
-    ok_mv = all(lck_v.metric.matrix[i][j] == expect_v.get((i, j), gv.zero())
-                for i in range(4) for j in range(4))
     rep.check("on that branch the metric is -ap diag(1, 4, 2, 2) (definite)",
-              ok_mv)
-    verdicts = []
-    for pt, want in [((0, 1, -1), True), ((0, 2, -2), True),
-                     ((0, -1, 2), False), ((1, 1, -1), False),
-                     ((1, 2, 3), False), ((2, 1, 1), False)]:
-        gs = gl2r()
-        oms = lcs_form(gs, oneform(gs, dict(zip((1, 2, 3), pt))))
-        lcks = assemble_lck(gs, oms, J_mu1(gs), CONVENTION_DEF)
-        ok_s, _, _ = vaisman_check(lcks)
-        verdicts.append(ok_s == want)
+              _metric_is(lck_v.metric, {(0, 0): -apv, (1, 1): -4 * apv,
+                                        (2, 2): -2 * apv, (3, 3): -2 * apv}))
+    misses = _vaisman_misses(
+        gl2r, lambda g: J_mu(g, 1, 0), CONVENTION_DEF,
+        [((0, 1, -1), True), ((0, 2, -2), True), ((0, -1, 2), False),
+         ((1, 1, -1), False), ((1, 2, 3), False), ((2, 1, 1), False)])
     rep.check("Vaisman samples agree with the criterion ah = 0, ap = -am != 0",
-              all(verdicts))
+              not misses)
 
     # definiteness region: -ah^2 > 4 ap am and am > 0 > ap
-    pos = total = 0
-    for pt in lattice(3, step=Fraction(1)):
-        ahv, apv_, amv = pt
-        if ahv * ahv + 4 * apv_ * amv == 0:
-            continue
-        total += 1
-        sig = signature_at(lck.metric,
-                           {"ah": ahv, "ap": apv_, "am": amv})
-        inside = (-ahv * ahv > 4 * apv_ * amv) and (amv > 0 > apv_)
-        if (sig == (4, 0)) == inside:
-            pos += 1
-    rep.check(f"positive definite exactly on the stated region "
-              f"({total} samples)", pos == total and total >= 100)
+    _check_census(
+        rep, "positive definite exactly on the stated region ({n} samples)",
+        lck.metric, ("ah", "ap", "am"),
+        [p for p in lattice(3, step=Fraction(1))
+         if p[0] * p[0] + 4 * p[1] * p[2] != 0],
+        lambda p, sig: (sig == (4, 0)) == (
+            -p[0] * p[0] > 4 * p[1] * p[2] and p[2] > 0 > p[1]),
+        minimum=100)
 
     # twisted cohomology
-    lam0 = KForm(g0, 1, {(0,): -g0.one()})
-    h1, _ = twisted_cohomology_dim(g0, lam0, 1)
-    rep.check("H^1 twisted by -e^0 vanishes", h1 == 0)
-    lam_a = KForm(ga, 1, {(0,): -ga.one()})
-    pot = solve_potential(om, lam_a)
-    rep.check("[omega] = 0: the twisted potential exists for general omega",
-              (ce_d(pot) - wedge(lam_a, pot) - om).is_zero())
+    _check_twisted(rep, g0, om)
     return rep
 
 
@@ -560,7 +501,7 @@ def _vaisman_instances():
            lcs_form(gab, oneform(gab, {1: 1})), J_ab(gab))
     gg = gl2r()
     yield ("gl2r, omega = e^0^(e^+-e^-) - 2h^*^(e^++e^-), mu = 1", gg,
-           lcs_form(gg, oneform(gg, {2: 1, 3: -1})), J_mu1(gg))
+           lcs_form(gg, oneform(gg, {2: 1, 3: -1})), J_mu(gg, 1, 0))
 
 
 def _suite_reductive():
@@ -596,7 +537,6 @@ def _suite_reductive():
         rep.check(f"{gz.name} (the derived part): dim of the center <= 1",
                   center(gz).dim <= 1)
     for gz in (u2(), gl2r()):
-        lam0 = KForm(gz, 1, {(0,): -gz.one()})
-        h1, _ = twisted_cohomology_dim(gz, lam0, 1)
+        h1, _ = twisted_cohomology_dim(gz, _minus_e0(gz), 1)
         rep.check(f"{gz.name}: H^1 twisted by -e^0 vanishes", h1 == 0)
     return rep

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 
-from .exterior import KForm
+from .exterior import KForm, _merge_sign
 from .lie_core import LieAlgebra
 from .scalars import Scalar, parse_scalar, ScalarParseError
 
@@ -209,12 +209,9 @@ def parse_form(text, g):
         if len(set(idx)) != len(idx):
             raise FormParseError(text, pos, "repeated factor in monomial")
         # normalize to increasing order with the permutation sign
-        order = sorted(range(len(idx)), key=lambda t: idx[t])
-        inv = sum(1 for x in range(len(order)) for y in range(x + 1, len(order))
-                  if order[x] > order[y])
-        if inv % 2:
+        key, perm_sign = _merge_sign(idx, ())
+        if perm_sign < 0:
             c = -c
-        key = tuple(sorted(idx))
         coeffs[key] = coeffs.get(key, g.zero()) + c
         sign = 1
     if degree is None or not seen:

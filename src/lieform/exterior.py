@@ -42,7 +42,7 @@ class GaugeUnresolvable(FormError):
 
 
 def _merge_sign(left, right):
-    """Sign of sorting the concatenation of two increasing index tuples.
+    """Sign of sorting the concatenation of two index tuples.
 
     Returns (sorted tuple, sign) or (None, 0) when an index repeats.
     """
@@ -223,12 +223,10 @@ def ce_d(alpha):
     return KForm(g, alpha.degree + 1, coeffs)
 
 
-def twisted_d(alpha, lam, warn=None):
+def twisted_d(alpha, lam):
     """d_lam(alpha) = d(alpha) - lam ^ alpha.  lam should be closed."""
     if lam.degree != 1:
         raise FormError("twisting form must have degree 1")
-    if warn is not None and not ce_d(lam).is_zero():
-        warn("twisting 1-form is not closed; d_lam does not square to zero")
     return ce_d(alpha) - wedge(lam, alpha)
 
 
@@ -287,21 +285,15 @@ def relative_basis(g, k):
     rows = []
     lower = form_monomials(g, k - 1) if k >= 1 else []
     for X in h_vectors:
-        # linear constraints i_X(alpha) = 0 and L_X(alpha) = 0
-        for target, op in (
-                (lower, lambda f: interior(X, f) if k >= 1 else None),
-                (monos, lambda f: lie_derivative(X, f))):
-            images = []
-            for idx in monos:
-                f = op(KForm.monomial(g, idx))
-                if f is None:
-                    images = None
-                    break
-                images.append(form_to_vector(f, target))
-            if images is None:
+        # linear constraints i_X(alpha) = 0 (none on 0-forms) and
+        # L_X(alpha) = 0
+        for target, op in ((lower, interior), (monos, lie_derivative)):
+            if not target:
                 continue
-            for col in range(len(target)):
-                rows.append([images[m][col] for m in range(len(monos))])
+            images = [form_to_vector(op(X, KForm.monomial(g, idx)), target)
+                      for idx in monos]
+            rows.extend([im[col] for im in images]
+                        for col in range(len(target)))
     if not rows:
         return [KForm.monomial(g, idx) for idx in monos]
     kernel, _ = linalg.nullspace(rows, g.zero())

@@ -187,32 +187,21 @@ class Subspace:
         return linalg.in_span(self.span, v, self.ambient.zero())
 
 
-class Derivation:
-    """A dim x dim matrix satisfying the Leibniz identity (checked on use)."""
+def is_derivation(g, D):
+    """Leibniz check D[x,y] = [Dx,y] + [x,Dy] on all basis pairs.
 
-    def __init__(self, algebra, matrix):
-        self.algebra = algebra
-        self.matrix = [[algebra._scalar(c) for c in row] for row in matrix]
-        if len(self.matrix) != algebra.dim or any(
-                len(r) != algebra.dim for r in self.matrix):
-            raise LieError("derivation matrix has wrong shape")
-
-    def apply(self, v):
-        return linalg.mat_vec(self.matrix, v)
-
-
-def is_derivation(g, matrix):
-    """Leibniz check D[x,y] = [Dx,y] + [x,Dy] on all basis pairs."""
-    if not isinstance(matrix, Derivation):
-        matrix = Derivation(g, matrix)
-    D = matrix
+    D is a dim x dim matrix of scalars or rationals.
+    """
+    if len(D) != g.dim or any(len(r) != g.dim for r in D):
+        raise LieError("derivation matrix has wrong shape")
+    D = [[g._scalar(c) for c in row] for row in D]
     for i in range(g.dim):
         ei = g.basis_vector(i)
         for j in range(i + 1, g.dim):
             ej = g.basis_vector(j)
-            lhs = D.apply(g.bracket(ei, ej))
-            rhs = linalg.vec_add(g.bracket(D.apply(ei), ej),
-                                 g.bracket(ei, D.apply(ej)))
+            lhs = linalg.mat_vec(D, g.bracket(ei, ej))
+            rhs = linalg.vec_add(g.bracket(linalg.mat_vec(D, ei), ej),
+                                 g.bracket(ei, linalg.mat_vec(D, ej)))
             if not linalg.vec_is_zero(linalg.vec_sub(lhs, rhs)):
                 return False, (i, j)
     return True, None
@@ -250,13 +239,12 @@ def derived_subalgebra(g):
 
 
 def extend_by_derivation(g, D, new_name="D"):
-    """The extension with basis (D, e_1..e_n): [D, x] = Dx.
+    """The extension with basis (D, e_1..e_n): [D, x] = Dx, for a
+    dim x dim matrix D.
 
     Returns the extended algebra and the closed dual 1-form lam with
     lam(D) = 1, lam(g) = 0.  Closedness of lam is asserted post hoc.
     """
-    if not isinstance(D, Derivation):
-        D = Derivation(g, D)
     ok, witness = is_derivation(g, D)
     if not ok:
         raise NotADerivation(f"Leibniz identity fails on basis pair {witness}")
@@ -264,13 +252,10 @@ def extend_by_derivation(g, D, new_name="D"):
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
-            vec = g.bracket_basis(i, j)
-            brackets[(i + 1, j + 1)] = {k + 1: c for k, c in enumerate(vec)
-                                        if not c.is_zero()}
+            brackets[(i + 1, j + 1)] = dict(enumerate(g.bracket_basis(i, j),
+                                                      1))
     for j in range(n):
-        col = [D.matrix[k][j] for k in range(n)]
-        brackets[(0, j + 1)] = {k + 1: c for k, c in enumerate(col)
-                                if not c.is_zero()}
+        brackets[(0, j + 1)] = {k + 1: D[k][j] for k in range(n)}
     h_sub = None
     if g.h_subalgebra:
         h_sub = [[g.zero()] + list(v) for v in g.h_subalgebra]

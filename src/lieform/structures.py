@@ -10,6 +10,7 @@ reported as the vanishing locus on which it would hold.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .exterior import (KForm, ce_d, form_monomials, form_to_vector,
@@ -158,18 +159,6 @@ class ComplexStructure:
     def apply(self, v):
         return linalg.mat_vec(self.matrix, v)
 
-    def pullback(self, alpha):
-        """J* on 1-forms: (J*a)(x) = a(Jx)."""
-        g = self.algebra
-        coeffs = {}
-        for (k,), c in alpha.coeffs.items():
-            for i in range(g.dim):
-                e = self.matrix[k][i]
-                if not e.is_zero():
-                    key = (i,)
-                    coeffs[key] = coeffs.get(key, g.zero()) + c * e
-        return KForm(g, 1, coeffs)
-
 
 def nijenhuis(g, J):
     """Nijenhuis tensor on basis pairs and the integrability verdict.
@@ -177,8 +166,6 @@ def nijenhuis(g, J):
     Returns (table, integrable, vanishing) where vanishing lists the
     numerator polynomials that must vanish for integrability.
     """
-    if not isinstance(J, ComplexStructure):
-        J = ComplexStructure(g, J)
     table = {}
     vanishing = []
     integrable = True
@@ -490,18 +477,26 @@ def nabla_of_vector(g, gm, y):
 # ---------------------------------------------------------------------------
 
 class LckData:
-    def __init__(self, lcs, J, metric, xi, theta, phi, locus):
+    def __init__(self, lcs, J, metric, xi, theta, locus):
         self.lcs = lcs
         self.J = J
         self.metric = metric
         self.xi = xi
         self.theta = theta
-        self.phi = phi
         self.locus = list(locus)
 
     @property
     def algebra(self):
         return self.lcs.algebra
+
+    @cached_property
+    def phi(self):
+        """The twisted potential, d_lam(phi) = omega with phi(xi) = 0.
+
+        Solved on first read; raises ``NoSolution`` when the twisted class
+        of omega is nonzero (for instance when omega is Kahler, lam = 0).
+        """
+        return solve_potential(self.lcs.omega, self.lcs.lam, gauge=self.xi)
 
 
 def assemble_lck(g, omega, J, convention=CONVENTION_THM):
@@ -523,12 +518,13 @@ def assemble_lck(g, omega, J, convention=CONVENTION_THM):
         raise DegenerateMetric("metric does not determine the Lee vector",
                                locus)
     linalg.merge_locus(locus, lcs.locus)
-    theta = J.pullback(lcs.lam).scaled(half)
+    # theta(e_i) = lam(J e_i) / 2
+    theta = KForm(g, 1, {(i,): lcs.lam.evaluate(J.apply(g.basis_vector(i)))
+                         * half for i in range(n)})
     jxi = J.apply(xi)
     if any(a != b for a, b in zip(jxi, lcs.Z)):
         raise StructureError("Z = J xi fails; inconsistent conventions")
-    phi = solve_potential(omega, lcs.lam, gauge=xi)
-    return LckData(lcs, J, metric, xi, theta, phi, locus)
+    return LckData(lcs, J, metric, xi, theta, locus)
 
 
 def vaisman_check(lck):
@@ -570,14 +566,12 @@ def biinvariant_identities(g, B, lck):
 
     bform = Metric(g, B, None)
     for i in range(n):
-        ei = g.basis_vector(i)
+        # B([e_i, e_j], e_k) + B(e_j, [e_i, e_k]) is M[k][j] + M[j][k],
+        # symmetric in j and k, so k >= j meets the first failure
+        M = linalg.mat_mul(B, g.ad(g.basis_vector(i)))
         for j in range(n):
-            ej = g.basis_vector(j)
-            for k in range(n):
-                ek = g.basis_vector(k)
-                val = bform.pair(g.bracket(ei, ej), ek) \
-                    + bform.pair(ej, g.bracket(ei, ek))
-                if not val.is_zero():
+            for k in range(j, n):
+                if not (M[j][k] + M[k][j]).is_zero():
                     raise NotAdInvariant(
                         f"ad-invariance fails on triple ({i},{j},{k})")
     try:

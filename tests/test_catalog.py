@@ -11,7 +11,8 @@ import pytest
 
 from lieform import catalog
 from lieform.exterior import ce_d, wedge
-from lieform.structures import ComplexStructure, compatibility_check
+from lieform.structures import (ComplexStructure, compatibility_check,
+                                metric_from)
 
 
 def test_known_ids_and_basic_shape():
@@ -103,3 +104,14 @@ def test_lattice_counts_and_contents():
 def test_suite_names_are_registered():
     assert set(catalog.SUITES) == {"u2_classification", "gl2_classification",
                                    "reductive_identities"}
+
+
+def test_suite_metric_comparison_reads_every_entry():
+    # the suites compare a metric with its upper triangle; a wrong entry on
+    # or above the diagonal must be caught
+    entry = catalog.get("u2")
+    m = metric_from(entry.families["omega_std"], entry.families["J_01"])
+    upper = {(i, j): m.matrix[i][j] for i in range(4) for j in range(i, 4)}
+    assert catalog._metric_is(m, upper)
+    for key, value in upper.items():
+        assert not catalog._metric_is(m, {**upper, key: value + 1})

@@ -123,6 +123,24 @@ def test_bad_degree_fails_without_traceback(capsys, tmp_path, argv):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("command", ["check-lck", "check-vaisman"])
+def test_kahler_structure_passes(command, capsys, tmp_path):
+    # omega is closed, so the Lee form is 0 and omega has no twisted
+    # potential; neither command needs one
+    assert cli.main(["catalog", "abelian_4", "--emit"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["forms"]["omega"] = "e0^e1 + e2^e3"
+    doc["endos"]["J"] = [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+                         ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]
+    path = tmp_path / "kahler.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = cli.main([command, str(path), "omega", "J"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.out
+    assert "[FAIL]" not in captured.out
+    assert captured.err == ""
+
+
 ATOMS = st.sampled_from(
     ["a", "b", "a1", "2", "1/3", "0", "(a + b + 1)", "e0^e1", "e2^e3", "e1"])
 EXPRESSIONS = st.recursive(ATOMS, lambda inner: st.one_of(

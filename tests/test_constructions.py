@@ -9,7 +9,6 @@ from lieform.constructions import (ConicalOrbit, ZeroForm,
                                    coadjoint_stabilizer, kirillov_kostant_form,
                                    lcs_from_orbit)
 from lieform.exterior import KForm, ce_d, wedge
-from lieform.lie_core import Derivation
 
 
 def test_kirillov_kostant_form_su2():
@@ -79,7 +78,7 @@ def test_lcs_from_orbit_with_inner_derivation():
     # a nonzero derivation changes the extension but the lcs identities hold
     g = su2()
     orbit = coadjoint_stabilizer(g, KForm.basis_oneform(g, 0))
-    D = Derivation(g, g.ad(g.basis_vector(0)))
+    D = g.ad(g.basis_vector(0))
     ext, lcs, phi = lcs_from_orbit(orbit, D)
     assert bool(ext.check_jacobi())
     assert ce_d(lcs.omega) == wedge(lcs.lam, lcs.omega)

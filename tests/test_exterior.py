@@ -303,3 +303,5 @@ def test_relative_complex_respects_marked_subalgebra():
     for b in basis:
         assert b.evaluate(g.basis_vector(0)).is_zero()
     assert len(basis) == 3
+    # 0-forms meet no interior condition; constants are invariant
+    assert [str(b) for b in relative_basis(g, 0)] == ["(1)"]

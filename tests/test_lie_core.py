@@ -4,7 +4,7 @@ import pytest
 
 from lieform import linalg
 from lieform.catalog import abelian, gl2r, sl2r, su2, u2
-from lieform.lie_core import (Derivation, LieAlgebra, NotADerivation,
+from lieform.lie_core import (LieAlgebra, LieError, NotADerivation,
                               ZeroVector, center, centralizer,
                               derived_subalgebra, extend_by_derivation,
                               is_derivation)
@@ -88,6 +88,15 @@ def test_is_derivation_inner_and_non():
     assert not ok2 and witness is not None
 
 
+@pytest.mark.parametrize("D", [[[0] * 3] * 2, [[0] * 3, [0] * 3, [0] * 2]])
+def test_derivation_matrix_shape_is_checked(D):
+    g = sl2r()
+    with pytest.raises(LieError, match="wrong shape"):
+        is_derivation(g, D)
+    with pytest.raises(LieError, match="wrong shape"):
+        extend_by_derivation(g, D)
+
+
 def test_extension_by_zero_derivation():
     g = su2()
     ext, lam = extend_by_derivation(g, [[0] * 3 for _ in range(3)])
@@ -111,6 +120,6 @@ def test_extension_rejects_non_derivation():
 
 def test_extension_by_inner_derivation_keeps_jacobi():
     g = sl2r()
-    D = Derivation(g, g.ad(g.vector([0, 1, 1])))
+    D = g.ad(g.vector([0, 1, 1]))
     ext, _ = extend_by_derivation(g, D)
     assert bool(ext.check_jacobi())

@@ -77,6 +77,19 @@ def test_scalar_equality_without_gcd():
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("lhs, rhs", [
+    ("(a^2 - 1)/(a - 1)", "a + 1"),
+    ("(2*a + 2)/(a + 1)", "2"),
+])
+def test_scalar_is_unhashable(lhs, rhs):
+    # equal scalars can be stored as different num/den pairs, so no hash
+    # would agree with ==
+    assert S(lhs) == S(rhs)
+    for x in (S(lhs), S(rhs)):
+        with pytest.raises(TypeError):
+            hash(x)
+
+
 def test_scalar_field_known_identities():
     a, b = S("a"), S("b")
     assert a / b * b == a

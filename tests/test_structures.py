@@ -1,6 +1,7 @@
 """Geometric structures: complex structures, lcs extraction, metrics,
 signatures (with a floating-point eigenvalue oracle), connections, Vaisman."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,16 +9,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lieform import catalog, linalg
-from lieform.catalog import (J_01, J_ab, J_ab_at, J_mu, J_mu1, abelian, gl2r,
-                             lcs_form, oneform, u2)
-from lieform.exterior import KForm, ce_d, wedge
+from lieform.catalog import J_ab, J_mu, abelian, gl2r, lcs_form, oneform, u2
+from lieform.exterior import KForm, NoSolution, ce_d, twisted_d, wedge
 from lieform.scalars import DenominatorVanishes, Scalar, scalar_eval
 from lieform.structures import (CONVENTION_DEF, CONVENTION_THM,
                                 ComplexStructure, Degenerate,
                                 DegenerateAtPoint, DegenerateB,
-                                J_to_subalgebra, NotAlmostComplex,
-                                NotCompatible, NotTransverse,
-                                StructureReport, assemble_lck,
+                                J_to_subalgebra, NotAdInvariant,
+                                NotAlmostComplex, NotCompatible,
+                                NotTransverse, StructureReport, assemble_lck,
                                 biinvariant_identities,
                                 compatibility_check, exact_signature,
                                 lcs_check, metric_from, nabla_of_vector,
@@ -56,19 +56,9 @@ def test_nijenhuis_detects_nonintegrable():
     assert table[(2, 3)] == g.vector({1: -1})
 
 
-def test_pullback_is_dual_of_apply():
-    g = u2()
-    J = J_01(g)
-    alpha = KForm(g, 1, {(0,): g._scalar(2), (2,): g._scalar(-3)})
-    for i in range(4):
-        v = g.basis_vector(i)
-        assert J.pullback(alpha).evaluate(v) == \
-            alpha.evaluate(J.apply(v))
-
-
 def test_complex_structure_subalgebra_round_trip():
     g = u2()
-    J = J_01(g)
+    J = J_ab(g, 0, 1)
     span = J_to_subalgebra(J)
     assert len(span) == 2
     J2, is_subalg = subalgebra_to_J(g, span)
@@ -162,8 +152,7 @@ def test_lcs_check_rejects_degenerate():
 def test_compatibility_defects_reported():
     g = u2()
     om = lcs_form(g, oneform(g, {1: 1, 2: 1}))
-    from lieform.catalog import J_ab_at
-    ok, defects = compatibility_check(om, J_ab_at(g, 1, 2))
+    ok, defects = compatibility_check(om, J_ab(g, 1, 2))
     assert not ok and defects
 
 
@@ -181,9 +170,8 @@ def test_metric_conventions_differ_by_sign():
 def test_metric_from_rejects_incompatible_pair():
     g = u2()
     om = lcs_form(g, oneform(g, {1: 1, 2: 1}))
-    from lieform.catalog import J_ab_at
     with pytest.raises(NotCompatible):
-        metric_from(om, J_ab_at(g, 1, 2))
+        metric_from(om, J_ab(g, 1, 2))
 
 
 @pytest.mark.parametrize("algebra, J_name, omega_name, compatible", [
@@ -269,7 +257,7 @@ def test_signature_at_uses_exact_evaluation():
 def test_levi_civita_is_metric_and_torsion_free():
     g = u2()
     om = lcs_form(g, oneform(g, {1: 1}))
-    lck = assemble_lck(g, om, J_01(g), CONVENTION_DEF)
+    lck = assemble_lck(g, om, J_ab(g, 0, 1), CONVENTION_DEF)
     gm = lck.metric
     n = g.dim
     table = {}
@@ -300,14 +288,14 @@ def _lck_u2_general_J_01():
     # not Vaisman: nabla xi != 0 off a locus
     g = u2(("a1", "a2", "a3"))
     phi = oneform(g, {1: "a1", 2: "a2", 3: "a3"})
-    return assemble_lck(g, lcs_form(g, phi), J_01(g), CONVENTION_DEF)
+    return assemble_lck(g, lcs_form(g, phi), J_ab(g, 0, 1), CONVENTION_DEF)
 
 
 def _lck_gl2r_J_mu1():
     g = gl2r(("ap",))
     ap = Scalar.var(g.params, "ap")
     om = lcs_form(g, KForm(g, 1, {(2,): ap, (3,): -ap}))
-    return assemble_lck(g, om, J_mu1(g), CONVENTION_DEF)
+    return assemble_lck(g, om, J_mu(g, 1, 0), CONVENTION_DEF)
 
 
 @pytest.mark.parametrize("make_lck", [_lck_u2_J_ab, _lck_u2_general_J_01,
@@ -328,12 +316,12 @@ def test_nabla_of_vector_is_linear_in_the_vector(make_lck):
 def test_vaisman_flat_on_standard_structure_and_not_on_perturbed():
     g = u2()
     om = lcs_form(g, oneform(g, {1: 1}))
-    lck = assemble_lck(g, om, J_01(g), CONVENTION_DEF)
+    lck = assemble_lck(g, om, J_ab(g, 0, 1), CONVENTION_DEF)
     ok, vanishing, _ = vaisman_check(lck)
     assert ok and not vanishing
     assert not lck.metric.pair(lck.xi, lck.xi).is_zero()
     om2 = lcs_form(g, oneform(g, {1: 1, 2: 1}))
-    lck2 = assemble_lck(g, om2, J_01(g), CONVENTION_DEF)
+    lck2 = assemble_lck(g, om2, J_ab(g, 0, 1), CONVENTION_DEF)
     ok2, vanishing2, _ = vaisman_check(lck2)
     assert not ok2 and vanishing2
 
@@ -342,32 +330,95 @@ def test_assemble_lck_identities():
     g = gl2r(("ap",))
     ap = Scalar.var(g.params, "ap")
     om = lcs_form(g, KForm(g, 1, {(2,): ap, (3,): -ap}))
-    lck = assemble_lck(g, om, J_mu1(g), CONVENTION_DEF)
+    lck = assemble_lck(g, om, J_mu(g, 1, 0), CONVENTION_DEF)
     # Z = J xi and xi = -1/2 g^{-1} lam by construction; verify directly
     assert lck.J.apply(lck.xi) == lck.lcs.Z
     lam_vec = [lck.lcs.lam.coefficient((j,)) for j in range(4)]
     gx = linalg.mat_vec(lck.metric.matrix, lck.xi)
     assert gx == [c * Fraction(-1, 2) for c in lam_vec]
+    # theta(e_i) = lam(J e_i) / 2
+    for i in range(4):
+        v = g.basis_vector(i)
+        assert lck.theta.evaluate(v) == \
+            lck.lcs.lam.evaluate(lck.J.apply(v)) * Fraction(1, 2)
     # the potential satisfies d_lam(phi) = omega and phi(xi) = 0
-    from lieform.exterior import twisted_d
     assert twisted_d(lck.phi, lck.lcs.lam) == om
     assert lck.phi.evaluate(lck.xi).is_zero()
+
+
+def test_kahler_structure_assembles_and_has_no_potential():
+    # omega is closed: lam = 0, and [omega] != 0 in untwisted cohomology
+    g = abelian(4)
+    om = KForm(g, 2, {(0, 1): g.one(), (2, 3): g.one()})
+    J = ComplexStructure(g, [[0, -1, 0, 0], [1, 0, 0, 0],
+                             [0, 0, 0, -1], [0, 0, 1, 0]])
+    lck = assemble_lck(g, om, J, CONVENTION_DEF)
+    assert lck.lcs.lam.is_zero() and lck.theta.is_zero()
+    with pytest.raises(NoSolution):
+        lck.phi
 
 
 def test_assemble_lck_rejects_incompatible_pair():
     g = u2()
     om = lcs_form(g, oneform(g, {1: 1, 2: 1}))
     with pytest.raises(NotCompatible, match="omega is not J-invariant"):
-        assemble_lck(g, om, J_ab_at(g, 1, 2))
+        assemble_lck(g, om, J_ab(g, 1, 2))
 
 
 def test_biinvariant_identities_rejects_degenerate_B():
     g = u2()
-    lck = assemble_lck(g, lcs_form(g, oneform(g, {1: 1})), J_01(g))
+    lck = assemble_lck(g, lcs_form(g, oneform(g, {1: 1})), J_ab(g, 0, 1))
     # e0 spans the center, so this B is ad-invariant but degenerate
     B = [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(DegenerateB):
         biinvariant_identities(g, B, lck)
+
+
+def test_biinvariant_identities_rejects_non_ad_invariant_B():
+    g = u2()
+    lck = assemble_lck(g, lcs_form(g, oneform(g, {1: 1})), J_ab(g, 0, 1))
+    B = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    with pytest.raises(NotAdInvariant,
+                       match=r"ad-invariance fails on triple \(2,1,3\)$"):
+        biinvariant_identities(g, B, lck)
+
+
+@pytest.mark.parametrize("make, phi, J", [
+    (u2, {1: 1}, lambda g: J_ab(g, 0, 1)),
+    (gl2r, {2: 1, 3: -1}, lambda g: J_mu(g, 1, 0)),
+])
+def test_ad_invariance_names_the_first_failing_triple(make, phi, J):
+    g = make()
+    lck = assemble_lck(g, lcs_form(g, oneform(g, phi)), J(g))
+    n = g.dim
+
+    def first_defect(B):
+        # B([e_i, e_j], e_k) + B(e_j, [e_i, e_k]) in (i, j, k) order
+        def pair(x, y):
+            return sum((x[r] * B[r][s] * y[s] for r in range(n)
+                        for s in range(n)), g.zero())
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    ei, ej, ek = (g.basis_vector(t) for t in (i, j, k))
+                    if not (pair(g.bracket(ei, ej), ek)
+                            + pair(ej, g.bracket(ei, ek))).is_zero():
+                        return f"({i},{j},{k})"
+        return None
+
+    rng = random.Random(7)
+    for _ in range(16):
+        # sparse, so that some first failures sit on the diagonal j = k
+        B = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                B[i][j] = B[j][i] = rng.choice([0, 0, 0, -1, 1, 2])
+        want = first_defect(B)
+        if want is None:
+            continue
+        with pytest.raises(NotAdInvariant) as exc:
+            biinvariant_identities(g, B, lck)
+        assert str(exc.value) == f"ad-invariance fails on triple {want}"
 
 
 # ---------------------------------------------------------------------------
