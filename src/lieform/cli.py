@@ -186,6 +186,8 @@ def cmd_check_vaisman(args):
             else:
                 detail = "Vaisman exactly on the locus: " + "; ".join(
                     f"{p} = 0" for p in vanishing)
+        if lck.lcs.lam.is_zero():
+            detail = "lam = 0: the structure is Kahler, not proper lcK"
         rep.check("Lee field is parallel (Vaisman)", ok, detail)
         rep.info("g(xi, xi)", str(lck.metric.pair(lck.xi, lck.xi)))
         rep.info("lam(xi)", str(lck.lcs.lam.evaluate(lck.xi)))

@@ -53,6 +53,9 @@ class LieAlgebra:
         self.params = tuple(params)
         self.basis_names = list(basis_names)
         self.dim = len(self.basis_names)
+        # scalars are immutable, so every caller can share these two
+        self._zero = Scalar.zero(self.params)
+        self._one = Scalar.one(self.params)
         table = {}
         for (i, j), vec in brackets.items():
             table[(i, j)] = [self._scalar(c) for c in self._as_vector(vec)]
@@ -83,10 +86,10 @@ class LieAlgebra:
         return list(vec)
 
     def zero(self):
-        return Scalar.zero(self.params)
+        return self._zero
 
     def one(self):
-        return Scalar.one(self.params)
+        return self._one
 
     def zero_vector(self):
         return [self.zero()] * self.dim

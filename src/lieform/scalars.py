@@ -11,10 +11,13 @@ stores an integral coefficient as an ``int`` and only a proper fraction as a
 denominators.  An ``int`` prints, compares and hashes like the equal
 ``Fraction``, so the normal form changes no output.
 
-Equality of scalars is decided by cross-multiplication, so correctness never
-depends on polynomial GCDs.  A cheap normalization (rational content and
-common monomial factors) keeps sizes under control; a scalar whose
-denominator is 1 is a polynomial and skips it.
+Equality of scalars compares numerators over equal denominators and
+cross-multiplies otherwise, so correctness never depends on polynomial GCDs.
+A cheap normalization (rational content and common monomial factors) keeps
+sizes under control; a scalar whose denominator is 1 is a polynomial and
+skips it.  Arithmetic skips identity work: a zero or constant factor, a zero
+summand and a denominator of 1 build the same pair the general formula
+builds, without its products.
 """
 
 from __future__ import annotations
@@ -178,9 +181,17 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):  # an int or a Fraction
+            if other == 1:
+                return self
             return Poly(self.params,
                         {e: c * other for e, c in self.terms.items()})
         self._check(other)
+        if not self.terms or not other.terms:
+            return Poly(self.params, {})
+        # a constant operand scales the other one's coefficients
+        for p, q in ((self, other), (other, self)):
+            if len(q.terms) == 1 and not any(next(iter(q.terms))):
+                return p * next(iter(q.terms.values()))
         # multiply over Z and divide each product term once
         l1, a = self._integral()
         l2, b = other._integral()
@@ -381,6 +392,11 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        self.num._check(other.num)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         if self.den == other.den:
             return Scalar(self.num + other.num, self.den)
         return Scalar(self.num * other.den + other.num * self.den,
@@ -404,7 +420,13 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Scalar(self.num * other.num, self.den * other.den)
+        if self.den.is_one():
+            den = other.den
+        elif other.den.is_one():
+            den = self.den
+        else:
+            den = self.den * other.den
+        return Scalar(self.num * other.num, den)
 
     __rmul__ = __mul__
 
@@ -433,6 +455,8 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den == other.den:
+            return self.num == other.num
         # cross-multiplication; no GCD needed for correctness
         return (self.num * other.den - other.num * self.den).is_zero()
 

@@ -375,7 +375,8 @@ def exact_signature(rows):
     Symmetric Gaussian pivoting; a zero diagonal with a nonzero off-diagonal
     entry contributes a hyperbolic (1,1) pair.
     """
-    a = [list(map(Fraction, r)) for r in rows]
+    a = [[c if isinstance(c, Fraction) else Fraction(c) for c in r]
+         for r in rows]
     n = len(a)
     p = q = 0
     live = list(range(n))
@@ -447,27 +448,27 @@ def nabla_of_vector(g, gm, y):
 
     The Koszul formula for a left-invariant metric,
     2 g(nabla_X Y, W) = g([X,Y],W) - g([Y,W],X) + g([W,X],Y),
-    with X = e_i, Y = y and W running over the basis gives the covector
-    of nabla_{e_i} y; one inverse of the metric turns each into a vector.
-    Returns ([nabla_{e_i} y for i], locus).
+    with X = e_i, Y = y and W = e_k reads, for the symmetric metric G,
+    M = G ad_y and Gy = G y,
+    2 g(nabla_{e_i} y, e_k) = -M[k][i] - M[i][k] + sum_l c_{ki}^l Gy[l]:
+    the covector of nabla_{e_i} y; one inverse of the metric turns each
+    into a vector.  Returns ([nabla_{e_i} y for i], locus).
     """
     n = g.dim
     try:
         ginv, locus = linalg.inverse(gm.matrix, g.zero())
     except linalg.LinalgError as exc:
         raise DegenerateMetric("metric is singular") from exc
+    M = linalg.mat_mul(gm.matrix, g.ad(y))
+    gy = linalg.mat_vec(gm.matrix, y)
     half = Fraction(1, 2)
     out = []
     for i in range(n):
-        ei = g.basis_vector(i)
-        ei_y = g.bracket(ei, y)
         rhs = []
         for k in range(n):
-            ek = g.basis_vector(k)
-            val = gm.pair(ei_y, ek) \
-                - gm.pair(g.bracket(y, ek), ei) \
-                + gm.pair(g.bracket(ek, ei), y)
-            rhs.append(val * half)
+            cki_gy = sum((c * v for c, v in zip(g.bracket_basis(k, i), gy)
+                          if not c.is_zero()), g.zero())
+            rhs.append((-M[k][i] - M[i][k] + cki_gy) * half)
         out.append(linalg.mat_vec(ginv, rhs))
     return out, locus
 

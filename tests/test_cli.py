@@ -139,6 +139,9 @@ def test_kahler_structure_passes(command, capsys, tmp_path):
     assert code == 0, captured.out
     assert "[FAIL]" not in captured.out
     assert captured.err == ""
+    if command == "check-vaisman":
+        assert "[PASS] Lee field is parallel (Vaisman) :: lam = 0: the " \
+            "structure is Kahler, not proper lcK\n" in captured.out
 
 
 ATOMS = st.sampled_from(

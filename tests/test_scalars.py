@@ -99,6 +99,17 @@ def test_scalar_field_known_identities():
     assert (a / b).inverse() == b / a
 
 
+def test_scalar_parameter_mismatch_rejected():
+    other = Scalar.var(("c",), "c")
+    for x in (Scalar.zero(P), S("a"), S("1/a")):
+        for op in (lambda u, v: u + v, lambda u, v: u * v,
+                   lambda u, v: u == v):
+            with pytest.raises(ScalarError, match="parameter mismatch"):
+                op(x, other)
+            with pytest.raises(ScalarError, match="parameter mismatch"):
+                op(other, x)
+
+
 def test_scalar_zero_denominator_rejected():
     with pytest.raises(ScalarError):
         Scalar(Poly.one(P), Poly.zero(P))
@@ -370,3 +381,101 @@ def test_polynomial_fast_path_matches_normalization(x):
     slow = Scalar(p * 2, Poly.const(P, 2))
     assert fast == slow and str(fast) == str(slow)
     assert fast.num == slow.num and fast.den == slow.den
+
+
+# ---------------------------------------------------------------------------
+# Identity shortcuts, against the general formulas
+# ---------------------------------------------------------------------------
+
+polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=3),
+    min_size=1, max_size=3).map(lambda terms: Poly(P, terms))
+
+
+def _z_product(p, q):
+    """The product over Z with no shortcut: clear the denominators of both
+    factors, multiply every pair of terms, divide once."""
+    l1, a = p._integral()
+    l2, b = q._integral()
+    terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return Poly(P, {e: Fraction(c, l1 * l2) for e, c in terms.items()})
+
+
+def _assert_same_poly(got, want):
+    assert got.terms == want.terms
+    assert {e: type(c) for e, c in got.terms.items()} == \
+        {e: type(c) for e, c in want.terms.items()}
+    assert str(got) == str(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, st.fractions(min_value=-3, max_value=3, max_denominator=4))
+def test_poly_times_constant_matches_the_z_product(p, c):
+    const = Poly.const(P, c)
+    for got in (p * const, const * p, p * c):
+        _assert_same_poly(got, _z_product(p, const))
+    _assert_same_poly(p * Poly.zero(P), Poly.zero(P))
+    assert p * 1 is p
+    if not p.is_zero():
+        assert p * Poly.one(P) is p
+
+
+@st.composite
+def shortcut_pairs(draw):
+    """Two scalars, each a zero, a constant, a polynomial, a quotient over a
+    denominator the pair shares, or a general quotient."""
+    # constant term 1 and a positive leading coefficient: a normalized
+    # denominator that Scalar keeps as given
+    shared = Poly(P, {(0, 0): 1,
+                      (draw(st.integers(0, 2)), draw(st.integers(1, 2))):
+                      draw(st.integers(1, 3))})
+
+    def operand():
+        kind = draw(st.sampled_from(
+            ["zero", "constant", "polynomial", "shared", "general"]))
+        if kind == "zero":
+            return Scalar.zero(P)
+        if kind == "constant":
+            return Scalar.const(P, draw(st.fractions(
+                min_value=-3, max_value=3, max_denominator=4)))
+        if kind == "polynomial":
+            return Scalar(draw(polys))
+        if kind == "shared":
+            return Scalar(draw(polys), shared)
+        return draw(scalars())
+
+    return operand(), operand()
+
+
+def _sum_formula(x, y):
+    if x.den == y.den:
+        return Scalar(x.num + y.num, x.den)
+    return Scalar(_z_product(x.num, y.den) + _z_product(y.num, x.den),
+                  _z_product(x.den, y.den))
+
+
+def _assert_same_scalar(got, want):
+    assert (str(got.num), str(got.den)) == (str(want.num), str(want.den))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.large_base_example])
+@given(shortcut_pairs())
+def test_shortcuts_match_the_general_formulas(pair):
+    x, y = pair
+    _assert_same_scalar(x + y, _sum_formula(x, y))
+    _assert_same_scalar(y + x, _sum_formula(y, x))
+    _assert_same_scalar(x - y, _sum_formula(x, Scalar(-y.num, y.den)))
+    _assert_same_scalar(x + 0, _sum_formula(x, Scalar.zero(P)))
+    _assert_same_scalar(0 + x, _sum_formula(Scalar.zero(P), x))
+    _assert_same_scalar(x * y, Scalar(_z_product(x.num, y.num),
+                                      _z_product(x.den, y.den)))
+    _assert_same_scalar(x * 1, x)
+    cross = (_z_product(x.num, y.den) - _z_product(y.num, x.den)).is_zero()
+    assert (x == y) is cross and (y == x) is cross
+    assert x == x

@@ -1,6 +1,7 @@
 """Geometric structures: complex structures, lcs extraction, metrics,
 signatures (with a floating-point eigenvalue oracle), connections, Vaisman."""
 
+import os
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lieform import catalog, linalg
+from lieform import catalog, document, linalg
 from lieform.catalog import J_ab, J_mu, abelian, gl2r, lcs_form, oneform, u2
 from lieform.exterior import KForm, NoSolution, ce_d, twisted_d, wedge
 from lieform.scalars import DenominatorVanishes, Scalar, scalar_eval
@@ -23,6 +24,8 @@ from lieform.structures import (CONVENTION_DEF, CONVENTION_THM,
                                 lcs_check, metric_from, nabla_of_vector,
                                 nijenhuis, signature_at, subalgebra_to_J,
                                 vaisman_check)
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +226,16 @@ def test_exact_signature_known():
         exact_signature([[1, 1], [1, 1]])
 
 
+def test_exact_signature_takes_ints_fractions_and_mixed_rows():
+    rows = [[0, 2, 0], [2, 0, 0], [0, 0, -3]]
+    fractions = [[Fraction(c) for c in r] for r in rows]
+    mixed = [rows[0], fractions[1], [0, Fraction(0), Fraction(-3)]]
+    for a in (rows, fractions, mixed):
+        assert exact_signature(a) == (1, 2)
+    # the caller's rows are copied, not reduced in place
+    assert fractions == [[0, 2, 0], [2, 0, 0], [0, 0, -3]]
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.large_base_example])
 @given(st.lists(st.integers(-6, 6), min_size=10, max_size=10))
@@ -311,6 +324,45 @@ def test_nabla_of_vector_is_linear_in_the_vector(make_lck):
             want[i] = linalg.vec_add(want[i], linalg.vec_scale(c, nabla_ej[i]))
     got, _ = nabla_of_vector(g, gm, xi)
     assert got == want
+
+
+def _nabla_by_three_pairings(g, gm, y):
+    """The Koszul formula with one Metric.pair call per term."""
+    ginv, _ = linalg.inverse(gm.matrix, g.zero())
+    out = []
+    for i in range(g.dim):
+        ei = g.basis_vector(i)
+        ei_y = g.bracket(ei, y)
+        rhs = []
+        for k in range(g.dim):
+            ek = g.basis_vector(k)
+            val = gm.pair(ei_y, ek) \
+                - gm.pair(g.bracket(y, ek), ei) \
+                + gm.pair(g.bracket(ek, ei), y)
+            rhs.append(val * Fraction(1, 2))
+        out.append(linalg.mat_vec(ginv, rhs))
+    return out
+
+
+@pytest.mark.parametrize("path, omega, J, convention", [
+    ("u2.json", "omega_std", "J_01", CONVENTION_DEF),
+    ("u2.json", "omega_std", "J_ab", CONVENTION_DEF),
+    ("u2.json", "omega_std", "J_ab", CONVENTION_THM),
+    ("u2.json", "omega_general", "J_01", CONVENTION_DEF),
+    ("gl2r.json", "omega_std", "J_mu1", CONVENTION_DEF),
+    ("gl2r.json", "omega_general", "J_mu1", CONVENTION_DEF),
+])
+def test_nabla_of_vector_matches_three_pairings(path, omega, J, convention):
+    # scalars have no canonical form, so the printed num/den pairs of every
+    # entry are compared, not just the values
+    doc = document.load(os.path.join(DATA, path))
+    g = doc.build_algebra()
+    lck = assemble_lck(g, doc.build_form(omega, g),
+                       ComplexStructure(g, doc.build_endo(J, g)), convention)
+    got, _ = nabla_of_vector(g, lck.metric, lck.xi)
+    want = _nabla_by_three_pairings(g, lck.metric, lck.xi)
+    assert [[(str(c.num), str(c.den)) for c in row] for row in got] == \
+        [[(str(c.num), str(c.den)) for c in row] for row in want]
 
 
 def test_vaisman_flat_on_standard_structure_and_not_on_perturbed():
