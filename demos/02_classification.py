@@ -6,9 +6,9 @@ complex-structure family, that its metric is definite exactly when b < 0,
 and that the exceptional member admits only the standard form as a Vaisman
 structure.
 
-Run:  python3 demos/02_classification.py            (about a second)
+Run:  python3 demos/02_classification.py            (about 0.3 s)
       python3 demos/02_classification.py gl2        (the non-compact case,
-                                                     about half a second)
+                                                     about 0.4 s)
 """
 
 import sys

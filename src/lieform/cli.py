@@ -324,9 +324,12 @@ def build_parser():
     return parser
 
 
+# built once: parse_args returns a fresh namespace on every call
+PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -251,15 +251,25 @@ class Poly:
 
     def evaluate(self, assignment):
         """Evaluate at a map parameter -> int or Fraction; exact Fraction."""
-        vals = [assignment[p] for p in self.params]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            t = c
-            for v, k in zip(vals, e):
+        D, X = integer_point(self.params, assignment)
+        return Fraction(*self.value_at(D, X))
+
+    def value_at(self, D, X):
+        """(v, s) with value v / s, s > 0, at the point X / D (ints, D > 0).
+
+        Summed over Z: with l the lcm of the coefficient denominators and
+        deg the total degree, s = l D^deg and v = sum l c_e X^e D^(deg-|e|).
+        """
+        l, terms = self._integral()
+        deg = max(self.total_degree(), 0)
+        v = 0
+        for e, c in terms.items():
+            t = c * D ** (deg - sum(e))
+            for x, k in zip(X, e):
                 if k:
-                    t *= v ** k
-            total += t
-        return total
+                    t *= x ** k
+            v += t
+        return v, l * D ** deg
 
     def __str__(self):
         if self.is_zero():
@@ -485,15 +495,34 @@ class Scalar:
         return f"Scalar({self})"
 
 
+def integer_point(params, assignment):
+    """(D, X): a point of ints and Fractions as X / D over Z, with D > 0 the
+    lcm of its denominators and X the list of D times each value, in the
+    order of params."""
+    vals = [assignment[p] for p in params]
+    D = lcm(*(v.denominator for v in vals))
+    return D, [v.numerator * (D // v.denominator) for v in vals]
+
+
+def scalar_at(s, D, X, assignment):
+    """s at the point X / D (see ``integer_point``) as a Fraction.
+
+    Raises DenominatorVanishes, naming assignment, when the point lies on
+    the denominator locus.
+    """
+    den, s_den = s.den.value_at(D, X)
+    if den == 0:
+        raise DenominatorVanishes(assignment)
+    num, s_num = s.num.value_at(D, X)
+    return Fraction(num * s_den, s_num * den)
+
+
 def scalar_eval(s, assignment):
     """Evaluate a scalar at a point of ints and Fractions; exact result.
 
     Raises DenominatorVanishes when the point lies on the denominator locus.
     """
-    den = s.den.evaluate(assignment)
-    if den == 0:
-        raise DenominatorVanishes(assignment)
-    return s.num.evaluate(assignment) / den
+    return scalar_at(s, *integer_point(s.params, assignment), assignment)
 
 
 CScalar = None  # read only by the bench's result sizer, bench/spans.py

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from . import linalg
 from .exterior import (KForm, ce_d, form_monomials, form_to_vector,
                        solve_potential, wedge)
 from .lie_core import Subspace, center, centralizer, derived_subalgebra
-from .scalars import scalar_eval
+from .scalars import integer_point, scalar_at
 
 
 class StructureError(Exception):
@@ -370,16 +371,18 @@ def metric_from(omega, J, convention=CONVENTION_THM):
 
 
 def exact_signature(rows):
-    """Signature (p, q) of a symmetric matrix of Fractions, exactly.
+    """Signature (p, q) of a symmetric matrix of ints and Fractions, exactly.
 
-    Symmetric Gaussian pivoting; a zero diagonal with a nonzero off-diagonal
-    entry contributes a hyperbolic (1,1) pair.
+    Scaled by the positive lcm of the entry denominators, then reduced over
+    Z by symmetric pivoting (Sylvester's law of inertia): a pivot d counts
+    by its sign and maps the rest S to |d| S - sgn(d) u u^T, u the rest of
+    its column.  A zero diagonal with a nonzero a_ij takes the congruence
+    e_i -> e_i + e_j, a hyperbolic (1,1) pair.
     """
-    a = [[c if isinstance(c, Fraction) else Fraction(c) for c in r]
-         for r in rows]
-    n = len(a)
+    l = lcm(*(c.denominator for r in rows for c in r))
+    a = [[c.numerator * (l // c.denominator) for c in r] for r in rows]
     p = q = 0
-    live = list(range(n))
+    live = list(range(len(a)))
     while live:
         piv = None
         for i in live:
@@ -392,15 +395,12 @@ def exact_signature(rows):
                 p += 1
             else:
                 q += 1
+            sgn = 1 if d > 0 else -1
             live.remove(piv)
-            prow = {j: a[piv][j] for j in live}
+            u = {i: a[i][piv] for i in live}
             for i in live:
-                f = a[i][piv] / d
-                if f != 0:
-                    for j in live:
-                        a[i][j] -= f * prow[j]
-                a[i][piv] = Fraction(0)
-                a[piv][i] = Fraction(0)
+                for j in live:
+                    a[i][j] = sgn * (d * a[i][j] - u[i] * u[j])
             continue
         hyper = None
         for ii, i in enumerate(live):
@@ -412,12 +412,11 @@ def exact_signature(rows):
                 break
         if hyper is None:
             raise DegenerateAtPoint("matrix is degenerate at the point")
-        # congruence e_i -> e_i + e_j creates a nonzero diagonal entry
         i, j = hyper
-        for c in range(n):
+        for c in live:
             a[i][c] += a[j][c]
-        for r_ in range(n):
-            a[r_][i] += a[r_][j]
+        for r in live:
+            a[r][i] += a[r][j]
     return p, q
 
 
@@ -425,15 +424,20 @@ def signature_at(gm, assignment):
     """Exact signature of the metric at a rational parameter point.
 
     ``metric_from`` has checked that the metric is symmetric, so only the
-    upper triangle is evaluated and mirrored.
+    upper triangle is evaluated and mirrored.  The point is put over a
+    common denominator once, and each entry is evaluated over Z with one
+    division (``scalars.scalar_at``); ``exact_signature`` then clears the
+    entry denominators.
     """
     n = len(gm.matrix)
     rows = [[None] * n for _ in range(n)]
     try:
         point = {p: Fraction(v) for p, v in assignment.items()}
+        D, X = integer_point(gm.algebra.params, point)
         for i in range(n):
             for j in range(i, n):
-                rows[i][j] = rows[j][i] = scalar_eval(gm.matrix[i][j], point)
+                rows[i][j] = rows[j][i] = scalar_at(gm.matrix[i][j], D, X,
+                                                    point)
     except Exception as exc:
         raise DegenerateAtPoint(f"cannot evaluate metric: {exc}") from exc
     return exact_signature(rows)
@@ -443,16 +447,18 @@ def signature_at(gm, assignment):
 # Covariant derivative and the Vaisman test
 # ---------------------------------------------------------------------------
 
-def nabla_of_vector(g, gm, y):
+def nabla_of_vector(g, gm, y, gy):
     """Covariant derivatives nabla_{e_i} y of a left-invariant vector y.
 
     The Koszul formula for a left-invariant metric,
     2 g(nabla_X Y, W) = g([X,Y],W) - g([Y,W],X) + g([W,X],Y),
-    with X = e_i, Y = y and W = e_k reads, for the symmetric metric G,
-    M = G ad_y and Gy = G y,
-    2 g(nabla_{e_i} y, e_k) = -M[k][i] - M[i][k] + sum_l c_{ki}^l Gy[l]:
+    with X = e_i, Y = y and W = e_k reads, for the symmetric metric G and
+    M = G ad_y,
+    2 g(nabla_{e_i} y, e_k) = -M[k][i] - M[i][k] + sum_l c_{ki}^l gy[l]:
     the covector of nabla_{e_i} y; one inverse of the metric turns each
-    into a vector.  Returns ([nabla_{e_i} y for i], locus).
+    into a vector.  The caller passes gy = G y, which it often knows
+    without the product (for the Lee vector, ``LckData.gxi``).  Returns
+    ([nabla_{e_i} y for i], locus).
     """
     n = g.dim
     try:
@@ -460,7 +466,6 @@ def nabla_of_vector(g, gm, y):
     except linalg.LinalgError as exc:
         raise DegenerateMetric("metric is singular") from exc
     M = linalg.mat_mul(gm.matrix, g.ad(y))
-    gy = linalg.mat_vec(gm.matrix, y)
     half = Fraction(1, 2)
     out = []
     for i in range(n):
@@ -478,11 +483,12 @@ def nabla_of_vector(g, gm, y):
 # ---------------------------------------------------------------------------
 
 class LckData:
-    def __init__(self, lcs, J, metric, xi, theta, locus):
+    def __init__(self, lcs, J, metric, xi, gxi, theta, locus):
         self.lcs = lcs
         self.J = J
         self.metric = metric
         self.xi = xi
+        self.gxi = gxi  # G xi, the right-hand side xi was solved from
         self.theta = theta
         self.locus = list(locus)
 
@@ -506,15 +512,18 @@ def assemble_lck(g, omega, J, convention=CONVENTION_THM):
     The Lee vector is xi = -1/2 g^{-1} lam in the defining convention
     g = omega(., J.), which makes Z = J xi an identity; the other convention
     negates g, so there xi = +1/2 g^{-1} lam.  The returned Metric carries
-    the requested convention tag.
+    the requested convention tag.  G xi is the right-hand side s lam of the
+    solve and is kept as ``gxi``.  Z = J xi is checked as xi = -J Z, which
+    is equivalent since J^2 = -Id, and applies J to the small Z rather
+    than to xi.
     """
     lcs = lcs_check(g, omega)
     metric = metric_from(omega, J, convention)
     n = g.dim
     half = Fraction(1, 2)
     s = -half if convention == CONVENTION_DEF else half
-    rhs = [lcs.lam.coefficient((j,)) * s for j in range(n)]
-    xi, _, locus = linalg.solve(metric.matrix, rhs, g.zero())
+    gxi = [lcs.lam.coefficient((j,)) * s for j in range(n)]
+    xi, _, locus = linalg.solve(metric.matrix, gxi, g.zero())
     if xi is None:
         raise DegenerateMetric("metric does not determine the Lee vector",
                                locus)
@@ -522,22 +531,23 @@ def assemble_lck(g, omega, J, convention=CONVENTION_THM):
     # theta(e_i) = lam(J e_i) / 2
     theta = KForm(g, 1, {(i,): lcs.lam.evaluate(J.apply(g.basis_vector(i)))
                          * half for i in range(n)})
-    jxi = J.apply(xi)
-    if any(a != b for a, b in zip(jxi, lcs.Z)):
+    if any(a != -b for a, b in zip(xi, J.apply(lcs.Z))):
         raise StructureError("Z = J xi fails; inconsistent conventions")
-    return LckData(lcs, J, metric, xi, theta, locus)
+    return LckData(lcs, J, metric, xi, gxi, theta, locus)
 
 
 def vaisman_check(lck):
     """Parallel-Lee-field test: nabla xi = 0 identically.
 
-    Only the derivatives of xi itself are computed (``nabla_of_vector``).
+    Only the derivatives of xi itself are computed (``nabla_of_vector``),
+    with G xi read off the Lee-vector solve.
     Returns (is_vaisman, vanishing, locus) where vanishing lists numerator
     polynomials whose common zero locus is where the structure is Vaisman,
     and locus lists the exclusion polynomials off which the inverse metric,
     and so the verdict, is generic.
     """
-    nxi, locus = nabla_of_vector(lck.algebra, lck.metric, lck.xi)
+    nxi, locus = nabla_of_vector(lck.algebra, lck.metric, lck.xi,
+                                 lck.gxi)
     vanishing = []
     ok = True
     for v in nxi:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, output formats, exit-code contract."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -29,6 +30,17 @@ def test_check_algebra_pass(capsys):
     assert code == 0
     assert "[PASS] antisymmetry and Jacobi identity" in out
     assert "[INFO] dim :: 4" in out
+
+
+def test_a_call_leaves_no_cyclic_garbage(capsys):
+    # the parser is built once, not per call, so a call creates no cycles
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(["catalog", "u2"]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_check_algebra_corrupted_fails(capsys):

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from lieform import catalog, document, linalg
 from lieform.catalog import J_ab, J_mu, abelian, gl2r, lcs_form, oneform, u2
 from lieform.exterior import KForm, NoSolution, ce_d, twisted_d, wedge
-from lieform.scalars import DenominatorVanishes, Scalar, scalar_eval
+from lieform.scalars import (DenominatorVanishes, Scalar, parse_scalar,
+                             scalar_eval)
 from lieform.structures import (CONVENTION_DEF, CONVENTION_THM,
                                 ComplexStructure, Degenerate,
                                 DegenerateAtPoint, DegenerateB,
-                                J_to_subalgebra, NotAdInvariant,
+                                J_to_subalgebra, Metric, NotAdInvariant,
                                 NotAlmostComplex, NotCompatible,
                                 NotTransverse, StructureReport, assemble_lck,
                                 biinvariant_identities,
@@ -263,6 +264,107 @@ def test_signature_at_uses_exact_evaluation():
         signature_at(m, {"a": 0, "b": 0})  # on the excluded locus
 
 
+def _signature_by_fractions(gm, assignment):
+    """Reference for ``signature_at``: every power, product and partial sum
+    as a Fraction, then symmetric pivoting over Q.  Returns the signature
+    or the message of the DegenerateAtPoint it would raise."""
+    def value(poly, point):
+        total = Fraction(0)
+        for e, c in poly.terms.items():
+            t = Fraction(c)
+            for p, k in zip(poly.params, e):
+                t *= point[p] ** k
+            total += t
+        return total
+
+    n = len(gm.matrix)
+    a = [[None] * n for _ in range(n)]
+    try:
+        point = {p: Fraction(v) for p, v in assignment.items()}
+        for i in range(n):
+            for j in range(i, n):
+                c = gm.matrix[i][j]
+                den = value(c.den, point)
+                if den == 0:
+                    raise DenominatorVanishes(point)
+                a[i][j] = a[j][i] = value(c.num, point) / den
+    except Exception as exc:
+        return f"cannot evaluate metric: {exc}"
+    p = q = 0
+    live = list(range(n))
+    while live:
+        piv = next((i for i in live if a[i][i] != 0), None)
+        if piv is not None:
+            d = a[piv][piv]
+            p, q = (p + 1, q) if d > 0 else (p, q + 1)
+            live.remove(piv)
+            for i in live:
+                f = a[i][piv] / d
+                for j in live:
+                    a[i][j] -= f * a[piv][j]
+            continue
+        hyper = next(((i, j) for ii, i in enumerate(live)
+                      for j in live[ii + 1:] if a[i][j] != 0), None)
+        if hyper is None:
+            return "matrix is degenerate at the point"
+        i, j = hyper
+        for c in live:
+            a[i][c] += a[j][c]
+        for r in live:
+            a[r][i] += a[r][j]
+    return p, q
+
+
+_SIG_PARAMS = ("a", "b")
+_SIG_NUMS = ["0", "1", "-2", "a", "-b", "a + b", "a^2 - b", "3*a*b - 1/2",
+             "-b^2 + 2/3"]
+# each vanishes somewhere on the sample grid below
+_SIG_DENS = ["1", "a", "b", "a - b", "a*b + 1", "2*a + 1", "a^2 - 4*b^2"]
+
+
+@st.composite
+def _parametric_metrics(draw):
+    """A symmetric Scalar matrix over Q(a, b): general, with a zero diagonal
+    (hyperbolic steps) or a sum of two rank-one terms (singular)."""
+    kind = draw(st.sampled_from(["general", "hyperbolic", "low rank"]))
+    n = draw(st.integers(3 if kind == "low rank" else 2, 4))
+
+    def entry():
+        return parse_scalar(f"({draw(st.sampled_from(_SIG_NUMS))})/"
+                            f"({draw(st.sampled_from(_SIG_DENS))})",
+                            _SIG_PARAMS)
+
+    if kind == "low rank":
+        u = [entry() for _ in range(n)]
+        v = [entry() for _ in range(n)]
+        sign = draw(st.sampled_from([1, -1]))
+        return [[u[i] * u[j] + v[i] * v[j] * sign for j in range(n)]
+                for i in range(n)]
+    m = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = entry()
+        if kind == "hyperbolic":
+            m[i][i] = Scalar.zero(_SIG_PARAMS)
+    return m
+
+
+_SIG_GRID = [Fraction(k, 2) for k in range(-4, 5)] + [Fraction(-1, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_parametric_metrics(), st.sampled_from(_SIG_GRID),
+       st.sampled_from(_SIG_GRID))
+def test_signature_at_matches_the_fraction_route(matrix, av, bv):
+    gm = Metric(u2(_SIG_PARAMS), matrix, None)
+    want = _signature_by_fractions(gm, {"a": av, "b": bv})
+    try:
+        got = signature_at(gm, {"a": av, "b": bv})
+    except DegenerateAtPoint as exc:
+        got = str(exc)
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # Connection and Vaisman
 # ---------------------------------------------------------------------------
@@ -275,7 +377,9 @@ def test_levi_civita_is_metric_and_torsion_free():
     n = g.dim
     table = {}
     for j in range(n):
-        nabla_ej, _ = nabla_of_vector(g, gm, g.basis_vector(j))
+        ej = g.basis_vector(j)
+        nabla_ej, _ = nabla_of_vector(g, gm, ej,
+                                      linalg.mat_vec(gm.matrix, ej))
         for i in range(n):
             table[(i, j)] = nabla_ej[i]
     for i in range(n):
@@ -319,10 +423,12 @@ def test_nabla_of_vector_is_linear_in_the_vector(make_lck):
     g, gm, xi = lck.algebra, lck.metric, lck.xi
     want = [g.zero_vector() for _ in range(g.dim)]
     for j, c in enumerate(xi):
-        nabla_ej, _ = nabla_of_vector(g, gm, g.basis_vector(j))
+        ej = g.basis_vector(j)
+        nabla_ej, _ = nabla_of_vector(g, gm, ej,
+                                      linalg.mat_vec(gm.matrix, ej))
         for i in range(g.dim):
             want[i] = linalg.vec_add(want[i], linalg.vec_scale(c, nabla_ej[i]))
-    got, _ = nabla_of_vector(g, gm, xi)
+    got, _ = nabla_of_vector(g, gm, xi, linalg.mat_vec(gm.matrix, xi))
     assert got == want
 
 
@@ -359,10 +465,20 @@ def test_nabla_of_vector_matches_three_pairings(path, omega, J, convention):
     g = doc.build_algebra()
     lck = assemble_lck(g, doc.build_form(omega, g),
                        ComplexStructure(g, doc.build_endo(J, g)), convention)
-    got, _ = nabla_of_vector(g, lck.metric, lck.xi)
+    got, locus = nabla_of_vector(g, lck.metric, lck.xi,
+                                 linalg.mat_vec(lck.metric.matrix, lck.xi))
     want = _nabla_by_three_pairings(g, lck.metric, lck.xi)
     assert [[(str(c.num), str(c.den)) for c in row] for row in got] == \
         [[(str(c.num), str(c.den)) for c in row] for row in want]
+    # vaisman_check reads G xi off the Lee-vector solve (lck.gxi) and must
+    # print the same vanishing and locus lists as the product G xi above
+    vanishing = []
+    for c in (c for row in got for c in row if not c.is_zero()):
+        linalg.merge_locus(vanishing, [c.num])
+    ok, got_vanishing, got_locus = vaisman_check(lck)
+    assert ok == (not vanishing)
+    assert [str(p) for p in got_vanishing] == [str(p) for p in vanishing]
+    assert [str(p) for p in got_locus] == [str(p) for p in locus]
 
 
 def test_vaisman_flat_on_standard_structure_and_not_on_perturbed():
@@ -387,7 +503,7 @@ def test_assemble_lck_identities():
     assert lck.J.apply(lck.xi) == lck.lcs.Z
     lam_vec = [lck.lcs.lam.coefficient((j,)) for j in range(4)]
     gx = linalg.mat_vec(lck.metric.matrix, lck.xi)
-    assert gx == [c * Fraction(-1, 2) for c in lam_vec]
+    assert gx == [c * Fraction(-1, 2) for c in lam_vec] == lck.gxi
     # theta(e_i) = lam(J e_i) / 2
     for i in range(4):
         v = g.basis_vector(i)
@@ -396,6 +512,27 @@ def test_assemble_lck_identities():
     # the potential satisfies d_lam(phi) = omega and phi(xi) = 0
     assert twisted_d(lck.phi, lck.lcs.lam) == om
     assert lck.phi.evaluate(lck.xi).is_zero()
+
+
+@pytest.mark.parametrize("id_", ["u2", "gl2r"])
+def test_lee_vector_is_minus_J_of_the_reeb_vector(id_):
+    # every compatible (omega, J) pair of the catalog, in both conventions
+    entry = catalog.get(id_)
+    fams = entry.families
+    forms = [f for f in fams.values()
+             if isinstance(f, KForm) and f.degree == 2]
+    Js = [f for f in fams.values() if isinstance(f, ComplexStructure)]
+    checked = 0
+    for om in forms:
+        for J in Js:
+            for convention in (CONVENTION_DEF, CONVENTION_THM):
+                try:
+                    lck = assemble_lck(entry.algebra, om, J, convention)
+                except NotCompatible:
+                    continue
+                assert lck.xi == [-c for c in J.apply(lck.lcs.Z)]
+                checked += 1
+    assert checked == 6
 
 
 def test_kahler_structure_assembles_and_has_no_potential():
