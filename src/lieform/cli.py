@@ -13,8 +13,8 @@ import sys
 from fractions import Fraction
 
 from . import catalog, document
-from .exterior import FormError, KForm, ce_d, twisted_cohomology_dim
-from .lie_core import LieAlgebra, LieError, center
+from .exterior import FormError, ce_d, twisted_cohomology_dim
+from .lie_core import LieError, center
 from .constructions import ConstructionError, coadjoint_stabilizer, lcs_from_orbit
 from .scalars import ScalarError
 from .structures import (CONVENTION_DEF, CONVENTION_THM, ComplexStructure,
@@ -53,40 +53,14 @@ def _parse_at(text):
     return out
 
 
-def _specialize_algebra(g, at):
-    if not at:
-        return g
-    brackets = {
-        key: [c.substitute(at) for c in vec]
-        for key, vec in g.structure_table().items()}
-    h = None
-    if g.h_subalgebra:
-        h = [[c.substitute(at) for c in v] for v in g.h_subalgebra]
-    return LieAlgebra(g.basis_names, brackets, params=g.params,
-                      h_subalgebra=h, name=g.name)
-
-
-def _specialize_form(f, g, at):
-    if not at:
-        return f
-    return KForm(g, f.degree,
-                 {idx: c.substitute(at) for idx, c in f.coeffs.items()})
-
-
-def _specialize_matrix(m, at):
-    if not at:
-        return m
-    return [[c.substitute(at) for c in row] for row in m]
-
-
 def _load(args):
+    """(document, its algebra specialized at --at, the --at point)."""
     doc = document.load(args.document)
     at = _parse_at(getattr(args, "at", None))
     for name in at:
         if name not in doc.parameters:
             raise CliError(f"--at names unknown parameter {name!r}")
-    g = doc.build_algebra()
-    return doc, _specialize_algebra(g, at), g, at
+    return doc, doc.build_algebra(at), at
 
 
 def _fully_numeric(g, at):
@@ -120,7 +94,7 @@ def _run(title, fmt, body):
 
 def cmd_check_algebra(args):
     def body(rep):
-        _, g, _, _ = _load(args)
+        _, g, _ = _load(args)
         jr = g.check_jacobi()
         rep.check("antisymmetry and Jacobi identity", jr.passed,
                   "" if jr.passed else f"{jr.reason} at {jr.witness}")
@@ -132,9 +106,8 @@ def cmd_check_algebra(args):
 
 def cmd_check_lcs(args):
     def body(rep):
-        doc, g, graw, at = _load(args)
-        om = _specialize_form(doc.build_form(args.omega, graw), g, at)
-        lcs = lcs_check(g, om)
+        doc, g, at = _load(args)
+        lcs = lcs_check(g, doc.build_form(args.omega, g, at))
         rep.add("omega nondegenerate on the quotient", "PASS")
         rep.check("Lee form exists and is closed", True)
         rep.check("lam(Z) = 0", True)
@@ -147,10 +120,9 @@ def cmd_check_lcs(args):
 
 
 def _build_lck(args, rep):
-    doc, g, graw, at = _load(args)
-    om = _specialize_form(doc.build_form(args.omega, graw), g, at)
-    Jm = _specialize_matrix(doc.build_endo(args.J, graw), at)
-    J = ComplexStructure(g, Jm)
+    doc, g, at = _load(args)
+    om = doc.build_form(args.omega, g, at)
+    J = ComplexStructure(g, doc.build_endo(args.J, g, at))
     lck = assemble_lck(g, om, J, args.convention)
     rep.add("omega defines an lcs structure", "PASS")
     rep.add("omega is J-invariant", "PASS")
@@ -196,8 +168,8 @@ def cmd_check_vaisman(args):
 
 def cmd_cohomology(args):
     def body(rep):
-        doc, g, graw, at = _load(args)
-        lam = _specialize_form(doc.build_form(args.lam, graw), g, at)
+        doc, g, at = _load(args)
+        lam = doc.build_form(args.lam, g, at)
         dlam = ce_d(lam)
         if not dlam.is_zero():
             rep.check("twisting form is closed", False, str(dlam))
@@ -213,11 +185,11 @@ def cmd_cohomology(args):
 
 def cmd_construct_orbit(args):
     def body(rep):
-        doc, g, graw, at = _load(args)
-        phi = _specialize_form(doc.build_form(args.phi, graw), g, at)
+        doc, g, at = _load(args)
+        phi = doc.build_form(args.phi, g, at)
         D = None
         if args.derivation:
-            D = _specialize_matrix(doc.build_endo(args.derivation, graw), at)
+            D = doc.build_endo(args.derivation, g, at)
         orbit = coadjoint_stabilizer(g, phi)
         rep.info("dim of the coadjoint stabilizer", orbit.k.dim)
         rep.info("dim of the kernel subalgebra h", orbit.h.dim)

@@ -4,7 +4,7 @@ orbit-plus-derivation construction of homogeneous lcs data."""
 from __future__ import annotations
 
 from . import linalg
-from .exterior import KForm, ce_d, interior, wedge
+from .exterior import KForm, ce_d, interior, twisted_d
 from .lie_core import Subspace, extend_by_derivation
 from .structures import StructureError, gram_matrix, lcs_check
 
@@ -42,14 +42,9 @@ class OrbitData:
 
 
 def kirillov_kostant_form(g, phi):
-    """omega_Q(X, Y) = phi([X, Y]) as a 2-form."""
-    coeffs = {}
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            c = phi.evaluate(g.bracket_basis(i, j))
-            if not c.is_zero():
-                coeffs[(i, j)] = c
-    return KForm(g, 2, coeffs)
+    """omega_Q(X, Y) = phi([X, Y]) as a 2-form: -d(phi), since
+    d(phi)(X, Y) = -phi([X, Y]).  phi must be a 1-form on g."""
+    return -ce_d(phi)
 
 
 def coadjoint_stabilizer(g, phi):
@@ -81,8 +76,9 @@ def lcs_from_orbit(orbit, D=None):
     """Homogeneous lcs data on the derivation extension of the orbit algebra.
 
     Builds g(D) with the dual 1-form lam of D, extends phi by phi(D) = 0,
-    and assembles omega = -lam ^ phi + d(phi).  The lcs equation and the
-    identity omega(Z, .) = phi(Z) lam are verified before returning.
+    and assembles omega = d_lam(phi) = d(phi) - lam ^ phi.  The lcs
+    equation d_lam(omega) = 0 and the identity omega(Z, .) = phi(Z) lam are
+    verified before returning.
     """
     g = orbit.g_prime
     if not orbit.non_conical:
@@ -94,14 +90,14 @@ def lcs_from_orbit(orbit, D=None):
         ext.h_subalgebra = [[ext.zero()] + list(v) for v in orbit.h.span]
     phi = KForm(ext, 1, {(i + 1,): c
                          for (i,), c in orbit.phi_prime.coeffs.items()})
-    omega = ce_d(phi) - wedge(lam, phi)
+    omega = twisted_d(phi, lam)
     try:
         lcs = lcs_check(ext, omega)
     except StructureError as exc:
         raise DegenerateOnQuotient(
             f"constructed 2-form degenerate on the quotient: {exc}") from exc
-    # d(omega) = lam ^ omega and omega(Z, .) = phi(Z) lam, exactly
-    if not (ce_d(omega) - wedge(lam, omega)).is_zero():
+    # d_lam(omega) = 0 and omega(Z, .) = phi(Z) lam, exactly
+    if not twisted_d(omega, lam).is_zero():
         raise ConstructionError("lcs equation fails on the extension")
     if interior(lcs.Z, omega) != lam.scaled(phi.evaluate(lcs.Z)):
         raise ConstructionError("omega(Z,.) = phi(Z) lam fails")

@@ -18,7 +18,7 @@ A document is a single JSON file with the shape
 Scalar entries use the literal grammar of the scalars module; wedge
 expressions are sums of terms ``[scalar-literal *] name^name^...`` over the
 dual basis.  Emission is canonical, so parse -> emit -> parse is the
-identity.
+identity.  ``loads`` raises DocumentError on sections of another shape.
 """
 
 from __future__ import annotations
@@ -53,7 +53,9 @@ class Document:
 
     # -- building the exact objects -----------------------------------
 
-    def build_algebra(self):
+    def build_algebra(self, at=None):
+        """The algebra; a point ``at`` (name -> Fraction) is substituted
+        into each literal as it is parsed, as in build_form and build_endo."""
         basis = self.algebra["basis"]
         dim = self.algebra["dim"]
         if len(basis) != dim:
@@ -65,31 +67,35 @@ class Document:
             i, j = entry["i"], entry["j"]
             if not (0 <= i < dim and 0 <= j < dim):
                 raise DocumentError(f"bracket indices ({i},{j}) out of range")
+            if (i, j) in brackets:
+                raise DocumentError(f"bracket ({i},{j}) is listed twice")
             vec = [Scalar.zero(params)] * dim
             for name, literal in entry["coeffs"].items():
                 if name not in basis:
                     raise DocumentError(
                         f"unknown basis name {name!r} in bracket ({i},{j})")
-                vec[basis.index(name)] = parse_scalar(literal, params)
+                vec[basis.index(name)] = _literal(literal, params, at)
             brackets[(i, j)] = vec
         h = None
         if self.h_subalgebra:
-            h = [[parse_scalar(c, params) for c in row]
+            h = [[_literal(c, params, at) for c in row]
                  for row in self.h_subalgebra]
         return LieAlgebra(basis, brackets, params=params, h_subalgebra=h)
 
-    def build_form(self, name, g):
+    def build_form(self, name, g, at=None):
+        """The named form on g, specialized at ``at`` as it is parsed."""
         if name not in self.forms:
             raise DocumentError(f"document has no form named {name!r}")
-        return parse_form(self.forms[name], g)
+        return parse_form(self.forms[name], g, at)
 
-    def build_endo(self, name, g):
+    def build_endo(self, name, g, at=None):
+        """The named endomorphism as a matrix, specialized at ``at``."""
         if name not in self.endos:
             raise DocumentError(f"document has no entry named {name!r}")
         rows = self.endos[name]
-        if len(rows) != g.dim or any(len(r) != g.dim for r in rows):
+        if not (_is_rows(rows, g.dim) and len(rows) == g.dim):
             raise DocumentError(f"matrix {name!r} has the wrong shape")
-        return [[parse_scalar(c, g.params) for c in row] for row in rows]
+        return [[_literal(c, g.params, at) for c in row] for row in rows]
 
     # -- (de)serialization --------------------------------------------
 
@@ -111,14 +117,61 @@ def loads(text):
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
-    if "algebra" not in raw:
-        raise DocumentError("document lacks an 'algebra' section")
-    for key in ("dim", "basis"):
-        if key not in raw["algebra"]:
-            raise DocumentError(f"algebra section lacks {key!r}")
+    _check_shapes(raw)
     return Document(raw.get("parameters", []), raw["algebra"],
                     raw.get("forms"), raw.get("endos"), raw.get("bilinears"),
                     raw.get("h_subalgebra"))
+
+
+def _check_shapes(raw):
+    """Raise DocumentError unless the sections have the shapes shown above."""
+    if not isinstance(raw, dict) or not isinstance(raw.get("algebra"), dict):
+        raise DocumentError("document lacks an 'algebra' section")
+    alg = raw["algebra"]
+    for key in ("dim", "basis"):
+        if key not in alg:
+            raise DocumentError(f"algebra section lacks {key!r}")
+    dim = alg["dim"]
+    if not _is_index(dim):
+        raise DocumentError(f"dim {dim!r} is not an integer")
+    for key, names in (("basis", alg["basis"]),
+                       ("parameters", raw.get("parameters", []))):
+        if not (isinstance(names, list)
+                and all(isinstance(n, str) for n in names)
+                and len(set(names)) == len(names)):
+            raise DocumentError(f"{key} is not a list of distinct names")
+    brackets = alg.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise DocumentError("brackets is not a list")
+    for entry in brackets:
+        if not (isinstance(entry, dict) and _is_index(entry.get("i"))
+                and _is_index(entry.get("j"))
+                and isinstance(entry.get("coeffs"), dict)):
+            raise DocumentError(
+                f"bracket {entry!r} is not of the form "
+                '{"i": int, "j": int, "coeffs": {name: literal}}')
+    for key in ("forms", "endos", "bilinears"):
+        if not isinstance(raw.get(key) or {}, dict):
+            raise DocumentError(f"{key} is not an object")
+    if not _is_rows(raw.get("h_subalgebra") or [], dim):
+        raise DocumentError(
+            f"h_subalgebra is not a list of rows of length {dim}")
+
+
+def _is_index(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_rows(rows, dim):
+    """Whether rows is a list of lists of length dim."""
+    return isinstance(rows, list) and all(
+        isinstance(r, list) and len(r) == dim for r in rows)
+
+
+def _literal(text, params, at):
+    """A scalar literal, specialized at ``at`` when given."""
+    c = parse_scalar(text, params)
+    return c.substitute(at) if at else c
 
 
 def load(path):
@@ -172,8 +225,9 @@ def _as_monomial(chunk, g):
     return idx
 
 
-def parse_form(text, g):
-    """Parse a wedge expression like ``e0^e1 + -(1+a^2)/b * e1^e3``."""
+def parse_form(text, g, at=None):
+    """Parse a wedge expression like ``e0^e1 + -(1+a^2)/b * e1^e3``,
+    substituting the point ``at`` into each literal when given."""
     text = str(text)
     degree = None
     coeffs = {}
@@ -196,7 +250,7 @@ def parse_form(text, g):
             idx = ()
             literal = chunk
         try:
-            c = parse_scalar(literal, g.params)
+            c = _literal(literal, g.params, at)
         except ScalarParseError as exc:
             raise FormParseError(text, pos + exc.pos, str(exc)) from exc
         if sign < 0:

@@ -151,13 +151,13 @@ class LieAlgebra:
                     s = linalg.vec_add(s, self.bracket(self.bracket(ek, ei), ej))
                     if not linalg.vec_is_zero(s):
                         return JacobiReport(False, (i, j, k), "Jacobi fails")
-        if self.h_subalgebra:
-            h = Subspace(self, self.h_subalgebra)
-            for a, x in enumerate(self.h_subalgebra):
-                for y in self.h_subalgebra[a:]:
-                    if not h.contains(self.bracket(x, y)):
-                        return JacobiReport(
-                            False, "h", "h is not closed under the bracket")
+        # h may be given by a dependent spanning set
+        h = self.h_subalgebra or []
+        for a, x in enumerate(h):
+            for y in h[a:]:
+                if not linalg.in_span(h, self.bracket(x, y), self.zero()):
+                    return JacobiReport(
+                        False, "h", "h is not closed under the bracket")
         return JacobiReport(True)
 
     def structure_table(self):
@@ -172,7 +172,9 @@ class LieAlgebra:
 
 
 class Subspace:
-    """Subspace of a Lie algebra given by a spanning set of column vectors."""
+    """Subspace of a Lie algebra given by a basis of column vectors (every
+    subspace the library builds holds one: a nullspace basis, rref pivot
+    rows, the orbit's k and h), so its dimension is the number of vectors."""
 
     def __init__(self, ambient, span, locus=None):
         self.ambient = ambient
@@ -181,10 +183,7 @@ class Subspace:
 
     @property
     def dim(self):
-        if not self.span:
-            return 0
-        r, _ = linalg.rank(self.span)
-        return r
+        return len(self.span)
 
     def contains(self, v):
         return linalg.in_span(self.span, v, self.ambient.zero())
@@ -237,7 +236,7 @@ def derived_subalgebra(g):
             b = g.bracket_basis(i, j)
             if any(not c.is_zero() for c in b):
                 vectors.append(b)
-    red, pivots, _ = linalg.rref(vectors) if vectors else ([], [], [])
+    red, pivots, _ = linalg.rref(vectors)
     return Subspace(g, [red[r] for r in range(len(pivots))])
 
 

@@ -53,12 +53,14 @@ def vec_is_zero(v):
     return all(x.is_zero() for x in v)
 
 
-def _row_echelon(rows):
-    """In-place reduced row echelon form.
+def rref(rows):
+    """Reduced row echelon form of a copy of rows.
 
-    Returns (pivot_cols, locus) where locus lists the non-constant pivot
-    numerators encountered (the generic-rank exclusion polynomials).
+    Returns (reduced rows, pivot_cols, locus) where locus lists the
+    non-constant pivot numerators encountered (the generic-rank exclusion
+    polynomials).
     """
+    rows = [list(r) for r in rows]
     m = len(rows)
     n = len(rows[0]) if m else 0
     locus = []
@@ -89,12 +91,6 @@ def _row_echelon(rows):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivot_cols.append(c)
         r += 1
-    return pivot_cols, locus
-
-
-def rref(rows):
-    rows = [list(r) for r in rows]
-    pivot_cols, locus = _row_echelon(rows)
     return rows, pivot_cols, locus
 
 

@@ -249,11 +249,6 @@ class Poly:
             terms[e2] = terms.get(e2, 0) + c
         return Poly(self.params, terms)
 
-    def evaluate(self, assignment):
-        """Evaluate at a map parameter -> int or Fraction; exact Fraction."""
-        D, X = integer_point(self.params, assignment)
-        return Fraction(*self.value_at(D, X))
-
     def value_at(self, D, X):
         """(v, s) with value v / s, s > 0, at the point X / D (ints, D > 0).
 

@@ -16,7 +16,7 @@ from math import lcm
 from . import linalg
 from .exterior import (KForm, ce_d, form_monomials, form_to_vector,
                        solve_potential, wedge)
-from .lie_core import Subspace, center, centralizer, derived_subalgebra
+from .lie_core import center, centralizer, derived_subalgebra
 from .scalars import integer_point, scalar_at
 
 
@@ -271,9 +271,8 @@ def lcs_check(g, omega):
     if omega.degree != 2:
         raise StructureError(f"omega has degree {omega.degree}, not 2")
     n = g.dim
-    h_dim = 0
-    if g.h_subalgebra:
-        h_dim = Subspace(g, g.h_subalgebra).dim
+    # h may be given by a dependent spanning set
+    h_dim, _ = linalg.rank(g.h_subalgebra or [])
     M = gram_matrix(omega)
     r, locus = linalg.rank(M)
     if r < n - h_dim:

@@ -10,9 +10,15 @@ from fractions import Fraction
 import pytest
 
 from lieform import catalog
-from lieform.exterior import ce_d, wedge
+from lieform.exterior import KForm, ce_d, wedge
 from lieform.structures import (ComplexStructure, compatibility_check,
                                 metric_from)
+
+
+def _at(form, point):
+    """The form with the rational point substituted into each coefficient."""
+    return KForm(form.algebra, form.degree,
+                 {idx: c.substitute(point) for idx, c in form.coeffs.items()})
 
 
 def test_known_ids_and_basic_shape():
@@ -41,12 +47,10 @@ def test_u2_families_are_consistent():
     # the general omega really is e^0 ^ phi + d(phi)
     om = fams["omega_general"]
     phi = fams["phi_general"]
-    from lieform.exterior import KForm
     assert om == wedge(KForm.basis_oneform(g, 0), phi) + ce_d(phi)
     # the standard member sits inside the general family at a1=1, a2=a3=0
-    from lieform.cli import _specialize_form
-    member = _specialize_form(om, g, {"a1": Fraction(1), "a2": Fraction(0),
-                                    "a3": Fraction(0)})
+    member = _at(om, {"a1": Fraction(1), "a2": Fraction(0),
+                      "a3": Fraction(0)})
     assert member == fams["omega_std"]
     assert ce_d(fams["lambda_std"]).is_zero()
     # excluded locus names b and |a|^2
@@ -54,13 +58,9 @@ def test_u2_families_are_consistent():
 
 
 def test_gl2r_families_are_consistent():
-    entry = catalog.get("gl2r")
-    g = entry.algebra
-    fams = entry.families
-    from lieform.cli import _specialize_form
-    member = _specialize_form(fams["omega_general"], g,
-                            {"ah": Fraction(0), "ap": Fraction(1),
-                             "am": Fraction(-1)})
+    fams = catalog.get("gl2r").families
+    member = _at(fams["omega_general"],
+                 {"ah": Fraction(0), "ap": Fraction(1), "am": Fraction(-1)})
     assert member == fams["omega_std"]
     # the mu = 1 member is compatible with the whole family
     ok, _ = compatibility_check(fams["omega_general"], fams["J_mu1"])

@@ -50,6 +50,14 @@ def test_check_algebra_corrupted_fails(capsys):
     assert "antisymmetry fails" in out
 
 
+def test_check_algebra_corrupted_fails_at_a_point(capsys):
+    # the point is substituted into the document's own bracket table, so
+    # the inconsistent pair [e1, e2] and [e2, e1] stays inconsistent
+    code, out = run(capsys, "check-algebra", CORRUPTED, "--at", "a=1")
+    assert code == 1
+    assert "antisymmetry fails" in out
+
+
 def test_check_lcs(capsys):
     code, out = run(capsys, "check-lcs", U2, "omega_std")
     assert code == 0
@@ -132,6 +140,51 @@ def test_bad_degree_fails_without_traceback(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert code == 1
     assert "[FAIL] error:" in captured.out
+    assert captured.err == ""
+
+
+DELETE = object()
+MALFORMED = {  # (key path into tests/data/u2.json, new value)
+    "index is a string": (("algebra", "brackets", 0, "i"), "x"),
+    "index is a float": (("algebra", "brackets", 0, "i"), 1.5),
+    "index is a bool": (("algebra", "brackets", 0, "j"), True),
+    "basis is a number": (("algebra", "basis"), 5),
+    "basis holds a list": (("algebra", "basis", 3), ["e3"]),
+    "parameters is a number": (("parameters",), 5),
+    "brackets is null": (("algebra", "brackets"), None),
+    "brackets is an object": (("algebra", "brackets"), {"x": 1}),
+    "coeffs is a list": (("algebra", "brackets", 0, "coeffs"), ["e1"]),
+    "coeffs is missing": (("algebra", "brackets", 0, "coeffs"), DELETE),
+    "h row is short": (("h_subalgebra",), [["0", "1"]]),
+    "basis repeats a name": (("algebra", "basis", 0), "e1"),
+    "parameters repeat a name": (("parameters", 1), "a"),
+    "bracket listed twice": (("algebra", "brackets"), [
+        {"i": 1, "j": 2, "coeffs": {"e3": "-1"}},
+        {"i": 1, "j": 2, "coeffs": {"e3": "5"}}]),
+}
+
+
+@pytest.mark.parametrize("command", [["check-algebra"],
+                                     ["check-lcs", "omega_std"]])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_fails_without_traceback(case, command, capsys,
+                                                    tmp_path):
+    with open(U2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    (*keys, last), value = MALFORMED[case]
+    target = doc
+    for key in keys:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = cli.main([command[0], str(path), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "[FAIL] error: DocumentError :: " in captured.out
     assert captured.err == ""
 
 

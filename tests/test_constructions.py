@@ -1,14 +1,18 @@
 """Coadjoint-orbit machinery: stabilizers, Kirillov-Kostant forms, and the
 derivation-extension construction of lcs data."""
 
+import os
+
 import pytest
 
-from lieform import linalg
+from lieform import document, linalg
 from lieform.catalog import abelian, sl2r, su2
 from lieform.constructions import (ConicalOrbit, ZeroForm,
                                    coadjoint_stabilizer, kirillov_kostant_form,
                                    lcs_from_orbit)
 from lieform.exterior import KForm, ce_d, wedge
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def test_kirillov_kostant_form_su2():
@@ -101,3 +105,13 @@ def test_abelian_orbit_quotient_bookkeeping():
     ext, lcs, _ = lcs_from_orbit(orbit)
     assert lcs.omega == KForm(ext, 2, {(0, 1): -ext.one()})
     assert not lcs.proper
+
+
+@pytest.mark.parametrize("name", ["u2.json", "gl2r.json"])
+def test_orbit_subspaces_hold_bases(name):
+    # Subspace.dim is len(span); that is the rank only for a basis
+    doc = document.load(os.path.join(DATA, name))
+    g = doc.build_algebra()
+    orbit = coadjoint_stabilizer(g, doc.build_form("phi_general", g))
+    for s in (orbit.k, orbit.h):
+        assert len(s.span) == linalg.rank(s.span)[0]

@@ -123,3 +123,13 @@ def test_extension_by_inner_derivation_keeps_jacobi():
     D = g.ad(g.vector([0, 1, 1]))
     ext, _ = extend_by_derivation(g, D)
     assert bool(ext.check_jacobi())
+
+
+@pytest.mark.parametrize("make", [u2, gl2r, su2, sl2r, lambda: abelian(4)])
+def test_library_subspaces_hold_bases(make):
+    # Subspace.dim is len(span); that is the rank only for a basis
+    g = make()
+    spaces = [center(g), derived_subalgebra(g)]
+    spaces += [centralizer(g, g.basis_vector(i)) for i in range(g.dim)]
+    for s in spaces:
+        assert len(s.span) == linalg.rank(s.span)[0]

@@ -41,9 +41,9 @@ def test_poly_arithmetic_known_values():
     assert ((a + one) ** 3).total_degree() == 3
 
 
-def test_poly_evaluate_exact():
-    p = S("(a^2 + 1) * b - 3").num
-    assert p.evaluate({"a": Fraction(1, 2), "b": Fraction(4)}) == \
+def test_scalar_eval_exact():
+    p = S("(a^2 + 1) * b - 3")
+    assert scalar_eval(p, {"a": Fraction(1, 2), "b": Fraction(4)}) == \
         Fraction(5, 4) * 4 - 3
 
 
