@@ -43,11 +43,14 @@ def _parse_at(text):
         if "=" not in piece:
             raise CliError(f"bad --at entry {piece!r} (expected name=value)")
         name, value = piece.split("=", 1)
+        name = name.strip()
+        if name in out:
+            raise CliError(f"--at names {name!r} twice")
         if "e" in value or "E" in value:
             raise CliError(f"bad --at value {value!r}: exponents are not "
                            "accepted; write p/q or a plain decimal")
         try:
-            out[name.strip()] = Fraction(value.strip())
+            out[name] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise CliError(f"bad --at value {value!r}: {exc}") from exc
     return out
@@ -229,8 +232,8 @@ def cmd_catalog(args):
     rep.info("families", " ".join(sorted(entry.families)) or "(none)")
     rep.info("excluded locus",
              "; ".join(f"{p} = 0" for p in entry.excluded_locus) or "(none)")
-    rep.check("structure constants satisfy the Jacobi identity",
-              bool(entry.algebra.check_jacobi()))
+    # catalog.get raises CatalogError on an algebra that fails Jacobi
+    rep.add("structure constants satisfy the Jacobi identity", "PASS")
     return _emit(rep, args.format)
 
 

@@ -15,10 +15,13 @@ A document is a single JSON file with the shape
       "h_subalgebra": [["0", "1", "0", "0"], ...]        # optional
     }
 
-Scalar entries use the literal grammar of the scalars module; wedge
-expressions are sums of terms ``[scalar-literal *] name^name^...`` over the
-dual basis.  Emission is canonical, so parse -> emit -> parse is the
-identity.  ``loads`` raises DocumentError on sections of another shape.
+Scalar entries use the literal grammar of the scalars module.  A wedge
+expression is the same grammar with the basis names as atoms: ``e0^e1``
+reads as the monomial form on the dual basis, so a term is
+``[scalar *] name^name^...``.  Emission is canonical, so parse -> emit ->
+parse is the identity.  ``loads`` raises DocumentError on sections of
+another shape and on basis or parameter names that are not identifiers or
+that appear in both lists.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import json
 
 from .exterior import KForm, _merge_sign
 from .lie_core import LieAlgebra
-from .scalars import Scalar, parse_scalar, ScalarParseError
+from .scalars import Scalar, _Parser, parse_scalar
 
 
 class DocumentError(Exception):
@@ -134,12 +137,16 @@ def _check_shapes(raw):
     dim = alg["dim"]
     if not _is_index(dim):
         raise DocumentError(f"dim {dim!r} is not an integer")
-    for key, names in (("basis", alg["basis"]),
-                       ("parameters", raw.get("parameters", []))):
+    lists = {"basis": alg["basis"], "parameters": raw.get("parameters", [])}
+    for key, names in lists.items():
         if not (isinstance(names, list)
-                and all(isinstance(n, str) for n in names)
+                and all(isinstance(n, str) and _is_name(n) for n in names)
                 and len(set(names)) == len(names)):
-            raise DocumentError(f"{key} is not a list of distinct names")
+            raise DocumentError(f"{key} is not a list of distinct identifiers")
+    both = set(lists["basis"]) & set(lists["parameters"])
+    if both:
+        raise DocumentError(
+            f"{min(both)!r} names both a basis element and a parameter")
     brackets = alg.get("brackets", [])
     if not isinstance(brackets, list):
         raise DocumentError("brackets is not a list")
@@ -156,6 +163,12 @@ def _check_shapes(raw):
     if not _is_rows(raw.get("h_subalgebra") or [], dim):
         raise DocumentError(
             f"h_subalgebra is not a list of rows of length {dim}")
+
+
+def _is_name(text):
+    """Whether the literal grammar reads text as one identifier."""
+    return ((text[:1].isalpha() or text[:1] == "_")
+            and _Parser(text, ()).identifier() == text)
 
 
 def _is_index(x):
@@ -187,90 +200,58 @@ def dumps(doc):
 # Wedge expressions
 # ---------------------------------------------------------------------------
 
-def _split_top(text, seps):
-    """Split at top-level occurrences of the given single-char separators.
+class _FormParser(_Parser):
+    """The literal grammar with the basis names of g as atoms: a name, or
+    ``name^name^...``, is a signed monomial KForm.  A sum takes forms of one
+    degree, a product at most one form, and a divisor or the base of a power
+    none."""
 
-    Returns a list of (position, separator-or-None, chunk).
-    """
-    parts = []
-    depth = 0
-    start = 0
-    lead_sep = None
-    for pos, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise FormParseError(text, pos, "unbalanced ')'")
-        elif depth == 0 and ch in seps:
-            parts.append((start, lead_sep, text[start:pos]))
-            lead_sep = ch
-            start = pos + 1
-    if depth != 0:
-        raise FormParseError(text, len(text), "unbalanced '('")
-    parts.append((start, lead_sep, text[start:]))
-    return parts
+    def __init__(self, text, g):
+        super().__init__(text, g.params)
+        self.g = g
+
+    def error(self, msg):
+        raise FormParseError(self.text, self.pos, msg)
+
+    def name(self, name):
+        basis = self.g.basis_names
+        if name not in basis:
+            return super().name(name)
+        idx = [basis.index(name)]
+        while self.peek() == "^":
+            self.pos += 1
+            name = self.identifier()
+            if name not in basis:
+                self.error("expected a basis name")
+            idx.append(basis.index(name))
+        if len(set(idx)) != len(idx):
+            self.error("repeated factor in monomial")
+        key, sign = _merge_sign(tuple(idx), ())
+        return KForm.monomial(self.g, key, self.g._scalar(sign))
+
+    def combine(self, op, at, a, b):
+        ka, kb = (x.degree if isinstance(x, KForm) else None for x in (a, b))
+        if not {"+": ka == kb, "-": ka == kb, "*": None in (ka, kb),
+                "/": kb is None, "^": ka is None}[op]:
+            self.pos = at
+            self.error(f"{op!r} of {_kind(ka)} and {_kind(kb)}")
+        return super().combine(op, at, a, b)
 
 
-def _as_monomial(chunk, g):
-    """Index tuple for ``name^name^...`` over the dual basis, else None."""
-    names = [p.strip() for p in chunk.split("^")]
-    if not names or any(not n for n in names):
-        return None
-    try:
-        idx = tuple(g.basis_names.index(n) for n in names)
-    except ValueError:
-        return None
-    return idx
+def _kind(degree):
+    return "a scalar" if degree is None else f"a {degree}-form"
 
 
 def parse_form(text, g, at=None):
     """Parse a wedge expression like ``e0^e1 + -(1+a^2)/b * e1^e3``,
-    substituting the point ``at`` into each literal when given."""
-    text = str(text)
-    degree = None
-    coeffs = {}
-    sign = 1
-    seen = False
-    for pos, sep, chunk in _split_top(text, "+-"):
-        if sep == "-":
-            sign = -sign
-        if not chunk.strip():
-            # a sign run like "a + -b"; the sign carries to the next chunk
-            continue
-        seen = True
-        factors = _split_top(chunk, "*")
-        idx = _as_monomial(factors[-1][2], g)
-        if idx is not None and len(factors) > 1:
-            literal = "*".join(f[2] for f in factors[:-1])
-        elif idx is not None:
-            literal = "1"
-        else:
-            idx = ()
-            literal = chunk
-        try:
-            c = _literal(literal, g.params, at)
-        except ScalarParseError as exc:
-            raise FormParseError(text, pos + exc.pos, str(exc)) from exc
-        if sign < 0:
-            c = -c
-        if degree is None:
-            degree = len(idx)
-        elif len(idx) != degree:
-            raise FormParseError(
-                text, pos, f"mixed degrees {degree} and {len(idx)}")
-        if len(set(idx)) != len(idx):
-            raise FormParseError(text, pos, "repeated factor in monomial")
-        # normalize to increasing order with the permutation sign
-        key, perm_sign = _merge_sign(idx, ())
-        if perm_sign < 0:
-            c = -c
-        coeffs[key] = coeffs.get(key, g.zero()) + c
-        sign = 1
-    if degree is None or not seen:
-        raise FormParseError(text, 0, "empty expression")
-    return KForm(g, degree, coeffs)
+    substituting the point ``at`` into each coefficient when given."""
+    f = _FormParser(str(text), g).parse()
+    if not isinstance(f, KForm):
+        f = KForm.constant(g, f)
+    if at:
+        f = KForm(g, f.degree,
+                  {idx: c.substitute(at) for idx, c in f.coeffs.items()})
+    return f
 
 
 def emit_form(f):

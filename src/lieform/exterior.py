@@ -138,6 +138,11 @@ class KForm:
     def __rmul__(self, c):
         return self.scaled(c)
 
+    __mul__ = __rmul__
+
+    def __truediv__(self, c):
+        return self.scaled(1 / c)
+
     def __eq__(self, other):
         if not isinstance(other, KForm):
             return NotImplemented

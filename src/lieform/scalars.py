@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import add
+from operator import add, mul, sub, truediv
 
 
 class ScalarError(Exception):
@@ -535,8 +535,14 @@ MAX_NESTING = 100      # open parentheses and unary minus signs
 MAX_POWER_TERMS = 100  # C(t+k-1, k): terms of a t-term polynomial to the k
 MAX_POWER_BITS = 4096  # |k| times the bit length of the largest coefficient
 
+_OPERATORS = {"+": add, "-": sub, "*": mul, "/": truediv}
+
 
 class _Parser:
+    """Recursive descent over the literal grammar.  Identifiers are read by
+    name() and operators applied by combine(), which a subclass may extend
+    to values other than scalars."""
+
     def __init__(self, text, params):
         self.text = text
         self.params = tuple(params)
@@ -571,54 +577,49 @@ class _Parser:
             value = -self.term()
         else:
             value = self.term()
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                value = value + self.term()
-            elif ch == "-":
-                self.pos += 1
-                value = value - self.term()
-            else:
-                return value
+        return self.fold(value, ("+", "-"), self.term)
 
     def term(self):
-        value = self.power()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                value = value * self.power()
-            elif ch == "/":
-                self.pos += 1
-                divisor = self.power()
-                if divisor.is_zero():
-                    self.error("division by zero")
-                value = value / divisor
-            else:
-                return value
+        return self.fold(self.power(), ("*", "/"), self.power)
+
+    def fold(self, value, ops, operand):
+        """value op operand op operand ..., left to right, for ops in ops."""
+        while (op := self.peek()) in ops:
+            at = self.pos
+            self.pos += 1
+            value = self.combine(op, at, value, operand())
+        return value
 
     def power(self):
         base = self.atom()
-        if self.peek() == "^":
+        if self.peek() != "^":
+            return base
+        at = self.pos
+        self.pos += 1
+        sign = 1
+        if self.peek() == "-":
             self.pos += 1
-            sign = 1
-            if self.peek() == "-":
-                self.pos += 1
-                sign = -1
-            exponent = self.integer()
-            self.check_power(base, sign, exponent)
-            return base ** (sign * exponent)
-        return base
+            sign = -1
+        return self.combine("^", at, base, sign * self.integer())
 
-    def check_power(self, base, sign, k):
-        """Reject base^(sign*k) before computing it when it would be large."""
-        if sign < 0 and base.is_zero():
+    def combine(self, op, at, a, b):
+        """a op b, for the operator op read at position at."""
+        if op == "^":
+            self.check_power(a, b)
+            return a ** b
+        if op == "/" and b.is_zero():
+            self.error("division by zero")
+        return _OPERATORS[op](a, b)
+
+    def check_power(self, base, k):
+        """Reject base^k before computing it when it would be large."""
+        if k < 0 and base.is_zero():
             self.error("division by zero")
         polys = (base.num, base.den)
         # first, since it also bounds k, and so the cost of comb()
         bits = max(max(abs(c.numerator), c.denominator).bit_length()
                    for p in polys for c in p.terms.values())
+        k = abs(k)
         if k * bits > MAX_POWER_BITS:
             self.error(f"power may have {k * bits}-bit coefficients "
                        f"(limit {MAX_POWER_BITS})")
@@ -646,11 +647,14 @@ class _Parser:
         if ch.isdigit():
             return Scalar.const(self.params, self.integer())
         if ch.isalpha() or ch == "_":
-            name = self.identifier()
-            if name not in self.params:
-                self.error(f"unknown parameter {name!r}")
-            return Scalar.var(self.params, name)
+            return self.name(self.identifier())
         self.error("expected number, parameter or '('")
+
+    def name(self, name):
+        """The value of an identifier."""
+        if name not in self.params:
+            self.error(f"unknown parameter {name!r}")
+        return Scalar.var(self.params, name)
 
     def integer(self):
         self.skip_ws()

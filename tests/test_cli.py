@@ -158,6 +158,9 @@ MALFORMED = {  # (key path into tests/data/u2.json, new value)
     "h row is short": (("h_subalgebra",), [["0", "1"]]),
     "basis repeats a name": (("algebra", "basis", 0), "e1"),
     "parameters repeat a name": (("parameters", 1), "a"),
+    "basis name is not an identifier": (("algebra", "basis", 0), "x^y"),
+    "parameter is not an identifier": (("parameters", 0), "2a"),
+    "parameter names a basis element": (("parameters", 1), "e1"),
     "bracket listed twice": (("algebra", "brackets"), [
         {"i": 1, "j": 2, "coeffs": {"e3": "-1"}},
         {"i": 1, "j": 2, "coeffs": {"e3": "5"}}]),
@@ -333,6 +336,14 @@ def test_at_value_fuzz_keeps_exit_contract(value):
         code = cli.main(["check-algebra", U2, "--at", f"a={value}"])
     assert code in (0, 1)
     assert err.getvalue() == ""
+
+
+def test_at_parameter_named_twice(capsys):
+    code = cli.main(["check-algebra", U2, "--at", "a=1, a =2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "[FAIL] error: CliError :: --at names 'a' twice" in captured.out
+    assert captured.err == ""
 
 
 def test_unknown_at_parameter(capsys):

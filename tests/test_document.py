@@ -2,14 +2,18 @@
 
 import json
 import os
+from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lieform import catalog, document
 from lieform.document import (DocumentError, FormParseError, dumps, emit_form,
                               loads, parse_form)
 from lieform.exterior import KForm
 from lieform.scalars import Scalar
+from test_scalars import scalars
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -71,6 +75,33 @@ def test_parse_form_errors():
     assert e.value.pos > 0
 
 
+@pytest.mark.parametrize("text, pos", [
+    ("e0^e1 + e2", 6),        # forms of two degrees
+    ("e0^e1 - 1", 6),         # a form and a scalar in a sum
+    ("e0^e1 * e2^e3", 6),     # a product of two forms
+    ("a / e0", 2),            # a form as divisor
+    ("(e0^e1)^2", 7),         # a form as the base of a power
+])
+def test_parse_form_rejects_values_that_do_not_combine(text, pos):
+    with pytest.raises(FormParseError) as e:
+        parse_form(text, u2_algebra())
+    assert e.value.pos == pos
+
+
+def test_parse_form_reads_any_literal_as_coefficient():
+    g = u2_algebra()
+    a = Scalar.var(g.params, "a")
+    assert parse_form("a^-1 * e0^e1", g) == KForm.monomial(g, (0, 1), 1 / a)
+    assert parse_form("2*-a*e0^e1", g) == KForm.monomial(g, (0, 1), -2 * a)
+
+
+def test_form_parse_error_is_reported_once():
+    with pytest.raises(FormParseError) as e:
+        parse_form("a^ * e0^e1", u2_algebra())
+    assert e.value.pos == 3
+    assert str(e.value).count("parse error at position") == 1
+
+
 def test_emit_parse_round_trip():
     g = u2_algebra()
     for text in ("e0^e1 + e2^e3", "-e0^e1", "a1 * e1 + a2 * e2 + a3 * e3",
@@ -79,6 +110,28 @@ def test_emit_parse_round_trip():
         assert parse_form(emit_form(f), g) == f
     zero = KForm.zero(g, 2)
     assert parse_form(emit_form(zero), g) == zero
+
+
+U2_AB = catalog.u2(("a", "b"))  # the parameters of the scalars() strategy
+
+
+@st.composite
+def forms(draw):
+    """A form of any degree on U2_AB; no monomial and zero coefficients
+    give zero forms."""
+    k = draw(st.integers(0, U2_AB.dim))
+    keys = draw(st.lists(st.sampled_from(
+        list(combinations(range(U2_AB.dim), k))), unique=True))
+    return KForm(U2_AB, k, {idx: draw(scalars()) for idx in keys})
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.large_base_example])
+@given(forms())
+def test_parse_inverts_emit(f):
+    parsed = parse_form(emit_form(f), U2_AB)
+    assert parsed.degree == f.degree
+    assert parsed == f
 
 
 # ---------------------------------------------------------------------------

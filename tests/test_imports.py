@@ -1,10 +1,13 @@
-"""Every name a lieform module imports is used in that module.
+"""Every name a lieform module imports is used in that module, and every
+module it imports is its own or in the standard library.
 
-The package ``__init__`` is exempt: its imports are the public re-exports.
+The package ``__init__`` is exempt from the first: its imports are the
+public re-exports.
 """
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -39,3 +42,28 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source):
+    """Top-level names of the modules that source imports absolutely."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_checker_finds_absolute_imports():
+    src = ("import numpy.linalg as la\n"
+           "from os.path import join\n"
+           "from . import x\n")
+    assert imported_modules(src) == {"numpy", "os"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_runtime_imports_only_the_standard_library(path):
+    imported = imported_modules(path.read_text(encoding="utf-8"))
+    assert imported - sys.stdlib_module_names == set()
