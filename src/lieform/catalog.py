@@ -169,6 +169,11 @@ class CatalogEntry:
         self.excluded_locus = excluded_locus
 
 
+# the Jacobi check of abelian_<n> costs more than n^3 steps
+MAX_ABELIAN_DIM = 16
+ABELIAN_IDS = {f"abelian_{n}": n for n in range(1, MAX_ABELIAN_DIM + 1)}
+
+
 def get(id_):
     """Fresh catalog entry for one of u2, gl2r, su2, sl2r, abelian_<n>."""
     if id_ == "u2":
@@ -205,16 +210,11 @@ def get(id_):
         entry = CatalogEntry("su2", su2(), {}, {}, [])
     elif id_ == "sl2r":
         entry = CatalogEntry("sl2r", sl2r(), {}, {}, [])
-    elif id_.startswith("abelian_"):
-        try:
-            n = int(id_.split("_", 1)[1])
-        except ValueError:
-            raise UnknownId(f"unknown catalog id {id_!r}")
-        if n < 1:
-            raise UnknownId(f"unknown catalog id {id_!r}")
-        entry = CatalogEntry(id_, abelian(n), {}, {}, [])
+    elif id_ in ABELIAN_IDS:
+        entry = CatalogEntry(id_, abelian(ABELIAN_IDS[id_]), {}, {}, [])
     else:
-        raise UnknownId(f"unknown catalog id {id_!r}")
+        raise UnknownId(f"unknown catalog id {id_!r}; known: u2, gl2r, su2, "
+                        f"sl2r, abelian_<n> for 1 <= n <= {MAX_ABELIAN_DIM}")
     if not entry.algebra.check_jacobi():
         raise CatalogError(f"catalog algebra {id_!r} fails the Jacobi check")
     return entry

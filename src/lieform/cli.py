@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import catalog, document
 from .exterior import FormError, ce_d, twisted_cohomology_dim
 from .lie_core import LieError, center
-from .constructions import ConstructionError, coadjoint_stabilizer, lcs_from_orbit
+from .constructions import coadjoint_stabilizer, lcs_from_orbit
 from .scalars import ScalarError
 from .structures import (CONVENTION_DEF, CONVENTION_THM, ComplexStructure,
                          FAIL, StructureReport, StructureError, assemble_lck,
@@ -85,8 +85,7 @@ def _run(title, fmt, body):
     try:
         body(report)
     except (ScalarError, LieError, FormError, StructureError,
-            ConstructionError, document.DocumentError, catalog.CatalogError,
-            CliError) as exc:
+            document.DocumentError, catalog.CatalogError, CliError) as exc:
         report.add(f"error: {type(exc).__name__}", FAIL, str(exc))
     return _emit(report, fmt)
 

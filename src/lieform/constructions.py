@@ -13,6 +13,10 @@ class ConstructionError(StructureError):
     pass
 
 
+class NotAOneForm(ConstructionError):
+    pass
+
+
 class ZeroForm(ConstructionError):
     pass
 
@@ -53,6 +57,8 @@ def coadjoint_stabilizer(g, phi):
     Uses omega_Q(X, .) = -phi o ad_X: the stabilizer is the kernel of the
     Kirillov-Kostant form.
     """
+    if phi.degree != 1:
+        raise NotAOneForm(f"phi has degree {phi.degree}, not 1")
     if phi.is_zero():
         raise ZeroForm("coadjoint stabilizer of the zero form")
     omega_Q = kirillov_kostant_form(g, phi)

@@ -456,8 +456,9 @@ def nabla_of_vector(g, gm, y, gy):
     2 g(nabla_{e_i} y, e_k) = -M[k][i] - M[i][k] + sum_l c_{ki}^l gy[l]:
     the covector of nabla_{e_i} y; one inverse of the metric turns each
     into a vector.  The caller passes gy = G y, which it often knows
-    without the product (for the Lee vector, ``LckData.gxi``).  Returns
-    ([nabla_{e_i} y for i], locus).
+    without the product (for the Lee vector, s lam: ``LckData.gxi``).
+    Returns ([nabla_{e_i} y for i], locus); a singular metric raises
+    ``DegenerateMetric``.
     """
     n = g.dim
     try:
@@ -487,7 +488,7 @@ class LckData:
         self.J = J
         self.metric = metric
         self.xi = xi
-        self.gxi = gxi  # G xi, the right-hand side xi was solved from
+        self.gxi = gxi  # G xi = s lam, as checked by assemble_lck
         self.theta = theta
         self.locus = list(locus)
 
@@ -508,13 +509,13 @@ class LckData:
 def assemble_lck(g, omega, J, convention=CONVENTION_THM):
     """Assemble the full lcK data set.
 
-    The Lee vector is xi = -1/2 g^{-1} lam in the defining convention
-    g = omega(., J.), which makes Z = J xi an identity; the other convention
-    negates g, so there xi = +1/2 g^{-1} lam.  The returned Metric carries
-    the requested convention tag.  G xi is the right-hand side s lam of the
-    solve and is kept as ``gxi``.  Z = J xi is checked as xi = -J Z, which
-    is equivalent since J^2 = -Id, and applies J to the small Z rather
-    than to xi.
+    The Lee vector is xi = -J Z, with Z the Reeb vector of ``lcs_check``
+    (Z = J xi, as J^2 = -Id).  Then G xi = s lam, with s = -1/2 in the
+    defining convention g = omega(., J.) and +1/2 in the other, which
+    negates g; this is checked entry by entry and s lam is kept as
+    ``gxi``.  The returned Metric carries the requested convention tag.
+    The locus is that of ``lcs_check`` plus the non-constant denominators
+    of J.
     """
     lcs = lcs_check(g, omega)
     metric = metric_from(omega, J, convention)
@@ -522,16 +523,14 @@ def assemble_lck(g, omega, J, convention=CONVENTION_THM):
     half = Fraction(1, 2)
     s = -half if convention == CONVENTION_DEF else half
     gxi = [lcs.lam.coefficient((j,)) * s for j in range(n)]
-    xi, _, locus = linalg.solve(metric.matrix, gxi, g.zero())
-    if xi is None:
-        raise DegenerateMetric("metric does not determine the Lee vector",
-                               locus)
-    linalg.merge_locus(locus, lcs.locus)
+    xi = [-c for c in J.apply(lcs.Z)]
+    if linalg.mat_vec(metric.matrix, xi) != gxi:
+        raise StructureError("Z = J xi fails; inconsistent conventions")
+    locus = linalg.merge_locus(list(lcs.locus), [
+        c.den for row in J.matrix for c in row if not c.den.is_constant()])
     # theta(e_i) = lam(J e_i) / 2
     theta = KForm(g, 1, {(i,): lcs.lam.evaluate(J.apply(g.basis_vector(i)))
                          * half for i in range(n)})
-    if any(a != -b for a, b in zip(xi, J.apply(lcs.Z))):
-        raise StructureError("Z = J xi fails; inconsistent conventions")
     return LckData(lcs, J, metric, xi, gxi, theta, locus)
 
 
@@ -539,7 +538,7 @@ def vaisman_check(lck):
     """Parallel-Lee-field test: nabla xi = 0 identically.
 
     Only the derivatives of xi itself are computed (``nabla_of_vector``),
-    with G xi read off the Lee-vector solve.
+    with G xi = s lam taken from ``LckData.gxi``.
     Returns (is_vaisman, vanishing, locus) where vanishing lists numerator
     polynomials whose common zero locus is where the structure is Vaisman,
     and locus lists the exclusion polynomials off which the inverse metric,

@@ -23,7 +23,8 @@ def _at(form, point):
 
 def test_known_ids_and_basic_shape():
     for id_, dim, nparams in [("u2", 4, 5), ("gl2r", 4, 5), ("su2", 3, 0),
-                              ("sl2r", 3, 0), ("abelian_5", 5, 0)]:
+                              ("sl2r", 3, 0), ("abelian_4", 4, 0),
+                              ("abelian_5", 5, 0), ("abelian_16", 16, 0)]:
         entry = catalog.get(id_)
         assert entry.id == id_
         assert entry.algebra.dim == dim
@@ -32,8 +33,12 @@ def test_known_ids_and_basic_shape():
 
 
 def test_unknown_ids_rejected():
-    for bad in ("so3", "abelian_x", "abelian_0", ""):
-        with pytest.raises(catalog.CatalogError):
+    # abelian_<n> is bounded, so a large n fails before any basis name is
+    # built, and n is spelled in plain decimal digits
+    for bad in ("so3", "abelian_x", "abelian_0", "", "abelian_17",
+                "abelian_123456789012", "abelian_1_0", "abelian_04",
+                "abelian_+4"):
+        with pytest.raises(catalog.UnknownId):
             catalog.get(bad)
     with pytest.raises(catalog.CatalogError):
         catalog.run_suite("nope")

@@ -274,6 +274,15 @@ def test_construct_orbit(capsys):
     assert "[INFO] Lee form :: (1) * D" in out
 
 
+def test_construct_orbit_rejects_a_two_form(capsys):
+    code = cli.main(["construct-orbit", U2, "--phi", "omega_std"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "[FAIL] error: NotAOneForm :: phi has degree 2, not 1" \
+        in captured.out
+    assert captured.err == ""
+
+
 def test_suite_golden_output(capsys):
     code, out = run(capsys, "suite", "reductive_identities")
     assert code == 0

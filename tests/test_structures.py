@@ -470,8 +470,8 @@ def test_nabla_of_vector_matches_three_pairings(path, omega, J, convention):
     want = _nabla_by_three_pairings(g, lck.metric, lck.xi)
     assert [[(str(c.num), str(c.den)) for c in row] for row in got] == \
         [[(str(c.num), str(c.den)) for c in row] for row in want]
-    # vaisman_check reads G xi off the Lee-vector solve (lck.gxi) and must
-    # print the same vanishing and locus lists as the product G xi above
+    # vaisman_check takes G xi = s lam from lck.gxi and must print the same
+    # vanishing and locus lists as the product G xi above
     vanishing = []
     for c in (c for row in got for c in row if not c.is_zero()):
         linalg.merge_locus(vanishing, [c.num])
@@ -514,11 +514,14 @@ def test_assemble_lck_identities():
     assert lck.phi.evaluate(lck.xi).is_zero()
 
 
-@pytest.mark.parametrize("id_", ["u2", "gl2r"])
-def test_lee_vector_is_minus_J_of_the_reeb_vector(id_):
-    # every compatible (omega, J) pair of the catalog, in both conventions
+@pytest.mark.parametrize("id_, J_name, pole", [("u2", "J_ab", "b"),
+                                               ("gl2r", "J_mu", "mu1")])
+def test_lee_vector_solves_the_metric_system(id_, J_name, pole):
+    # every compatible (omega, J) pair of the catalog, in both conventions:
+    # xi = -J Z is the solution of G xi = s lam, and the locus names the
+    # pole of the parametric J
     entry = catalog.get(id_)
-    fams = entry.families
+    g, fams = entry.algebra, entry.families
     forms = [f for f in fams.values()
              if isinstance(f, KForm) and f.degree == 2]
     Js = [f for f in fams.values() if isinstance(f, ComplexStructure)]
@@ -527,10 +530,13 @@ def test_lee_vector_is_minus_J_of_the_reeb_vector(id_):
         for J in Js:
             for convention in (CONVENTION_DEF, CONVENTION_THM):
                 try:
-                    lck = assemble_lck(entry.algebra, om, J, convention)
+                    lck = assemble_lck(g, om, J, convention)
                 except NotCompatible:
                     continue
-                assert lck.xi == [-c for c in J.apply(lck.lcs.Z)]
+                xi, _, _ = linalg.solve(lck.metric.matrix, lck.gxi, g.zero())
+                assert lck.xi == xi
+                locus = [str(p) for p in lck.locus]
+                assert (pole in locus) == (J is fams[J_name])
                 checked += 1
     assert checked == 6
 

@@ -1,4 +1,4 @@
-"""Deterministic work gates for the classification suites.
+"""Deterministic work gates for the classification suites and one CLI call.
 
 Wall-clock time drifts from host to host and run to run; the work a suite
 does does not.  The first gate counts, over every product of two ``Poly``
@@ -6,15 +6,24 @@ operands, the coefficient products len(a) * len(b) and the largest total
 degree built, and bounds both at the measured values plus at most 10%, so
 a change that swells the suite's scalars fails here.  The second counts
 the calls of ``structures.lcs_check`` and ``linalg.rref`` and bounds them
-at the measured values, so a change that computes a fact twice fails.
+at the measured values, so a change that computes a fact twice fails.  The
+third bounds the products, the degree and the report size of
+``check-vaisman`` on a form with a 91-term coefficient.
 """
+
+import json
+import os
 
 import pytest
 
-from lieform import catalog, constructions, linalg, scalars, structures
+from lieform import catalog, cli, constructions, linalg, scalars, structures
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-def test_gl2_suite_poly_product_work_is_bounded(monkeypatch):
+def count_poly_products(monkeypatch):
+    """Count Poly x Poly coefficient products and the largest degree built
+    from here to the end of the test."""
     mul = scalars.Poly.__mul__
     seen = {"products": 0, "degree": 0}
 
@@ -26,15 +35,20 @@ def test_gl2_suite_poly_product_work_is_bounded(monkeypatch):
         return out
 
     monkeypatch.setattr(scalars.Poly, "__mul__", counting_mul)
+    return seen
+
+
+def test_gl2_suite_poly_product_work_is_bounded(monkeypatch):
+    seen = count_poly_products(monkeypatch)
     assert catalog.run_suite("gl2_classification").ok
-    # measured: 52,375 products and degree 60
-    assert seen["products"] <= 57_600
-    assert seen["degree"] <= 66
+    # measured: 7,155 products and degree 31
+    assert seen["products"] <= 7_870
+    assert seen["degree"] <= 34
 
 
 @pytest.mark.parametrize("suite, lcs_checks, rrefs", [
-    ("u2_classification", 8, 42),
-    ("gl2_classification", 9, 47),
+    ("u2_classification", 8, 34),
+    ("gl2_classification", 9, 38),
 ])
 def test_suite_lcs_checks_and_eliminations_are_bounded(
         suite, lcs_checks, rrefs, monkeypatch):
@@ -57,3 +71,22 @@ def test_suite_lcs_checks_and_eliminations_are_bounded(
     assert catalog.run_suite(suite).ok
     assert calls["lcs_check"] <= lcs_checks, calls
     assert calls["rref"] <= rrefs, calls
+
+
+def test_vaisman_check_of_a_large_coefficient_is_bounded(
+        monkeypatch, tmp_path, capsys):
+    # omega = (a+b+1)^12 e^01 + e^23 on u(2): while the Lee vector was
+    # solved from G xi = s lam, this call ran for more than 20 minutes
+    with open(os.path.join(DATA, "u2.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["forms"]["omega_swell"] = "(a+b+1)^12 * e0^e1 + e2^e3"
+    path = tmp_path / "u2_swell.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    seen = count_poly_products(monkeypatch)
+    assert cli.main(["check-vaisman", str(path), "omega_swell", "J_ab"]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] Lee field is parallel (Vaisman)" in out
+    # measured: 36,323 characters, 1,189,694 products and degree 62
+    assert len(out) <= 39_900
+    assert seen["products"] <= 1_308_000
+    assert seen["degree"] <= 68
