@@ -1,7 +1,8 @@
 """Exact-arithmetic Lie algebra calculus and geometric-structure checks."""
 
-from .scalars import (DenominatorVanishes, Poly, Scalar, ScalarError,
-                      ScalarParseError, parse_scalar, scalar_eval)
+from .scalars import (DenominatorVanishes, ParameterValueError, Poly,
+                      Scalar, ScalarError, ScalarParseError, parse_scalar,
+                      scalar_eval)
 from .lie_core import (LieAlgebra, LieError, Subspace, center, centralizer,
                        derived_subalgebra, extend_by_derivation, is_derivation)
 from .exterior import (KForm, ce_d, interior, lie_derivative, solve_potential,
@@ -11,8 +12,8 @@ from .structures import (CONVENTION_DEF, CONVENTION_THM, ComplexStructure,
                          StructureReport, assemble_lck, biinvariant_identities,
                          compatibility_check, exact_signature, lcs_check,
                          metric_from, nabla_of_vector, nijenhuis,
-                         signature_at, subalgebra_to_J, J_to_subalgebra,
-                         vaisman_check)
+                         signature_at, signatures, subalgebra_to_J,
+                         J_to_subalgebra, vaisman_check)
 from .constructions import (OrbitData, coadjoint_stabilizer,
                             kirillov_kostant_form, lcs_from_orbit)
 from . import catalog, document

@@ -20,7 +20,7 @@ from .lie_core import LieAlgebra, center
 from .scalars import Scalar
 from .structures import (CONVENTION_DEF, CONVENTION_THM, ComplexStructure,
                          StructureReport, assemble_lck, compatibility_check,
-                         nijenhuis, signature_at, vaisman_check,
+                         nijenhuis, signatures, vaisman_check,
                          biinvariant_identities)
 
 
@@ -282,11 +282,12 @@ def _metric_is(metric, upper):
 def _check_census(rep, name, metric, params, points, agrees, minimum=50):
     """Check agrees(point, signature) at every sample point.
 
-    ``name`` is formatted with the sample count n, of which there must be
-    at least ``minimum``.
+    The metric is compiled once and evaluated at the points over Z
+    (``structures.signatures``).  ``name`` is formatted with the sample
+    count n, of which there must be at least ``minimum``.
     """
-    good = sum(1 for pt in points
-               if agrees(pt, signature_at(metric, dict(zip(params, pt)))))
+    sigs = signatures(metric, [dict(zip(params, pt)) for pt in points])
+    good = sum(1 for pt, sig in zip(points, sigs) if agrees(pt, sig))
     rep.check(name.format(n=len(points)),
               good == len(points) and len(points) >= minimum)
 

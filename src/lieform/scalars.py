@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm
+from numbers import Rational
 from operator import add, mul, sub, truediv
 
 
@@ -37,6 +38,14 @@ class DenominatorVanishes(ScalarError):
     def __init__(self, point):
         self.point = dict(point)
         super().__init__(f"denominator vanishes at {self.point}")
+
+
+class ParameterValueError(ScalarError):
+    """A point gives a parameter no value, or a value that is not rational."""
+
+    def __init__(self, name, msg):
+        self.name = name
+        super().__init__(f"parameter {name!r}: {msg}")
 
 
 class ScalarParseError(ScalarError):
@@ -249,22 +258,16 @@ class Poly:
             terms[e2] = terms.get(e2, 0) + c
         return Poly(self.params, terms)
 
-    def value_at(self, D, X):
-        """(v, s) with value v / s, s > 0, at the point X / D (ints, D > 0).
-
-        Summed over Z: with l the lcm of the coefficient denominators and
-        deg the total degree, s = l D^deg and v = sum l c_e X^e D^(deg-|e|).
-        """
+    def compiled(self):
+        """(l, deg, terms) for evaluating at points X / D over Z (see
+        ``Evaluator``): l the lcm of the coefficient denominators, deg the
+        total degree (0 for the zero polynomial) and terms the triples
+        (l c_e, deg - |e|, ((i, e_i) for each e_i != 0))."""
         l, terms = self._integral()
         deg = max(self.total_degree(), 0)
-        v = 0
-        for e, c in terms.items():
-            t = c * D ** (deg - sum(e))
-            for x, k in zip(X, e):
-                if k:
-                    t *= x ** k
-            v += t
-        return v, l * D ** deg
+        return l, deg, [(c, deg - sum(e),
+                         tuple((i, k) for i, k in enumerate(e) if k))
+                        for e, c in terms.items()]
 
     def __str__(self):
         if self.is_zero():
@@ -493,31 +496,71 @@ class Scalar:
 def integer_point(params, assignment):
     """(D, X): a point of ints and Fractions as X / D over Z, with D > 0 the
     lcm of its denominators and X the list of D times each value, in the
-    order of params."""
+    order of params.  Raises ParameterValueError for a missing parameter and
+    for a value that is not an int or a Fraction."""
+    for name, v in assignment.items():
+        if not isinstance(v, Rational):
+            raise ParameterValueError(name, f"value {v!r} is not rational")
+    for p in params:
+        if p not in assignment:
+            raise ParameterValueError(p, "no value given")
     vals = [assignment[p] for p in params]
     D = lcm(*(v.denominator for v in vals))
     return D, [v.numerator * (D // v.denominator) for v in vals]
 
 
-def scalar_at(s, D, X, assignment):
-    """s at the point X / D (see ``integer_point``) as a Fraction.
+class Evaluator:
+    """Scalars over one parameter list, compiled once (``Poly.compiled``)
+    for evaluation over Z at many points X / D (``integer_point``): from
+    power tables of D and each X_i, a polynomial of total degree deg is
+    v / s with v = sum l c_e X^e D^(deg-|e|) and s = l D^deg, and a scalar
+    num / den is the int pair (v_num s_den, s_num v_den)."""
 
-    Raises DenominatorVanishes, naming assignment, when the point lies on
-    the denominator locus.
-    """
-    den, s_den = s.den.value_at(D, X)
-    if den == 0:
-        raise DenominatorVanishes(assignment)
-    num, s_num = s.num.value_at(D, X)
-    return Fraction(num * s_den, s_num * den)
+    def __init__(self, params, scalars):
+        self.params = tuple(params)
+        self.polys = [p.compiled() for s in scalars for p in (s.num, s.den)]
+        self.degree = max((deg for _, deg, _ in self.polys), default=0)
+
+    def __call__(self, assignment):
+        """[(num, den)], den != 0, for the scalars at the point.  Raises
+        DenominatorVanishes and ParameterValueError (``integer_point``)."""
+        D, X = integer_point(self.params, assignment)
+        powers = range(self.degree + 1)
+        Dp = [D ** k for k in powers]
+        Xp = [[x ** k for k in powers] for x in X]
+        out = []
+        polys = iter(self.polys)
+        for num, den in zip(polys, polys):
+            v_den, s_den = _value(den, Dp, Xp)
+            if v_den == 0:
+                raise DenominatorVanishes(
+                    {p: Fraction(v) for p, v in assignment.items()})
+            v_num, s_num = _value(num, Dp, Xp)
+            out.append((v_num * s_den, s_num * v_den))
+        return out
+
+
+def _value(compiled, Dp, Xp):
+    """(v, s) of a compiled polynomial from the power tables Dp and Xp."""
+    l, deg, terms = compiled
+    v = 0
+    for c, r, mono in terms:
+        t = c * Dp[r]
+        for i, k in mono:
+            t *= Xp[i][k]
+        v += t
+    return v, l * Dp[deg]
 
 
 def scalar_eval(s, assignment):
     """Evaluate a scalar at a point of ints and Fractions; exact result.
 
-    Raises DenominatorVanishes when the point lies on the denominator locus.
+    One compiled evaluation (``Evaluator``) reduced to a Fraction.  Raises
+    DenominatorVanishes when the point lies on the denominator locus and
+    ParameterValueError for a missing or non-rational value.
     """
-    return scalar_at(s, *integer_point(s.params, assignment), assignment)
+    (num, den), = Evaluator(s.params, [s])(assignment)
+    return Fraction(num, den)
 
 
 CScalar = None  # read only by the bench's result sizer, bench/spans.py

@@ -17,7 +17,7 @@ from . import linalg
 from .exterior import (KForm, ce_d, form_monomials, form_to_vector,
                        solve_potential, wedge)
 from .lie_core import center, centralizer, derived_subalgebra
-from .scalars import integer_point, scalar_at
+from .scalars import DenominatorVanishes, Evaluator
 
 
 class StructureError(Exception):
@@ -372,14 +372,22 @@ def metric_from(omega, J, convention=CONVENTION_THM):
 def exact_signature(rows):
     """Signature (p, q) of a symmetric matrix of ints and Fractions, exactly.
 
-    Scaled by the positive lcm of the entry denominators, then reduced over
-    Z by symmetric pivoting (Sylvester's law of inertia): a pivot d counts
+    The matrix is scaled by the positive lcm of its entry denominators and
+    handed to the integer core ``_signature_over_z``, which ``signatures``
+    also runs at each of its points.
+    """
+    l = lcm(*(c.denominator for r in rows for c in r))
+    return _signature_over_z([[c.numerator * (l // c.denominator) for c in r]
+                              for r in rows])
+
+
+def _signature_over_z(a):
+    """Signature (p, q) of a symmetric int matrix, reduced in place over Z
+    by symmetric pivoting (Sylvester's law of inertia): a pivot d counts
     by its sign and maps the rest S to |d| S - sgn(d) u u^T, u the rest of
     its column.  A zero diagonal with a nonzero a_ij takes the congruence
     e_i -> e_i + e_j, a hyperbolic (1,1) pair.
     """
-    l = lcm(*(c.denominator for r in rows for c in r))
-    a = [[c.numerator * (l // c.denominator) for c in r] for r in rows]
     p = q = 0
     live = list(range(len(a)))
     while live:
@@ -419,27 +427,36 @@ def exact_signature(rows):
     return p, q
 
 
-def signature_at(gm, assignment):
-    """Exact signature of the metric at a rational parameter point.
+def signatures(gm, points):
+    """Exact signature of the metric at each rational parameter point.
 
-    ``metric_from`` has checked that the metric is symmetric, so only the
-    upper triangle is evaluated and mirrored.  The point is put over a
-    common denominator once, and each entry is evaluated over Z with one
-    division (``scalars.scalar_at``); ``exact_signature`` then clears the
-    entry denominators.
+    The upper triangle (``metric_from`` has checked symmetry) is compiled
+    once (``scalars.Evaluator``).  At each point its entries are evaluated
+    as int pairs, cleared by one lcm and pivoted by ``_signature_over_z``;
+    no Fraction is built per entry.  Raises DegenerateAtPoint where a
+    denominator vanishes or the metric is degenerate, and
+    ParameterValueError for a missing or non-rational parameter value.
     """
     n = len(gm.matrix)
-    rows = [[None] * n for _ in range(n)]
-    try:
-        point = {p: Fraction(v) for p, v in assignment.items()}
-        D, X = integer_point(gm.algebra.params, point)
-        for i in range(n):
-            for j in range(i, n):
-                rows[i][j] = rows[j][i] = scalar_at(gm.matrix[i][j], D, X,
-                                                    point)
-    except Exception as exc:
-        raise DegenerateAtPoint(f"cannot evaluate metric: {exc}") from exc
-    return exact_signature(rows)
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    evaluate = Evaluator(gm.algebra.params,
+                         [gm.matrix[i][j] for i, j in upper])
+    for point in points:
+        try:
+            values = evaluate(point)
+        except DenominatorVanishes as exc:
+            raise DegenerateAtPoint(f"cannot evaluate metric: {exc}") from exc
+        l = lcm(*(den for _, den in values))
+        a = [[0] * n for _ in range(n)]
+        for (i, j), (num, den) in zip(upper, values):
+            a[i][j] = a[j][i] = num * (l // den)
+        yield _signature_over_z(a)
+
+
+def signature_at(gm, assignment):
+    """Exact signature of the metric at one rational parameter point: the
+    one-point case of ``signatures``, with its errors."""
+    return next(signatures(gm, [assignment]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lieform.scalars import (MAX_NESTING, DenominatorVanishes, Poly, Scalar,
-                             ScalarError, ScalarParseError, parse_scalar,
-                             scalar_eval)
+from lieform.scalars import (MAX_NESTING, DenominatorVanishes, Evaluator,
+                             ParameterValueError, Poly, Scalar, ScalarError,
+                             ScalarParseError, parse_scalar, scalar_eval)
 
 P = ("a", "b")
 
@@ -130,6 +130,19 @@ def test_scalar_eval_exact_and_denominator_guard():
         (Fraction(1, 9) + 2) / 4
     with pytest.raises(DenominatorVanishes):
         scalar_eval(s, {"a": 1, "b": 0})
+
+
+@pytest.mark.parametrize("point, message", [
+    ({"a": 1}, "parameter 'b': no value given"),
+    ({"a": 1, "b": "x"}, "parameter 'b': value 'x' is not rational"),
+    ({"a": 1, "b": 0.5}, "parameter 'b': value 0.5 is not rational"),
+])
+def test_scalar_eval_names_a_missing_or_non_rational_parameter(point,
+                                                               message):
+    with pytest.raises(ParameterValueError) as exc:
+        scalar_eval(S("(a^2 + b)/(2*b)"), point)
+    assert str(exc.value) == message
+    assert exc.value.name == "b"
 
 
 def test_scalar_str_round_trip():
@@ -261,6 +274,51 @@ def test_substitute_agrees_with_evaluate(x, v):
         # substitution may reject a denominator that only vanishes partially
         return
     assert scalar_eval(sub, point) == expect
+
+
+def _value_by_fractions(poly, point):
+    """Reference evaluation: every power, product and partial sum as a
+    Fraction."""
+    total = Fraction(0)
+    for e, c in poly.terms.items():
+        t = Fraction(c)
+        for p, k in zip(poly.params, e):
+            t *= Fraction(point[p]) ** k
+        total += t
+    return total
+
+
+_points = st.fixed_dictionaries({p: st.fractions(-3, 3, max_denominator=6)
+                                 for p in P})
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.large_base_example])
+@given(st.lists(scalars(), min_size=1, max_size=4), _points)
+@example([Scalar.zero(P)], {"a": Fraction(1, 2), "b": Fraction(-2, 3)})
+@example([Scalar.const(P, Fraction(-7, 3)), S("a^2*b^2 - 1/5")],
+         {"a": Fraction(5, 4), "b": 0})
+@example([S("b/3"), S("(a^2 - b/3)/(2*a - 1)")], {"a": Fraction(1, 2), "b": 1})
+def test_evaluator_matches_the_fraction_route(xs, point):
+    # one compilation of several scalars shares power tables sized by the
+    # largest degree among them
+    want = []
+    for x in xs:
+        den = _value_by_fractions(x.den, point)
+        want.append(None if den == 0 else _value_by_fractions(x.num, point)
+                    / den)
+    if None in want:
+        with pytest.raises(DenominatorVanishes):
+            Evaluator(P, xs)(point)
+        x = xs[want.index(None)]
+        with pytest.raises(DenominatorVanishes):
+            scalar_eval(x, point)
+        return
+    pairs = Evaluator(P, xs)(point)
+    assert all(type(n) is int and type(d) is int and d != 0
+               for n, d in pairs)
+    assert [Fraction(n, d) for n, d in pairs] == want
+    assert [scalar_eval(x, point) for x in xs] == want
 
 
 

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from lieform import catalog, document, linalg
 from lieform.catalog import J_ab, J_mu, abelian, gl2r, lcs_form, oneform, u2
 from lieform.exterior import KForm, NoSolution, ce_d, twisted_d, wedge
-from lieform.scalars import (DenominatorVanishes, Scalar, parse_scalar,
-                             scalar_eval)
+from lieform.scalars import (DenominatorVanishes, ParameterValueError, Scalar,
+                             parse_scalar, scalar_eval)
 from lieform.structures import (CONVENTION_DEF, CONVENTION_THM,
                                 ComplexStructure, Degenerate,
                                 DegenerateAtPoint, DegenerateB,
@@ -23,8 +23,8 @@ from lieform.structures import (CONVENTION_DEF, CONVENTION_THM,
                                 biinvariant_identities,
                                 compatibility_check, exact_signature,
                                 lcs_check, metric_from, nabla_of_vector,
-                                nijenhuis, signature_at, subalgebra_to_J,
-                                vaisman_check)
+                                nijenhuis, signature_at, signatures,
+                                subalgebra_to_J, vaisman_check)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -264,6 +264,21 @@ def test_signature_at_uses_exact_evaluation():
         signature_at(m, {"a": 0, "b": 0})  # on the excluded locus
 
 
+@pytest.mark.parametrize("point, message", [
+    ({"a": 0}, "parameter 'b': no value given"),
+    ({"a": 0, "b": "x"}, "parameter 'b': value 'x' is not rational"),
+])
+def test_signature_at_names_a_missing_or_non_rational_parameter(point,
+                                                                message):
+    # a bad point is an input error, not a degenerate metric
+    g = u2(("a", "b"))
+    m = metric_from(lcs_form(g, oneform(g, {1: 1})), J_ab(g), CONVENTION_THM)
+    with pytest.raises(ParameterValueError) as exc:
+        signature_at(m, point)
+    assert str(exc.value) == message
+    assert exc.value.name == "b"
+
+
 def _signature_by_fractions(gm, assignment):
     """Reference for ``signature_at``: every power, product and partial sum
     as a Fraction, then symmetric pivoting over Q.  Returns the signature
@@ -288,7 +303,7 @@ def _signature_by_fractions(gm, assignment):
                 if den == 0:
                     raise DenominatorVanishes(point)
                 a[i][j] = a[j][i] = value(c.num, point) / den
-    except Exception as exc:
+    except DenominatorVanishes as exc:
         return f"cannot evaluate metric: {exc}"
     p = q = 0
     live = list(range(n))
@@ -362,6 +377,26 @@ def test_signature_at_matches_the_fraction_route(matrix, av, bv):
         got = signature_at(gm, {"a": av, "b": bv})
     except DegenerateAtPoint as exc:
         got = str(exc)
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_parametric_metrics(),
+       st.lists(st.tuples(st.sampled_from(_SIG_GRID),
+                          st.sampled_from(_SIG_GRID)), min_size=1,
+                max_size=12))
+def test_signatures_match_the_fraction_route_at_every_point(matrix, grid):
+    gm = Metric(u2(_SIG_PARAMS), matrix, None)
+    points = [{"a": av, "b": bv} for av, bv in grid]
+    want = [_signature_by_fractions(gm, p) for p in points]
+    got = []
+    while len(got) < len(points):
+        # the census raises at a point it cannot sign; resume after it
+        try:
+            for sig in signatures(gm, points[len(got):]):
+                got.append(sig)
+        except DegenerateAtPoint as exc:
+            got.append(str(exc))
     assert got == want
 
 

@@ -7,7 +7,10 @@ degree built, and bounds both at the measured values plus at most 10%, so
 a change that swells the suite's scalars fails here.  The second counts
 the calls of ``structures.lcs_check`` and ``linalg.rref`` and bounds them
 at the measured values, so a change that computes a fact twice fails.  The
-third bounds the products, the degree and the report size of
+third counts the polynomials compiled for evaluation (``Poly.compiled``)
+and the calls of ``Poly._integral`` and bounds them at the measured values,
+so a signature census that re-derives its entries at each point fails.  The
+fourth bounds the products, the degree and the report size of
 ``check-vaisman`` on a form with a 91-term coefficient.
 """
 
@@ -71,6 +74,33 @@ def test_suite_lcs_checks_and_eliminations_are_bounded(
     assert catalog.run_suite(suite).ok
     assert calls["lcs_check"] <= lcs_checks, calls
     assert calls["rref"] <= rrefs, calls
+
+
+@pytest.mark.parametrize("suite, compiled, integrals", [
+    ("u2_classification", 40, 516),
+    ("gl2_classification", 40, 1_100),
+])
+def test_suite_census_compiles_each_entry_once(suite, compiled, integrals,
+                                               monkeypatch):
+    # each suite runs two censuses of a metric with 10 upper-triangle
+    # entries (a numerator and a denominator each), at 498 (u2) and 482
+    # (gl2) points in all; re-deriving the entries at each point made about
+    # 10,700 _integral calls per gl2 suite
+    calls = {"compiled": 0, "_integral": 0}
+
+    def counting(name):
+        fn = getattr(scalars.Poly, name)
+
+        def wrapper(self):
+            calls[name] += 1
+            return fn(self)
+        monkeypatch.setattr(scalars.Poly, name, wrapper)
+
+    counting("compiled")
+    counting("_integral")
+    assert catalog.run_suite(suite).ok
+    assert calls["compiled"] <= compiled, calls
+    assert calls["_integral"] <= integrals, calls
 
 
 def test_vaisman_check_of_a_large_coefficient_is_bounded(
