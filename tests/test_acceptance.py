@@ -134,12 +134,13 @@ def test_8_cli_golden_files_and_exit_codes(capsys):
     out = capsys.readouterr().out
     with open(os.path.join(DATA, "u2.json"), encoding="utf-8") as fh:
         assert out == fh.read()
-    # suite output against the golden file
+    # suite output against the CLI golden
     assert cli.main(["suite", "reductive_identities"]) == 0
     out2 = capsys.readouterr().out
-    with open(os.path.join(DATA, "suite_reductive.txt"),
+    with open(os.path.join(DATA, "cli_reference.json"),
               encoding="utf-8") as fh:
-        assert out2 == fh.read()
+        golden = json.load(fh)["cli"]["suite reductive_identities"]
+    assert out2 == golden["out"]
     # exit-code contract: a corrupted algebra document must fail loudly
     code = cli.main(["check-algebra", os.path.join(DATA, "corrupted.json")])
     out3 = capsys.readouterr().out

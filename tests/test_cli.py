@@ -283,14 +283,6 @@ def test_construct_orbit_rejects_a_two_form(capsys):
     assert captured.err == ""
 
 
-def test_suite_golden_output(capsys):
-    code, out = run(capsys, "suite", "reductive_identities")
-    assert code == 0
-    with open(os.path.join(DATA, "suite_reductive.txt"),
-              encoding="utf-8") as fh:
-        assert out == fh.read()
-
-
 def test_catalog_emit_round_trip(capsys):
     code, out = run(capsys, "catalog", "gl2r", "--emit")
     assert code == 0
