@@ -163,7 +163,8 @@ def cmd_check_vaisman(args):
         if lck.lcs.lam.is_zero():
             detail = "lam = 0: the structure is Kahler, not proper lcK"
         rep.check("Lee field is parallel (Vaisman)", ok, detail)
-        rep.info("g(xi, xi)", str(lck.metric.pair(lck.xi, lck.xi)))
+        rep.info("g(xi, xi)",
+                 str(sum(x * y for x, y in zip(lck.xi, lck.gxi))))
         rep.info("lam(xi)", str(lck.lcs.lam.evaluate(lck.xi)))
     return _run(f"check-vaisman {args.omega} {args.J}", args.format, body)
 

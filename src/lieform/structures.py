@@ -564,13 +564,11 @@ def vaisman_check(lck):
     nxi, locus = nabla_of_vector(lck.algebra, lck.metric, lck.xi,
                                  lck.gxi)
     vanishing = []
-    ok = True
     for v in nxi:
         for c in v:
             if not c.is_zero():
-                ok = False
                 linalg.merge_locus(vanishing, [c.num])
-    return ok, vanishing, locus
+    return not vanishing, vanishing, locus
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Geometric structures: complex structures, lcs extraction, metrics,
 signatures (with a floating-point eigenvalue oracle), connections, Vaisman."""
 
+import json
 import os
 import random
 from fractions import Fraction
@@ -514,6 +515,28 @@ def test_nabla_of_vector_matches_three_pairings(path, omega, J, convention):
     assert ok == (not vanishing)
     assert [str(p) for p in got_vanishing] == [str(p) for p in vanishing]
     assert [str(p) for p in got_locus] == [str(p) for p in locus]
+
+
+def _recorded_vaisman_calls():
+    """(document, omega, J) of every check-vaisman call in the CLI golden."""
+    with open(os.path.join(DATA, "cli_reference.json"),
+              encoding="utf-8") as fh:
+        calls = json.load(fh)["cli"]
+    return sorted({tuple(call.split()[1:4]) for call in calls
+                   if call.startswith("check-vaisman ")})
+
+
+@pytest.mark.parametrize("path, omega, J", _recorded_vaisman_calls())
+def test_g_xi_xi_from_gxi_matches_the_metric_pairing(path, omega, J):
+    # check-vaisman prints g(xi, xi) as xi . gxi (G xi = s lam, checked by
+    # assemble_lck); the reference is the full pairing xi^T G xi
+    doc = document.load(os.path.join(DATA, os.path.basename(path)))
+    g = doc.build_algebra()
+    lck = assemble_lck(g, doc.build_form(omega, g),
+                       ComplexStructure(g, doc.build_endo(J, g)),
+                       CONVENTION_DEF)
+    assert lck.metric.pair(lck.xi, lck.xi) == \
+        sum(x * y for x, y in zip(lck.xi, lck.gxi))
 
 
 def test_vaisman_flat_on_standard_structure_and_not_on_perturbed():

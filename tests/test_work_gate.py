@@ -1,4 +1,4 @@
-"""Deterministic work gates for the classification suites and one CLI call.
+"""Deterministic work gates for the classification suites and two CLI calls.
 
 Wall-clock time drifts from host to host and run to run; the work a suite
 does does not.  The first gate counts, over every product of two ``Poly``
@@ -11,7 +11,9 @@ third counts the polynomials compiled for evaluation (``Poly.compiled``)
 and the calls of ``Poly._integral`` and bounds them at the measured values,
 so a signature census that re-derives its entries at each point fails.  The
 fourth bounds the products, the degree and the report size of
-``check-vaisman`` on a form with a 91-term coefficient.
+``check-vaisman`` on a form with a 91-term coefficient, and the fifth the
+report size of ``check-vaisman`` on a gl(2, R) form scaled by a linear
+factor.
 """
 
 import json
@@ -120,3 +122,17 @@ def test_vaisman_check_of_a_large_coefficient_is_bounded(
     assert len(out) <= 39_900
     assert seen["products"] <= 1_308_000
     assert seen["degree"] <= 68
+
+
+def test_vaisman_check_of_a_scaled_gl2_form_is_bounded(tmp_path, capsys):
+    # omega = (mu1+mu2+1) * omega_std on gl(2, R): while g(xi, xi) was
+    # printed as the pairing xi^T G xi, this call printed 1,689,687
+    # characters; xi . (G xi), with G xi = s lam, prints 6,316
+    with open(os.path.join(DATA, "gl2r.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    std = doc["forms"]["omega_std"]
+    doc["forms"]["omega_swell"] = f"(mu1+mu2+1) * ({std})"
+    path = tmp_path / "gl2r_swell.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["check-vaisman", str(path), "omega_swell", "J_mu"]) == 0
+    assert len(capsys.readouterr().out) < 10_000
