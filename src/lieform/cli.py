@@ -51,8 +51,11 @@ def _parse_at(text):
                            "accepted; write p/q or a plain decimal")
         try:
             out[name] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise CliError(f"bad --at value {value!r}: {exc}") from exc
+        except ZeroDivisionError as exc:
+            raise CliError(
+                f"bad --at value {value!r}: zero denominator") from exc
     return out
 
 

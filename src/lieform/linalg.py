@@ -5,6 +5,13 @@ the rational-function field, which is exact; whenever a pivot depends on
 parameters the computed rank/kernel is *generic* and the pivot numerator is
 recorded as an exclusion polynomial (the vanishing locus) instead of being
 resolved.
+
+The matrices are sparse, so the kernels skip structural zeros: a dot product
+(``mat_vec``, ``mat_mul``) skips each pair with a zero factor, the pivot-row
+scaling of ``rref`` keeps zero entries, and its row update keeps an entry
+where the pivot row has a zero.  Zero is always the pair (0, 1) and adding it
+returns the other summand, so each result is the (num, den) pair the dense
+formula builds.
 """
 
 from __future__ import annotations
@@ -26,15 +33,23 @@ def merge_locus(locus, extra):
     return locus
 
 
+def _dot(u, v):
+    """sum u[t] v[t] in order, over the pairs with no zero factor; with none,
+    the zero factor of the first pair, which is what u[0] v[0] returns."""
+    out = None
+    for x, y in zip(u, v):
+        if not (x.is_zero() or y.is_zero()):
+            out = x * y if out is None else out + x * y
+    return u[0] * v[0] if out is None else out
+
+
 def mat_vec(a, v):
-    return [sum((row[t] * v[t] for t in range(1, len(v))), row[0] * v[0])
-            for row in a]
+    return [_dot(row, v) for row in a]
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum((a[i][t] * b[t][j] for t in range(1, k)), a[i][0] * b[0][j])
-             for j in range(m)] for i in range(n)]
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]
 
 
 def vec_add(u, v):
@@ -84,11 +99,12 @@ def rref(rows):
         piv = rows[r][c]
         merge_locus(locus, [pivot_locus(piv)])
         inv = piv.inverse()
-        rows[r] = [inv * x for x in rows[r]]
+        rows[r] = [x if x.is_zero() else inv * x for x in rows[r]]
         for i in range(m):
             if i != r and not rows[i][c].is_zero():
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x if y.is_zero() else x - f * y
+                           for x, y in zip(rows[i], rows[r])]
         pivot_cols.append(c)
         r += 1
     return rows, pivot_cols, locus

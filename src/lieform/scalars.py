@@ -15,9 +15,13 @@ Equality of scalars compares numerators over equal denominators and
 cross-multiplies otherwise, so correctness never depends on polynomial GCDs.
 A cheap normalization (rational content and common monomial factors) keeps
 sizes under control; a scalar whose denominator is 1 is a polynomial and
-skips it.  Arithmetic skips identity work: a zero or constant factor, a zero
-summand and a denominator of 1 build the same pair the general formula
-builds, without its products.
+skips it.  Arithmetic skips identity work, and each shortcut returns the
+(num, den) pair the general formula builds, without its products: a product
+returns a zero factor, or the other factor of a one, as it is (zero is
+always the pair (0, 1), and normalization is idempotent); a sum or
+difference returns the other operand of a zero summand; a constant factor
+scales coefficients; a denominator of 1 is not multiplied; and a difference
+subtracts directly instead of adding a negation.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ class DenominatorVanishes(ScalarError):
 
     def __init__(self, point):
         self.point = dict(point)
-        super().__init__(f"denominator vanishes at {self.point}")
+        at = ", ".join(f"{name}={v}" for name, v in self.point.items())
+        super().__init__(f"denominator vanishes at {at}")
 
 
 class ParameterValueError(ScalarError):
@@ -178,7 +183,11 @@ class Poly:
         return Poly(self.params, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, 0) - c
+        return Poly(self.params, terms)
 
     def _integral(self):
         """(l, terms times l), l the lcm of the coefficient denominators."""
@@ -195,8 +204,10 @@ class Poly:
             return Poly(self.params,
                         {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        if not self.terms or not other.terms:
-            return Poly(self.params, {})
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         # a constant operand scales the other one's coefficients
         for p, q in ((self, other), (other, self)):
             if len(q.terms) == 1 and not any(next(iter(q.terms))):
@@ -370,6 +381,9 @@ class Scalar:
     def is_zero(self):
         return self.num.is_zero()
 
+    def _is_one(self):
+        return self.num.is_one() and self.den.is_one()
+
     def is_constant(self):
         return self.num.is_constant() and self.den.is_constant()
 
@@ -396,7 +410,8 @@ class Scalar:
             return Scalar.const(self.params, other)
         return None
 
-    def __add__(self, other):
+    def _sum(self, other, op):
+        """self + other or self - other, for op the Poly add or sub."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -404,11 +419,14 @@ class Scalar:
         if other.is_zero():
             return self
         if self.is_zero():
-            return other
+            return other if op is add else -other
         if self.den == other.den:
-            return Scalar(self.num + other.num, self.den)
-        return Scalar(self.num * other.den + other.num * self.den,
+            return Scalar(op(self.num, other.num), self.den)
+        return Scalar(op(self.num * other.den, other.num * self.den),
                       self.den * other.den)
+
+    def __add__(self, other):
+        return self._sum(other, add)
 
     __radd__ = __add__
 
@@ -416,10 +434,7 @@ class Scalar:
         return Scalar(-self.num, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._sum(other, sub)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -428,6 +443,11 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        self.num._check(other.num)
+        if self.is_zero() or other._is_one():
+            return self
+        if other.is_zero() or self._is_one():
+            return other
         if self.den.is_one():
             den = other.den
         elif other.den.is_one():

@@ -486,11 +486,9 @@ def nabla_of_vector(g, gm, y, gy):
     half = Fraction(1, 2)
     out = []
     for i in range(n):
-        rhs = []
-        for k in range(n):
-            cki_gy = sum((c * v for c, v in zip(g.bracket_basis(k, i), gy)
-                          if not c.is_zero()), g.zero())
-            rhs.append((-M[k][i] - M[i][k] + cki_gy) * half)
+        # c_gy[k] = sum_l c_{ki}^l gy[l]
+        c_gy = linalg.mat_vec([g.bracket_basis(k, i) for k in range(n)], gy)
+        rhs = [(-M[k][i] - M[i][k] + c_gy[k]) * half for k in range(n)]
         out.append(linalg.mat_vec(ginv, rhs))
     return out, locus
 

@@ -84,7 +84,8 @@ def test_check_lck_on_denominator_locus_fails(capsys):
     code, out = run(capsys, "check-lck", U2, "omega_std", "J_ab",
                     "--at", "a=0,b=0,a1=1,a2=0,a3=0")
     assert code == 1
-    assert "DenominatorVanishes" in out
+    # the point in the --at syntax, not as a dict of Fraction reprs
+    assert "denominator vanishes at a=0, b=0, a1=1, a2=0, a3=0" in out
 
 
 def test_check_vaisman_positive_and_negative(capsys):
@@ -316,6 +317,9 @@ def test_bad_at_value(capsys):
     code, out = run(capsys, "check-algebra", U2, "--at", "a=zebra")
     assert code == 1
     assert "FAIL" in out
+    code, out = run(capsys, "check-algebra", U2, "--at", "a=1/0")
+    assert code == 1
+    assert "bad --at value '1/0': zero denominator" in out
 
 
 def test_at_value_with_exponent_fails_before_expanding(capsys):

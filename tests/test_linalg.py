@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieform import linalg
-from lieform.scalars import Scalar, parse_scalar
+from lieform.scalars import Poly, Scalar, parse_scalar
 
 P = ("a", "b")
 
@@ -154,3 +154,158 @@ def test_inverse_round_trip(rows):
         for j in range(3):
             want = Fraction(1 if i == j else 0)
             assert prod[i][j] == Scalar.const(P, want)
+
+
+# ---------------------------------------------------------------------------
+# Sparse kernels against the dense formulas
+# ---------------------------------------------------------------------------
+
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1)),
+    st.integers(-3, 3), min_size=1, max_size=2).map(lambda t: Poly(P, t))
+
+
+@st.composite
+def sparse_entries(draw):
+    """Mostly zero; otherwise a one, a constant, a polynomial or a
+    quotient over (a, b)."""
+    kind = draw(st.sampled_from(
+        ["zero", "zero", "zero", "one", "constant", "polynomial",
+         "quotient"]))
+    if kind == "zero":
+        return Z
+    if kind == "one":
+        return Scalar.one(P)
+    if kind == "constant":
+        return Scalar.const(P, draw(st.fractions(
+            min_value=-3, max_value=3, max_denominator=3)))
+    num = draw(small_polys)
+    if kind == "polynomial":
+        return Scalar(num)
+    return Scalar(num, draw(small_polys.filter(lambda p: not p.is_zero())))
+
+
+def sparse_matrices(m, n):
+    return st.lists(st.lists(sparse_entries(), min_size=n, max_size=n),
+                    min_size=m, max_size=m)
+
+
+# the dense kernels as they were before zero pairs and zero entries were
+# skipped: the oracle for every (num, den) pair
+
+
+def _dense_mat_vec(a, v):
+    return [sum((row[t] * v[t] for t in range(1, len(v))), row[0] * v[0])
+            for row in a]
+
+
+def _dense_mat_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    return [[sum((a[i][t] * b[t][j] for t in range(1, k)), a[i][0] * b[0][j])
+             for j in range(m)] for i in range(n)]
+
+
+def _dense_rref(rows):
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    locus = []
+    pivot_cols = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        choice = None
+        for i in range(r, m):
+            if not rows[i][c].is_zero():
+                if linalg.pivot_locus(rows[i][c]) is None:
+                    choice = i
+                    break
+                if choice is None:
+                    choice = i
+        if choice is None:
+            continue
+        rows[r], rows[choice] = rows[choice], rows[r]
+        piv = rows[r][c]
+        linalg.merge_locus(locus, [linalg.pivot_locus(piv)])
+        inv = piv.inverse()
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(m):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        r += 1
+    return rows, pivot_cols, locus
+
+
+def _dense_solve(rows, rhs):
+    n = len(rows[0])
+    red, pivot_cols, locus = _dense_rref(
+        [list(r) + [b] for r, b in zip(rows, rhs)])
+    if n in pivot_cols:
+        return None, [], locus
+    x = [Z] * n
+    for r, pc in enumerate(pivot_cols):
+        x[pc] = red[r][n]
+    return x, linalg._kernel(red, pivot_cols, n, Z), locus
+
+
+def _dense_inverse(rows):
+    n = len(rows)
+    one = Scalar.one(P)
+    red, pivot_cols, locus = _dense_rref(
+        [list(r) + [one if i == j else Z for j in range(n)]
+         for i, r in enumerate(rows)])
+    if pivot_cols[:n] != list(range(n)):
+        return None, locus
+    return [row[n:] for row in red], locus
+
+
+def _pairs(x):
+    """The (num, den) strings of a scalar or of nested lists of them."""
+    if isinstance(x, list):
+        return [_pairs(y) for y in x]
+    return (str(x.num), str(x.den))
+
+
+def _loci(locus):
+    return [str(p) for p in locus]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_sparse_products_match_the_dense_formulas(m, k, p, data):
+    a = data.draw(sparse_matrices(m, k))
+    b = data.draw(sparse_matrices(k, p))
+    v = data.draw(st.lists(sparse_entries(), min_size=k, max_size=k))
+    assert _pairs(linalg.mat_vec(a, v)) == _pairs(_dense_mat_vec(a, v))
+    assert _pairs(linalg.mat_mul(a, b)) == _pairs(_dense_mat_mul(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_sparse_elimination_matches_the_dense_formulas(m, n, data):
+    rows = data.draw(sparse_matrices(m, n))
+    rhs = data.draw(st.lists(sparse_entries(), min_size=m, max_size=m))
+    red, pivots, locus = linalg.rref(rows)
+    want_red, want_pivots, want_locus = _dense_rref(rows)
+    assert (_pairs(red), pivots, _loci(locus)) == \
+        (_pairs(want_red), want_pivots, _loci(want_locus))
+    x, kernel, locus = linalg.solve(rows, rhs, Z)
+    want_x, want_kernel, want_locus = _dense_solve(rows, rhs)
+    assert (x is None) == (want_x is None)
+    if x is not None:
+        assert _pairs(x) == _pairs(want_x)
+    assert (_pairs(kernel), _loci(locus)) == \
+        (_pairs(want_kernel), _loci(want_locus))
+    square = rows[:n] if m >= n else None
+    if square is not None:
+        want_inv, want_locus = _dense_inverse(square)
+        if want_inv is None:
+            with pytest.raises(linalg.LinalgError):
+                linalg.inverse(square, Z)
+        else:
+            inv, locus = linalg.inverse(square, Z)
+            assert (_pairs(inv), _loci(locus)) == \
+                (_pairs(want_inv), _loci(want_locus))

@@ -120,8 +120,10 @@ def test_scalar_zero_denominator_rejected():
 def test_scalar_substitute_and_denominator_locus():
     s = S("(a + b)/(a - 1)")
     assert s.substitute({"a": 2}) == S("b + 2")
-    with pytest.raises(DenominatorVanishes):
-        s.substitute({"a": 1})
+    with pytest.raises(DenominatorVanishes) as exc:
+        s.substitute({"a": Fraction(1)})
+    assert exc.value.point == {"a": Fraction(1)}
+    assert str(exc.value) == "denominator vanishes at a=1"
 
 
 def test_scalar_eval_exact_and_denominator_guard():
@@ -533,7 +535,13 @@ def test_shortcuts_match_the_general_formulas(pair):
     _assert_same_scalar(0 + x, _sum_formula(Scalar.zero(P), x))
     _assert_same_scalar(x * y, Scalar(_z_product(x.num, y.num),
                                       _z_product(x.den, y.den)))
-    _assert_same_scalar(x * 1, x)
+    # a zero factor and a factor of one, on either side of any operand kind,
+    # quotients included
+    for c, k in ((Scalar.zero(P), 0), (Scalar.one(P), 1)):
+        for z in (x, y):
+            want = Scalar(_z_product(c.num, z.num), _z_product(c.den, z.den))
+            for got in (c * z, z * c, k * z, z * k):
+                _assert_same_scalar(got, want)
     cross = (_z_product(x.num, y.den) - _z_product(y.num, x.den)).is_zero()
     assert (x == y) is cross and (y == x) is cross
     assert x == x
