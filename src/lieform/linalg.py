@@ -7,9 +7,9 @@ recorded as an exclusion polynomial (the vanishing locus) instead of being
 resolved.
 
 The matrices are sparse, so the kernels skip structural zeros: a dot product
-(``mat_vec``, ``mat_mul``) skips each pair with a zero factor, the pivot-row
-scaling of ``rref`` keeps zero entries, and its row update keeps an entry
-where the pivot row has a zero.  Zero is always the pair (0, 1) and adding it
+(``mat_vec``, ``mat_mul``) skips each pair with a zero factor, and ``rref``
+scales and subtracts only the nonzero entries of each pivot row, keeping the
+rest of every row as it is.  Zero is always the pair (0, 1) and adding it
 returns the other summand, so each result is the (num, den) pair the dense
 formula builds.
 """
@@ -99,12 +99,16 @@ def rref(rows):
         piv = rows[r][c]
         merge_locus(locus, [pivot_locus(piv)])
         inv = piv.inverse()
-        rows[r] = [x if x.is_zero() else inv * x for x in rows[r]]
+        pivot_row = rows[r]
+        nonzero = [j for j, y in enumerate(pivot_row) if not y.is_zero()]
+        for j in nonzero:
+            pivot_row[j] = inv * pivot_row[j]
         for i in range(m):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x if y.is_zero() else x - f * y
-                           for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and not f.is_zero():
+                row = rows[i]
+                for j in nonzero:
+                    row[j] = row[j] - f * pivot_row[j]
         pivot_cols.append(c)
         r += 1
     return rows, pivot_cols, locus
