@@ -84,7 +84,7 @@ def test_check_lck_on_denominator_locus_fails(capsys):
     code, out = run(capsys, "check-lck", U2, "omega_std", "J_ab",
                     "--at", "a=0,b=0,a1=1,a2=0,a3=0")
     assert code == 1
-    # the point in the --at syntax, not as a dict of Fraction reprs
+    # the point in the --at syntax
     assert "denominator vanishes at a=0, b=0, a1=1, a2=0, a3=0" in out
 
 
