@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import linalg
 from .exterior import (KForm, ce_d, interior, lie_derivative, solve_potential,
                        twisted_cohomology_dim, twisted_d, wedge)
 from .lie_core import LieAlgebra, center
@@ -102,12 +103,6 @@ def lcs_form(g, phi):
 # Complex structures
 # ---------------------------------------------------------------------------
 
-def _from_columns(g, cols):
-    n = g.dim
-    return ComplexStructure(g, [[cols[j][i] for j in range(n)]
-                                for i in range(n)])
-
-
 def J_ab(g, a="a", b="b"):
     """Calabi-Eckmann family on u(2): J e0 = a e0 + b e1, J e1 = c e0 - a e1,
     J e2 = -e3, J e3 = e2, with c = -(1+a^2)/b.
@@ -118,8 +113,8 @@ def J_ab(g, a="a", b="b"):
     a, b = _sc(g, a), _sc(g, b)
     c = -(1 + a * a) / b
     z, o = g.zero(), g.one()
-    return _from_columns(g, [
-        [a, b, z, z], [c, -a, z, z], [z, z, z, -o], [z, z, o, z]])
+    return ComplexStructure(g, linalg.transpose([
+        [a, b, z, z], [c, -a, z, z], [z, z, z, -o], [z, z, o, z]]))
 
 
 def J_mu(g, mu1="mu1", mu2="mu2"):
@@ -132,11 +127,11 @@ def J_mu(g, mu1="mu1", mu2="mu2"):
     z, o = g.zero(), g.one()
     half = Scalar.const(g.params, Fraction(1, 2))
     n2 = m1 * m1 + m2 * m2
-    return _from_columns(g, [
+    return ComplexStructure(g, linalg.transpose([
         [m2 / m1, z, -n2 / (2 * m1), n2 / (2 * m1)],
         [z, z, o, o],
         [o / m1, -half, -m2 / (2 * m1), m2 / (2 * m1)],
-        [-o / m1, -half, m2 / (2 * m1), -m2 / (2 * m1)]])
+        [-o / m1, -half, m2 / (2 * m1), -m2 / (2 * m1)]]))
 
 
 # ---------------------------------------------------------------------------

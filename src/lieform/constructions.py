@@ -67,13 +67,8 @@ def coadjoint_stabilizer(g, phi):
     # h = k intersect ker(phi)
     h_rows = [[phi.evaluate(v) for v in kbasis]]
     coeff_kernel, _ = linalg.nullspace(h_rows, g.zero())
-    hbasis = []
-    for cv in coeff_kernel:
-        v = g.zero_vector()
-        for c, kb in zip(cv, kbasis):
-            v = linalg.vec_add(v, linalg.vec_scale(c, kb))
-        hbasis.append(v)
-    h = Subspace(g, hbasis, locus)
+    kcols = linalg.transpose(kbasis)
+    h = Subspace(g, [linalg.mat_vec(kcols, cv) for cv in coeff_kernel], locus)
     non_conical = any(not c.is_zero() for c in h_rows[0])
     return OrbitData(g, phi, k, h, omega_Q, non_conical)
 

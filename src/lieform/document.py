@@ -19,9 +19,10 @@ Scalar entries use the literal grammar of the scalars module.  A wedge
 expression is the same grammar with the basis names as atoms: ``e0^e1``
 reads as the monomial form on the dual basis, so a term is
 ``[scalar *] name^name^...``.  Emission is canonical, so parse -> emit ->
-parse is the identity.  ``loads`` raises DocumentError on sections of
-another shape and on basis or parameter names that are not identifiers or
-that appear in both lists.
+parse is the identity.  ``loads`` raises DocumentError on text that is not
+JSON or nests too deeply, on sections of another shape and on basis or
+parameter names that are not identifiers or that appear in both lists;
+``load`` also on a directory and on bytes that are not UTF-8.
 """
 
 from __future__ import annotations
@@ -120,6 +121,8 @@ def loads(text):
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("JSON nested too deeply") from exc
     _check_shapes(raw)
     return Document(raw.get("parameters", []), raw["algebra"],
                     raw.get("forms"), raw.get("endos"), raw.get("bilinears"),
@@ -188,8 +191,13 @@ def _literal(text, params, at):
 
 
 def load(path):
-    with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+    """The document in a file; a missing file raises FileNotFoundError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise DocumentError(f"cannot read the document: {exc}") from exc
+    return loads(text)
 
 
 def dumps(doc):

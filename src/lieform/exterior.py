@@ -7,11 +7,15 @@ Conventions are fixed once and for all:
 * on 1-forms the differential is d(alpha) = -alpha([.,.]), and in general
   d(alpha)(X_0..X_k) = sum_{i<j} (-1)^{i+j} alpha([X_i,X_j], ..hat i..hat j..);
 * the twisted differential is d_lam(alpha) = d(alpha) - lam ^ alpha.
+
+A linear system in forms is built by ``matrix_of``: column j holds the
+coefficients of the j-th form, one row per monomial.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 from . import linalg
 from .scalars import Scalar
@@ -39,6 +43,14 @@ class NoSolution(FormError):
 
 class GaugeUnresolvable(FormError):
     pass
+
+
+class TooManyMonomials(FormError):
+    pass
+
+
+# C(12, 6): every degree on an algebra of dimension up to 12
+MAX_MONOMIALS = 924
 
 
 def _merge_sign(left, right):
@@ -265,11 +277,25 @@ def lie_derivative(v, alpha):
 # ---------------------------------------------------------------------------
 
 def form_monomials(g, k):
+    """The index tuples of the k-forms; raises TooManyMonomials when there
+    are more than MAX_MONOMIALS, so a short input cannot ask for unbounded
+    work."""
+    count = comb(g.dim, k)
+    if count > MAX_MONOMIALS:
+        raise TooManyMonomials(
+            f"{count} monomials of degree {k} in dimension {g.dim} "
+            f"(limit {MAX_MONOMIALS})")
     return list(combinations(range(g.dim), k))
 
 
 def form_to_vector(alpha, monomials):
     return [alpha.coefficient(idx) for idx in monomials]
+
+
+def matrix_of(forms, monomials):
+    """Matrix whose column j holds the coefficients of forms[j]: one row
+    per monomial, also when there are no forms."""
+    return [[f.coefficient(idx) for f in forms] for idx in monomials]
 
 
 def vector_to_form(g, k, monomials, vec):
@@ -295,10 +321,8 @@ def relative_basis(g, k):
         for target, op in ((lower, interior), (monos, lie_derivative)):
             if not target:
                 continue
-            images = [form_to_vector(op(X, KForm.monomial(g, idx)), target)
-                      for idx in monos]
-            rows.extend([im[col] for im in images]
-                        for col in range(len(target)))
+            rows.extend(matrix_of(
+                [op(X, KForm.monomial(g, idx)) for idx in monos], target))
     if not rows:
         return [KForm.monomial(g, idx) for idx in monos]
     kernel, _ = linalg.nullspace(rows, g.zero())
@@ -343,10 +367,7 @@ def solve_potential(omega, lam, gauge=None):
     g = omega.algebra
     basis = relative_basis(g, 1)
     target = form_monomials(g, 2)
-    columns = [form_to_vector(twisted_d(b, lam), target) for b in basis]
-    # build the system column-wise: A x = omega
-    rows = [[columns[j][i] for j in range(len(basis))]
-            for i in range(len(target))]
+    rows = matrix_of([twisted_d(b, lam) for b in basis], target)
     rhs = form_to_vector(omega, target)
     x, kernel, _ = linalg.solve(rows, rhs, g.zero())
     if x is None:

@@ -125,8 +125,8 @@ class LieAlgebra:
 
     def ad(self, v):
         """Matrix of ad_v: column j is [v, e_j]."""
-        cols = [self.bracket(v, self.basis_vector(j)) for j in range(self.dim)]
-        return [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
+        return linalg.transpose([self.bracket(v, self.basis_vector(j))
+                                 for j in range(self.dim)])
 
     # -- structural checks --------------------------------------------
 

@@ -6,12 +6,16 @@ parameters the computed rank/kernel is *generic* and the pivot numerator is
 recorded as an exclusion polynomial (the vanishing locus) instead of being
 resolved.
 
+``transpose`` turns columns into rows; it is the one place that does.
+
 The matrices are sparse, so the kernels skip structural zeros: a dot product
 (``mat_vec``, ``mat_mul``) skips each pair with a zero factor, and ``rref``
 scales and subtracts only the nonzero entries of each pivot row, keeping the
 rest of every row as it is.  Zero is always the pair (0, 1) and adding it
 returns the other summand, so each result is the (num, den) pair the dense
-formula builds.
+formula builds.  Pivots are exactly one: ``rref`` writes an exact one into
+each pivot entry and an exact zero into the pivot column of the other rows,
+which is what the division and the subtraction yield.
 """
 
 from __future__ import annotations
@@ -33,6 +37,16 @@ def merge_locus(locus, extra):
     return locus
 
 
+def vanishing(entries):
+    """The distinct numerators of the nonzero entries, in order: the
+    polynomials whose common zero locus is where every entry vanishes."""
+    return merge_locus([], [c.num for c in entries if not c.is_zero()])
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
 def _dot(u, v):
     """sum u[t] v[t] in order, over the pairs with no zero factor; with none,
     the zero factor of the first pair, which is what u[0] v[0] returns."""
@@ -48,7 +62,7 @@ def mat_vec(a, v):
 
 
 def mat_mul(a, b):
-    cols = list(zip(*b))
+    cols = transpose(b)
     return [[_dot(row, col) for col in cols] for row in a]
 
 
@@ -58,10 +72,6 @@ def vec_add(u, v):
 
 def vec_sub(u, v):
     return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(c, v):
-    return [c * x for x in v]
 
 
 def vec_is_zero(v):
@@ -80,6 +90,7 @@ def rref(rows):
     n = len(rows[0]) if m else 0
     locus = []
     pivot_cols = []
+    zero = one = None
     r = 0
     for c in range(n):
         if r >= m:
@@ -99,16 +110,22 @@ def rref(rows):
         piv = rows[r][c]
         merge_locus(locus, [pivot_locus(piv)])
         inv = piv.inverse()
+        if one is None:
+            zero = piv * 0
+            one = zero + 1
         pivot_row = rows[r]
-        nonzero = [j for j, y in enumerate(pivot_row) if not y.is_zero()]
+        nonzero = [j for j, y in enumerate(pivot_row)
+                   if j != c and not y.is_zero()]
         for j in nonzero:
             pivot_row[j] = inv * pivot_row[j]
+        pivot_row[c] = one
         for i in range(m):
             f = rows[i][c]
             if i != r and not f.is_zero():
                 row = rows[i]
                 for j in nonzero:
                     row[j] = row[j] - f * pivot_row[j]
+                row[c] = zero
         pivot_cols.append(c)
         r += 1
     return rows, pivot_cols, locus
@@ -179,6 +196,5 @@ def inverse(rows, zero):
 def in_span(vectors, v, zero):
     """Membership of v in span(vectors): with the vectors and v as columns,
     v is in the span iff its column is not a pivot column."""
-    cols = list(vectors) + [v]
-    _, pivot_cols, _ = rref([[w[i] for w in cols] for i in range(len(v))])
+    _, pivot_cols, _ = rref(transpose(list(vectors) + [v]))
     return len(vectors) not in pivot_cols

@@ -15,7 +15,7 @@ from math import lcm
 
 from . import linalg
 from .exterior import (KForm, ce_d, form_monomials, form_to_vector,
-                       solve_potential, wedge)
+                       matrix_of, solve_potential, wedge)
 from .lie_core import center, centralizer, derived_subalgebra
 from .scalars import DenominatorVanishes, Evaluator
 
@@ -168,8 +168,6 @@ def nijenhuis(g, J):
     numerator polynomials that must vanish for integrability.
     """
     table = {}
-    vanishing = []
-    integrable = True
     for i in range(g.dim):
         x = g.basis_vector(i)
         jx = J.apply(x)
@@ -181,11 +179,8 @@ def nijenhuis(g, J):
             n = linalg.vec_sub(n, J.apply(g.bracket(x, jy)))
             n = linalg.vec_sub(n, g.bracket(x, y))
             table[(i, j)] = n
-            for c in n:
-                if not c.is_zero():
-                    integrable = False
-                    linalg.merge_locus(vanishing, [c.num])
-    return table, integrable, vanishing
+    vanishing = linalg.vanishing(c for n in table.values() for c in n)
+    return table, not vanishing, vanishing
 
 
 # -- correspondence between J and its i-eigenspace --------------------------
@@ -204,16 +199,13 @@ def subalgebra_to_J(g, span):
             f"{len(span)} pairs give {2 * len(span)} real vectors, need {n}")
     us = [[g._scalar(c) for c in u] for u, _ in span]
     vs = [[g._scalar(c) for c in v] for _, v in span]
-    basis = us + vs
-    images = [[-c for c in v] for v in vs] + us
     try:
-        inv, _ = linalg.inverse(
-            [[w[r] for w in basis] for r in range(n)], g.zero())
+        inv, _ = linalg.inverse(linalg.transpose(us + vs), g.zero())
     except linalg.LinalgError as exc:
         raise NotTransverse(
             "span and its conjugate do not decompose g^C") from exc
-    J = ComplexStructure(
-        g, linalg.mat_mul([[w[r] for w in images] for r in range(n)], inv))
+    images = [[-c for c in v] for v in vs] + us
+    J = ComplexStructure(g, linalg.mat_mul(linalg.transpose(images), inv))
     return J, nijenhuis(g, J)[1]
 
 
@@ -281,9 +273,8 @@ def lcs_check(g, omega):
     dom = ce_d(omega)
     # solve lam ^ omega = d(omega), lam = sum x_i e^i
     target = form_monomials(g, 3)
-    columns = [form_to_vector(wedge(KForm.basis_oneform(g, i), omega), target)
-               for i in range(n)]
-    rows = [[columns[i][t] for i in range(n)] for t in range(len(target))]
+    rows = matrix_of([wedge(KForm.basis_oneform(g, i), omega)
+                      for i in range(n)], target)
     rhs = form_to_vector(dom, target)
     x, _, locus2 = linalg.solve(rows, rhs, g.zero())
     if x is None:
@@ -295,8 +286,7 @@ def lcs_check(g, omega):
     # omega(Z, e_j) = lam(e_j)/2
     half = Fraction(1, 2)
     rhs_z = [lam.coefficient((j,)) * half for j in range(n)]
-    rows_z = [[M[i][j] for i in range(n)] for j in range(n)]
-    z, _, locus3 = linalg.solve(rows_z, rhs_z, g.zero())
+    z, _, locus3 = linalg.solve(linalg.transpose(M), rhs_z, g.zero())
     if z is None:
         raise Degenerate("no Reeb vector: omega(Z,.) = lam/2 unsolvable",
                          locus)
@@ -319,13 +309,17 @@ def compatibility_check(omega, J):
     compatible identically).
     """
     mat = linalg.mat_mul(gram_matrix(omega), J.matrix)  # omega(e_i, J e_j)
-    defects = {}
-    for i in range(len(mat)):
-        for j in range(i + 1, len(mat)):
-            d = mat[i][j] - mat[j][i]
-            if not d.is_zero():
-                defects[(i, j)] = d
+    defects = _asymmetry(mat)
     return (not defects), defects
+
+
+def _asymmetry(M):
+    """{(i, j): M[i][j] - M[j][i]} over the pairs i < j where the two
+    differ, in row-major order; empty iff M is symmetric.  A pair that
+    compares equal builds no scalar."""
+    n = len(M)
+    return {(i, j): M[i][j] - M[j][i] for i in range(n)
+            for j in range(i + 1, n) if M[i][j] != M[j][i]}
 
 
 class Metric:
@@ -354,18 +348,16 @@ CONVENTION_THM = "thm"   # g = -omega(., J.)
 def metric_from(omega, J, convention=CONVENTION_THM):
     """Metric in either sign convention; the two differ by an overall sign."""
     g = omega.algebra
-    n = g.dim
     mat = linalg.mat_mul(gram_matrix(omega), J.matrix)  # omega(e_i, J e_j)
     if convention == CONVENTION_THM:
         mat = [[-c for c in row] for row in mat]
     elif convention != CONVENTION_DEF:
         raise StructureError(f"unknown metric convention {convention!r}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mat[i][j] != mat[j][i]:
-                raise NotCompatible(
-                    f"metric not symmetric at ({i},{j}); "
-                    "omega is not J-invariant")
+    defects = _asymmetry(mat)
+    if defects:
+        i, j = next(iter(defects))
+        raise NotCompatible(f"metric not symmetric at ({i},{j}); "
+                            "omega is not J-invariant")
     return Metric(g, mat, convention)
 
 
@@ -561,11 +553,7 @@ def vaisman_check(lck):
     """
     nxi, locus = nabla_of_vector(lck.algebra, lck.metric, lck.xi,
                                  lck.gxi)
-    vanishing = []
-    for v in nxi:
-        for c in v:
-            if not c.is_zero():
-                linalg.merge_locus(vanishing, [c.num])
+    vanishing = linalg.vanishing(c for v in nxi for c in v)
     return not vanishing, vanishing, locus
 
 
@@ -581,10 +569,10 @@ def biinvariant_identities(g, B, lck):
     """
     n = g.dim
     B = [[g._scalar(c) for c in row] for row in B]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if B[i][j] != B[j][i]:
-                raise NotAdInvariant(f"B not symmetric at ({i},{j})")
+    defects = _asymmetry(B)
+    if defects:
+        i, j = next(iter(defects))
+        raise NotAdInvariant(f"B not symmetric at ({i},{j})")
 
     for i in range(n):
         # B([e_i, e_j], e_k) + B(e_j, [e_i, e_k]) is M[k][j] + M[j][k],

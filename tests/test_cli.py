@@ -6,6 +6,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +125,21 @@ def test_cohomology(capsys):
     assert "dim H^1 twisted by lambda_std :: 0" in out
 
 
+def test_cohomology_with_too_many_monomials_fails_fast(capsys, tmp_path):
+    # C(14, 7) = 3,432 monomials of degree 7 on an abelian algebra of
+    # dimension 14: before the bound this 157-byte document ran for 11 s
+    basis = [f"e{i}" for i in range(14)]
+    doc = {"algebra": {"dim": 14, "basis": basis}, "forms": {"lam": "e0"}}
+    path = tmp_path / "abelian_14.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    code, out = run(capsys, "cohomology", str(path), "--lambda", "lam",
+                    "--degree", "7")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert "[FAIL] error: TooManyMonomials :: " in out
+
+
 @pytest.mark.parametrize("argv", [
     ("check-lcs", "one"),
     ("check-lcs", "three"),
@@ -166,25 +182,33 @@ MALFORMED = {  # (key path into tests/data/u2.json, new value)
         {"i": 1, "j": 2, "coeffs": {"e3": "-1"}},
         {"i": 1, "j": 2, "coeffs": {"e3": "5"}}]),
 }
+UNREADABLE = {  # writers of a path that no JSON document reads from
+    "arrays nested 1,101 deep": lambda path: path.write_text("[" * 1101),
+    "bytes that are not UTF-8": lambda path: path.write_bytes(b"\xff\xfe"),
+    "a directory": lambda path: path.mkdir(),
+}
 
 
 @pytest.mark.parametrize("command", [["check-algebra"],
                                      ["check-lcs", "omega_std"]])
-@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("case", sorted(MALFORMED) + sorted(UNREADABLE))
 def test_malformed_document_fails_without_traceback(case, command, capsys,
                                                     tmp_path):
-    with open(U2, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    (*keys, last), value = MALFORMED[case]
-    target = doc
-    for key in keys:
-        target = target[key]
-    if value is DELETE:
-        del target[last]
-    else:
-        target[last] = value
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    if case in UNREADABLE:
+        UNREADABLE[case](path)
+    else:
+        with open(U2, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        (*keys, last), value = MALFORMED[case]
+        target = doc
+        for key in keys:
+            target = target[key]
+        if value is DELETE:
+            del target[last]
+        else:
+            target[last] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
     code = cli.main([command[0], str(path), *command[1:]])
     captured = capsys.readouterr()
     assert code == 1

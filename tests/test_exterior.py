@@ -292,6 +292,12 @@ def test_solve_potential_reports_nonzero_class():
     om = wedge(e(g, 0), e(g, 1)) + wedge(e(g, 2), e(g, 3))
     with pytest.raises(NoSolution):
         solve_potential(om, KForm.zero(g, 1))
+    # with h = g, C^1(g, h) = 0 and the system has no columns but still one
+    # row per 2-form monomial: only omega = 0 has a potential, phi = 0
+    g.h_subalgebra = [g.basis_vector(i) for i in range(g.dim)]
+    with pytest.raises(NoSolution):
+        solve_potential(wedge(e(g, 0), e(g, 1)), KForm.zero(g, 1))
+    assert solve_potential(KForm.zero(g, 2), KForm.zero(g, 1)).is_zero()
 
 
 def test_relative_complex_respects_marked_subalgebra():

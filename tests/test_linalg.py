@@ -191,7 +191,8 @@ def sparse_matrices(m, n):
 
 
 # the dense kernels as they were before zero pairs and zero entries were
-# skipped: the oracle for every (num, den) pair
+# skipped: the oracle for every (num, den) pair, except that rref writes
+# the exact one and zero that its pivot division and subtraction yield
 
 
 def _dense_mat_vec(a, v):
@@ -230,10 +231,12 @@ def _dense_rref(rows):
         linalg.merge_locus(locus, [linalg.pivot_locus(piv)])
         inv = piv.inverse()
         rows[r] = [inv * x for x in rows[r]]
+        rows[r][c] = Scalar.one(P)
         for i in range(m):
             if i != r and not rows[i][c].is_zero():
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i][c] = Z
         pivot_cols.append(c)
         r += 1
     return rows, pivot_cols, locus

@@ -175,7 +175,9 @@ def test_metric_conventions_differ_by_sign():
 def test_metric_from_rejects_incompatible_pair():
     g = u2()
     om = lcs_form(g, oneform(g, {1: 1, 2: 1}))
-    with pytest.raises(NotCompatible):
+    # omega(., J.) is asymmetric at (0,2), (0,3) and (1,3)
+    with pytest.raises(NotCompatible,
+                       match=r"not symmetric at \(0,2\); omega is not"):
         metric_from(om, J_ab(g, 1, 2))
 
 
@@ -463,7 +465,7 @@ def test_nabla_of_vector_is_linear_in_the_vector(make_lck):
         nabla_ej, _ = nabla_of_vector(g, gm, ej,
                                       linalg.mat_vec(gm.matrix, ej))
         for i in range(g.dim):
-            want[i] = linalg.vec_add(want[i], linalg.vec_scale(c, nabla_ej[i]))
+            want[i] = linalg.vec_add(want[i], [c * x for x in nabla_ej[i]])
     got, _ = nabla_of_vector(g, gm, xi, linalg.mat_vec(gm.matrix, xi))
     assert got == want
 
@@ -633,6 +635,10 @@ def test_biinvariant_identities_rejects_non_ad_invariant_B():
     B = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(NotAdInvariant,
                        match=r"ad-invariance fails on triple \(2,1,3\)$"):
+        biinvariant_identities(g, B, lck)
+    # asymmetric at (1,2) and (0,3): the first in row-major order is named
+    B = [[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    with pytest.raises(NotAdInvariant, match=r"B not symmetric at \(0,3\)$"):
         biinvariant_identities(g, B, lck)
 
 
