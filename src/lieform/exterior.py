@@ -49,7 +49,7 @@ class TooManyMonomials(FormError):
     pass
 
 
-# C(12, 6): every degree on an algebra of dimension up to 12
+# C(12, 6): the relative complex in every degree up to dimension 12
 MAX_MONOMIALS = 924
 
 
@@ -277,14 +277,6 @@ def lie_derivative(v, alpha):
 # ---------------------------------------------------------------------------
 
 def form_monomials(g, k):
-    """The index tuples of the k-forms; raises TooManyMonomials when there
-    are more than MAX_MONOMIALS, so a short input cannot ask for unbounded
-    work."""
-    count = comb(g.dim, k)
-    if count > MAX_MONOMIALS:
-        raise TooManyMonomials(
-            f"{count} monomials of degree {k} in dimension {g.dim} "
-            f"(limit {MAX_MONOMIALS})")
     return list(combinations(range(g.dim), k))
 
 
@@ -342,10 +334,17 @@ def _twisted_d_rank(g, lam, k):
 def twisted_cohomology_dim(g, lam, k):
     """dim H^k_lam(g,h) with the generic-locus annotation.
 
-    Requires the twisting form to be closed.
+    Requires the twisting form to be closed.  Raises TooManyMonomials when
+    C^{k-1}, C^k or C^{k+1} has more than MAX_MONOMIALS monomials, so a
+    short input cannot ask for unbounded work.
     """
     if k < 0:
         raise FormError(f"cohomology degree {k} is negative")
+    count = max(comb(g.dim, d) for d in range(max(k - 1, 0), k + 2))
+    if count > MAX_MONOMIALS:
+        raise TooManyMonomials(
+            f"{count} monomials next to degree {k} in dimension {g.dim} "
+            f"(limit {MAX_MONOMIALS})")
     if not ce_d(lam).is_zero():
         raise NonClosedLambda("twisting 1-form is not closed")
     dim_k, rank_k, locus = _twisted_d_rank(g, lam, k)

@@ -308,18 +308,24 @@ def compatibility_check(omega, J):
     the nonzero asymmetries omega(e_i, J e_j) - omega(e_j, J e_i) (empty iff
     compatible identically).
     """
-    mat = linalg.mat_mul(gram_matrix(omega), J.matrix)  # omega(e_i, J e_j)
-    defects = _asymmetry(mat)
+    mat = _omega_J(omega, J)
+    defects = {(i, j): mat[i][j] - mat[j][i]
+               for i, j in _asymmetric_pairs(mat)}
     return (not defects), defects
 
 
-def _asymmetry(M):
-    """{(i, j): M[i][j] - M[j][i]} over the pairs i < j where the two
-    differ, in row-major order; empty iff M is symmetric.  A pair that
-    compares equal builds no scalar."""
+def _omega_J(omega, J):
+    """The matrix omega(e_i, J e_j); omega is J-invariant iff it is
+    symmetric."""
+    return linalg.mat_mul(gram_matrix(omega), J.matrix)
+
+
+def _asymmetric_pairs(M):
+    """The pairs (i, j), i < j, with M[i][j] != M[j][i], lazily and in
+    row-major order; none iff M is symmetric."""
     n = len(M)
-    return {(i, j): M[i][j] - M[j][i] for i in range(n)
-            for j in range(i + 1, n) if M[i][j] != M[j][i]}
+    return ((i, j) for i in range(n) for j in range(i + 1, n)
+            if M[i][j] != M[j][i])
 
 
 class Metric:
@@ -348,14 +354,14 @@ CONVENTION_THM = "thm"   # g = -omega(., J.)
 def metric_from(omega, J, convention=CONVENTION_THM):
     """Metric in either sign convention; the two differ by an overall sign."""
     g = omega.algebra
-    mat = linalg.mat_mul(gram_matrix(omega), J.matrix)  # omega(e_i, J e_j)
+    mat = _omega_J(omega, J)
     if convention == CONVENTION_THM:
         mat = [[-c for c in row] for row in mat]
     elif convention != CONVENTION_DEF:
         raise StructureError(f"unknown metric convention {convention!r}")
-    defects = _asymmetry(mat)
-    if defects:
-        i, j = next(iter(defects))
+    pair = next(_asymmetric_pairs(mat), None)
+    if pair:
+        i, j = pair
         raise NotCompatible(f"metric not symmetric at ({i},{j}); "
                             "omega is not J-invariant")
     return Metric(g, mat, convention)
@@ -569,9 +575,9 @@ def biinvariant_identities(g, B, lck):
     """
     n = g.dim
     B = [[g._scalar(c) for c in row] for row in B]
-    defects = _asymmetry(B)
-    if defects:
-        i, j = next(iter(defects))
+    pair = next(_asymmetric_pairs(B), None)
+    if pair:
+        i, j = pair
         raise NotAdInvariant(f"B not symmetric at ({i},{j})")
 
     for i in range(n):
