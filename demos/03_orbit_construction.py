@@ -18,7 +18,7 @@ for g, phi_coeffs, label in [
         (sl2r(), {(1,): 1, (2,): -1}, "sl(2,R), phi = e^+ - e^-")]:
     phi = KForm(g, 1, {k: g._scalar(c) for k, c in phi_coeffs.items()})
     print(f"== {label} ==")
-    orbit = coadjoint_stabilizer(g, phi)
+    orbit = coadjoint_stabilizer(phi)
     print("dim of the coadjoint stabilizer k:", orbit.k.dim)
     print("dim of the kernel subalgebra h:   ", orbit.h.dim)
     print("orbit is non-conical:             ", orbit.non_conical)

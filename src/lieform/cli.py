@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import catalog, document
+from . import catalog, document, linalg
 from .exterior import FormError, ce_d, twisted_cohomology_dim
 from .lie_core import LieError, center
 from .constructions import coadjoint_stabilizer, lcs_from_orbit
@@ -166,8 +166,7 @@ def cmd_check_vaisman(args):
         if lck.lcs.lam.is_zero():
             detail = "lam = 0: the structure is Kahler, not proper lcK"
         rep.check("Lee field is parallel (Vaisman)", ok, detail)
-        rep.info("g(xi, xi)",
-                 str(sum(x * y for x, y in zip(lck.xi, lck.gxi))))
+        rep.info("g(xi, xi)", str(linalg.dot(lck.xi, lck.gxi)))
         rep.info("lam(xi)", str(lck.lcs.lam.evaluate(lck.xi)))
     return _run(f"check-vaisman {args.omega} {args.J}", args.format, body)
 
@@ -196,7 +195,7 @@ def cmd_construct_orbit(args):
         D = None
         if args.derivation:
             D = doc.build_endo(args.derivation, g, at)
-        orbit = coadjoint_stabilizer(g, phi)
+        orbit = coadjoint_stabilizer(phi)
         rep.info("dim of the coadjoint stabilizer", orbit.k.dim)
         rep.info("dim of the kernel subalgebra h", orbit.h.dim)
         rep.check("orbit is non-conical (phi nonzero on its stabilizer)",

@@ -36,8 +36,8 @@ class OrbitData:
     omega_Q(X, Y) = phi([X, Y]) is the Kirillov-Kostant form with kernel k.
     """
 
-    def __init__(self, g_prime, phi_prime, k, h, omega_Q, non_conical):
-        self.g_prime = g_prime
+    def __init__(self, phi_prime, k, h, omega_Q, non_conical):
+        self.g_prime = phi_prime.algebra
         self.phi_prime = phi_prime
         self.k = k
         self.h = h
@@ -45,13 +45,13 @@ class OrbitData:
         self.non_conical = non_conical
 
 
-def kirillov_kostant_form(g, phi):
+def kirillov_kostant_form(phi):
     """omega_Q(X, Y) = phi([X, Y]) as a 2-form: -d(phi), since
     d(phi)(X, Y) = -phi([X, Y]).  phi must be a 1-form on g."""
     return -ce_d(phi)
 
 
-def coadjoint_stabilizer(g, phi):
+def coadjoint_stabilizer(phi):
     """Stabilizer of phi under the coadjoint action, with orbit data.
 
     Uses omega_Q(X, .) = -phi o ad_X: the stabilizer is the kernel of the
@@ -61,16 +61,16 @@ def coadjoint_stabilizer(g, phi):
         raise NotAOneForm(f"phi has degree {phi.degree}, not 1")
     if phi.is_zero():
         raise ZeroForm("coadjoint stabilizer of the zero form")
-    omega_Q = kirillov_kostant_form(g, phi)
-    kbasis, locus = linalg.nullspace(gram_matrix(omega_Q), g.zero())
-    k = Subspace(g, kbasis, locus)
+    omega_Q = kirillov_kostant_form(phi)
+    kbasis, locus = linalg.nullspace(gram_matrix(omega_Q))
+    k = Subspace(kbasis, locus)
     # h = k intersect ker(phi)
     h_rows = [[phi.evaluate(v) for v in kbasis]]
-    coeff_kernel, _ = linalg.nullspace(h_rows, g.zero())
+    coeff_kernel, _ = linalg.nullspace(h_rows)
     kcols = linalg.transpose(kbasis)
-    h = Subspace(g, [linalg.mat_vec(kcols, cv) for cv in coeff_kernel], locus)
+    h = Subspace([linalg.mat_vec(kcols, cv) for cv in coeff_kernel], locus)
     non_conical = any(not c.is_zero() for c in h_rows[0])
-    return OrbitData(g, phi, k, h, omega_Q, non_conical)
+    return OrbitData(phi, k, h, omega_Q, non_conical)
 
 
 def lcs_from_orbit(orbit, D=None):

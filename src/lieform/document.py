@@ -20,9 +20,10 @@ expression is the same grammar with the basis names as atoms: ``e0^e1``
 reads as the monomial form on the dual basis, so a term is
 ``[scalar *] name^name^...``.  Emission is canonical, so parse -> emit ->
 parse is the identity.  ``loads`` raises DocumentError on text that is not
-JSON or nests too deeply, on sections of another shape and on basis or
-parameter names that are not identifiers or that appear in both lists;
-``load`` also on a directory and on bytes that are not UTF-8.
+JSON or nests too deeply, on sections of another shape, on a dim above
+``lie_core.MAX_DIM`` and on basis or parameter names that are not
+identifiers or that appear in both lists; ``load`` also on a directory and
+on bytes that are not UTF-8.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import json
 
 from .exterior import KForm, _merge_sign
-from .lie_core import LieAlgebra
+from .lie_core import MAX_DIM, LieAlgebra
 from .scalars import Scalar, _Parser, parse_scalar
 
 
@@ -140,6 +141,8 @@ def _check_shapes(raw):
     dim = alg["dim"]
     if not _is_index(dim):
         raise DocumentError(f"dim {dim!r} is not an integer")
+    if dim > MAX_DIM:
+        raise DocumentError(f"dim {dim} exceeds the limit {MAX_DIM}")
     lists = {"basis": alg["basis"], "parameters": raw.get("parameters", [])}
     for key, names in lists.items():
         if not (isinstance(names, list)

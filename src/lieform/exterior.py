@@ -18,7 +18,6 @@ from itertools import combinations
 from math import comb
 
 from . import linalg
-from .scalars import Scalar
 
 
 class FormError(Exception):
@@ -112,9 +111,7 @@ class KForm:
 
     @classmethod
     def constant(cls, algebra, value):
-        if not isinstance(value, Scalar):
-            value = algebra._scalar(value)
-        return cls(algebra, 0, {(): value})
+        return cls(algebra, 0, {(): algebra._scalar(value)})
 
     # -- basics -------------------------------------------------------
 
@@ -142,8 +139,7 @@ class KForm:
         return self + (-other)
 
     def scaled(self, c):
-        if not isinstance(c, Scalar):
-            c = self.algebra._scalar(c)
+        c = self.algebra._scalar(c)
         return KForm(self.algebra, self.degree,
                      {i: c * v for i, v in self.coeffs.items()})
 
@@ -153,15 +149,12 @@ class KForm:
     __mul__ = __rmul__
 
     def __truediv__(self, c):
-        return self.scaled(1 / c)
+        return self.scaled(1 / self.algebra._scalar(c))
 
     def __eq__(self, other):
         if not isinstance(other, KForm):
             return NotImplemented
         return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("KForm is not hashable")
 
     def coefficient(self, idx):
         return self.coeffs.get(tuple(idx), self.algebra.zero())
@@ -317,11 +310,12 @@ def relative_basis(g, k):
                 [op(X, KForm.monomial(g, idx)) for idx in monos], target))
     if not rows:
         return [KForm.monomial(g, idx) for idx in monos]
-    kernel, _ = linalg.nullspace(rows, g.zero())
+    kernel, _ = linalg.nullspace(rows)
     return [vector_to_form(g, k, monos, v) for v in kernel]
 
 
-def _twisted_d_rank(g, lam, k):
+def _twisted_d_rank(lam, k):
+    g = lam.algebra
     basis = relative_basis(g, k)
     if not basis:
         return 0, 0, []
@@ -340,6 +334,8 @@ def twisted_cohomology_dim(g, lam, k):
     """
     if k < 0:
         raise FormError(f"cohomology degree {k} is negative")
+    if lam.algebra is not g:
+        raise AmbientMismatch("the twisting form lives on another algebra")
     count = max(comb(g.dim, d) for d in range(max(k - 1, 0), k + 2))
     if count > MAX_MONOMIALS:
         raise TooManyMonomials(
@@ -347,11 +343,11 @@ def twisted_cohomology_dim(g, lam, k):
             f"(limit {MAX_MONOMIALS})")
     if not ce_d(lam).is_zero():
         raise NonClosedLambda("twisting 1-form is not closed")
-    dim_k, rank_k, locus = _twisted_d_rank(g, lam, k)
+    dim_k, rank_k, locus = _twisted_d_rank(lam, k)
     dim_ker = dim_k - rank_k
     dim_im = 0
     if k >= 1:
-        _, dim_im, locus2 = _twisted_d_rank(g, lam, k - 1)
+        _, dim_im, locus2 = _twisted_d_rank(lam, k - 1)
         linalg.merge_locus(locus, locus2)
     return dim_ker - dim_im, locus
 
@@ -368,7 +364,7 @@ def solve_potential(omega, lam, gauge=None):
     target = form_monomials(g, 2)
     rows = matrix_of([twisted_d(b, lam) for b in basis], target)
     rhs = form_to_vector(omega, target)
-    x, kernel, _ = linalg.solve(rows, rhs, g.zero())
+    x, kernel, _ = linalg.solve(rows, rhs)
     if x is None:
         raise NoSolution("the twisted class of omega is nonzero")
 

@@ -8,6 +8,9 @@ from . import linalg
 from .exterior import KForm, ce_d
 from .scalars import Scalar
 
+# the largest dimension of a document or a catalog id: check_jacobi costs n^4
+MAX_DIM = 20
+
 
 class LieError(Exception):
     pass
@@ -71,10 +74,16 @@ class LieAlgebra:
     # -- scalar plumbing ----------------------------------------------
 
     def _scalar(self, c):
+        """c, a Scalar over params, a parameter name or a rational, as a
+        scalar of this algebra."""
         if isinstance(c, Scalar):
             if c.params != self.params:
                 raise LieError("scalar parameter mismatch")
             return c
+        if isinstance(c, str):
+            if c not in self.params:
+                raise LieError(f"unknown parameter {c!r}")
+            return Scalar.var(self.params, c)
         return Scalar.const(self.params, Fraction(c))
 
     def _as_vector(self, vec):
@@ -155,7 +164,7 @@ class LieAlgebra:
         h = self.h_subalgebra or []
         for a, x in enumerate(h):
             for y in h[a:]:
-                if not linalg.in_span(h, self.bracket(x, y), self.zero()):
+                if not linalg.in_span(h, self.bracket(x, y)):
                     return JacobiReport(
                         False, "h", "h is not closed under the bracket")
         return JacobiReport(True)
@@ -176,8 +185,7 @@ class Subspace:
     subspace the library builds holds one: a nullspace basis, rref pivot
     rows, the orbit's k and h), so its dimension is the number of vectors."""
 
-    def __init__(self, ambient, span, locus=None):
-        self.ambient = ambient
+    def __init__(self, span, locus=None):
         self.span = [list(v) for v in span]
         self.locus = list(locus or [])
 
@@ -186,7 +194,7 @@ class Subspace:
         return len(self.span)
 
     def contains(self, v):
-        return linalg.in_span(self.span, v, self.ambient.zero())
+        return linalg.in_span(self.span, v)
 
 
 def is_derivation(g, D):
@@ -213,8 +221,8 @@ def centralizer(g, v):
     """Nullspace of ad_v as a subspace; v must be nonzero."""
     if linalg.vec_is_zero(v):
         raise ZeroVector("centralizer of the zero vector")
-    basis, locus = linalg.nullspace(g.ad(v), g.zero())
-    return Subspace(g, basis, locus)
+    basis, locus = linalg.nullspace(g.ad(v))
+    return Subspace(basis, locus)
 
 
 def center(g):
@@ -223,9 +231,9 @@ def center(g):
     for i in range(g.dim):
         stacked.extend(g.ad(g.basis_vector(i)))
     if not stacked:
-        return Subspace(g, [g.basis_vector(i) for i in range(g.dim)])
-    basis, locus = linalg.nullspace(stacked, g.zero())
-    return Subspace(g, basis, locus)
+        return Subspace([g.basis_vector(i) for i in range(g.dim)])
+    basis, locus = linalg.nullspace(stacked)
+    return Subspace(basis, locus)
 
 
 def derived_subalgebra(g):
@@ -237,7 +245,7 @@ def derived_subalgebra(g):
             if any(not c.is_zero() for c in b):
                 vectors.append(b)
     red, pivots, _ = linalg.rref(vectors)
-    return Subspace(g, [red[r] for r in range(len(pivots))])
+    return Subspace([red[r] for r in range(len(pivots))])
 
 
 def extend_by_derivation(g, D, new_name="D"):

@@ -7,6 +7,8 @@ recorded as an exclusion polynomial (the vanishing locus) instead of being
 resolved.
 
 ``transpose`` turns columns into rows; it is the one place that does.
+``dot`` is the one dot product of two vectors.  No routine takes the
+field's zero: each reads it off its entries (``x * 0``), as ``rref`` does.
 
 The matrices are sparse, so the kernels skip structural zeros: a dot product
 (``mat_vec``, ``mat_mul``) skips each pair with a zero factor, and ``rref``
@@ -47,7 +49,7 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def _dot(u, v):
+def dot(u, v):
     """sum u[t] v[t] in order, over the pairs with no zero factor; with none,
     the zero factor of the first pair, which is what u[0] v[0] returns."""
     out = None
@@ -58,12 +60,12 @@ def _dot(u, v):
 
 
 def mat_vec(a, v):
-    return [_dot(row, v) for row in a]
+    return [dot(row, v) for row in a]
 
 
 def mat_mul(a, b):
     cols = transpose(b)
-    return [[_dot(row, col) for col in cols] for row in a]
+    return [[dot(row, col) for col in cols] for row in a]
 
 
 def vec_add(u, v):
@@ -139,30 +141,30 @@ def rank(rows):
     return len(pivot_cols), locus
 
 
-def _kernel(red, pivot_cols, n, zero):
+def _kernel(red, pivot_cols, n):
     """Kernel basis read off a reduced matrix whose first n columns are in
     reduced row echelon form with the given pivot columns."""
-    one = zero + 1
     free = [c for c in range(n) if c not in pivot_cols]
     basis = []
     for fc in free:
+        zero = red[0][fc] * 0
         v = [zero] * n
-        v[fc] = one
+        v[fc] = zero + 1
         for r, pc in enumerate(pivot_cols):
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
 
 
-def nullspace(rows, zero):
+def nullspace(rows):
     """Basis of the (generic) kernel of the matrix; vectors of length n."""
     if not rows:
         return [], []
     red, pivot_cols, locus = rref(rows)
-    return _kernel(red, pivot_cols, len(rows[0]), zero), locus
+    return _kernel(red, pivot_cols, len(rows[0])), locus
 
 
-def solve(rows, rhs, zero):
+def solve(rows, rhs):
     """One solution of A x = b, or None when inconsistent (generically).
 
     Returns (particular, kernel_basis, locus).  Pivot choice depends only on
@@ -175,15 +177,16 @@ def solve(rows, rhs, zero):
     red, pivot_cols, locus = rref(aug)
     if n in pivot_cols:
         return None, [], locus
-    x = [zero] * n
+    x = [rows[0][0] * 0] * n if n else []
     for r, pc in enumerate(pivot_cols):
         x[pc] = red[r][n]
-    return x, _kernel(red, pivot_cols, n, zero), locus
+    return x, _kernel(red, pivot_cols, n), locus
 
 
-def inverse(rows, zero):
+def inverse(rows):
     """Exact inverse; raises LinalgError when (generically) singular."""
     n = len(rows)
+    zero = rows[0][0] * 0
     one = zero + 1
     aug = [list(r) + [one if i == j else zero for j in range(n)]
            for i, r in enumerate(rows)]
@@ -193,7 +196,7 @@ def inverse(rows, zero):
     return [row[n:] for row in red], locus
 
 
-def in_span(vectors, v, zero):
+def in_span(vectors, v):
     """Membership of v in span(vectors): with the vectors and v as columns,
     v is in the span iff its column is not a pivot column."""
     _, pivot_cols, _ = rref(transpose(list(vectors) + [v]))

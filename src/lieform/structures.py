@@ -161,12 +161,13 @@ class ComplexStructure:
         return linalg.mat_vec(self.matrix, v)
 
 
-def nijenhuis(g, J):
+def nijenhuis(J):
     """Nijenhuis tensor on basis pairs and the integrability verdict.
 
     Returns (table, integrable, vanishing) where vanishing lists the
     numerator polynomials that must vanish for integrability.
     """
+    g = J.algebra
     table = {}
     for i in range(g.dim):
         x = g.basis_vector(i)
@@ -200,13 +201,13 @@ def subalgebra_to_J(g, span):
     us = [[g._scalar(c) for c in u] for u, _ in span]
     vs = [[g._scalar(c) for c in v] for _, v in span]
     try:
-        inv, _ = linalg.inverse(linalg.transpose(us + vs), g.zero())
+        inv, _ = linalg.inverse(linalg.transpose(us + vs))
     except linalg.LinalgError as exc:
         raise NotTransverse(
             "span and its conjugate do not decompose g^C") from exc
     images = [[-c for c in v] for v in vs] + us
     J = ComplexStructure(g, linalg.mat_mul(linalg.transpose(images), inv))
-    return J, nijenhuis(g, J)[1]
+    return J, nijenhuis(J)[1]
 
 
 def J_to_subalgebra(J):
@@ -220,7 +221,7 @@ def J_to_subalgebra(J):
     span = []
     for k in range(g.dim):
         x = g.basis_vector(k)
-        if linalg.in_span(seen, x, g.zero()):
+        if linalg.in_span(seen, x):
             continue
         jx = J.apply(x)
         seen += [x, jx]
@@ -233,8 +234,8 @@ def J_to_subalgebra(J):
 # ---------------------------------------------------------------------------
 
 class LcsData:
-    def __init__(self, algebra, omega, lam, Z, proper, locus):
-        self.algebra = algebra
+    def __init__(self, omega, lam, Z, proper, locus):
+        self.algebra = omega.algebra
         self.omega = omega
         self.lam = lam
         self.Z = Z
@@ -276,7 +277,7 @@ def lcs_check(g, omega):
     rows = matrix_of([wedge(KForm.basis_oneform(g, i), omega)
                       for i in range(n)], target)
     rhs = form_to_vector(dom, target)
-    x, _, locus2 = linalg.solve(rows, rhs, g.zero())
+    x, _, locus2 = linalg.solve(rows, rhs)
     if x is None:
         raise NoLeeForm("d(omega) is not of the form lam ^ omega")
     linalg.merge_locus(locus, locus2)
@@ -286,14 +287,14 @@ def lcs_check(g, omega):
     # omega(Z, e_j) = lam(e_j)/2
     half = Fraction(1, 2)
     rhs_z = [lam.coefficient((j,)) * half for j in range(n)]
-    z, _, locus3 = linalg.solve(linalg.transpose(M), rhs_z, g.zero())
+    z, _, locus3 = linalg.solve(linalg.transpose(M), rhs_z)
     if z is None:
         raise Degenerate("no Reeb vector: omega(Z,.) = lam/2 unsolvable",
                          locus)
     linalg.merge_locus(locus, locus3)
     if not lam.evaluate(z).is_zero():
         raise StructureError("lam(Z) != 0; omega is not skew")
-    return LcsData(g, omega, lam, z, proper=not dom.is_zero(), locus=locus)
+    return LcsData(omega, lam, z, proper=not dom.is_zero(), locus=locus)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +462,7 @@ def signature_at(gm, assignment):
 # Covariant derivative and the Vaisman test
 # ---------------------------------------------------------------------------
 
-def nabla_of_vector(g, gm, y, gy):
+def nabla_of_vector(gm, y, gy):
     """Covariant derivatives nabla_{e_i} y of a left-invariant vector y.
 
     The Koszul formula for a left-invariant metric,
@@ -475,9 +476,10 @@ def nabla_of_vector(g, gm, y, gy):
     Returns ([nabla_{e_i} y for i], locus); a singular metric raises
     ``DegenerateMetric``.
     """
+    g = gm.algebra
     n = g.dim
     try:
-        ginv, locus = linalg.inverse(gm.matrix, g.zero())
+        ginv, locus = linalg.inverse(gm.matrix)
     except linalg.LinalgError as exc:
         raise DegenerateMetric("metric is singular") from exc
     M = linalg.mat_mul(gm.matrix, g.ad(y))
@@ -557,8 +559,7 @@ def vaisman_check(lck):
     and locus lists the exclusion polynomials off which the inverse metric,
     and so the verdict, is generic.
     """
-    nxi, locus = nabla_of_vector(lck.algebra, lck.metric, lck.xi,
-                                 lck.gxi)
+    nxi, locus = nabla_of_vector(lck.metric, lck.xi, lck.gxi)
     vanishing = linalg.vanishing(c for v in nxi for c in v)
     return not vanishing, vanishing, locus
 
@@ -567,12 +568,13 @@ def vaisman_check(lck):
 # Bi-invariant form identities
 # ---------------------------------------------------------------------------
 
-def biinvariant_identities(g, B, lck):
+def biinvariant_identities(B, lck):
     """Identities relating d(phi) to ad_v for phi = B(v, .).
 
     B must be symmetric, nondegenerate and ad-invariant.  Returns a
     StructureReport plus computed data (v, ranks, centralizer dims).
     """
+    g = lck.algebra
     n = g.dim
     B = [[g._scalar(c) for c in row] for row in B]
     pair = next(_asymmetric_pairs(B), None)
@@ -590,7 +592,7 @@ def biinvariant_identities(g, B, lck):
                     raise NotAdInvariant(
                         f"ad-invariance fails on triple ({i},{j},{k})")
     try:
-        binv, _ = linalg.inverse(B, g.zero())
+        binv, _ = linalg.inverse(B)
     except linalg.LinalgError as exc:
         raise DegenerateB("B is degenerate") from exc
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieform import cli
+from lieform.lie_core import LieAlgebra
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 U2 = os.path.join(DATA, "u2.json")
@@ -141,6 +142,21 @@ def test_cohomology_with_too_many_monomials_fails(capsys, tmp_path):
                     "--degree", "7")
     assert code == 1
     assert "[FAIL] error: TooManyMonomials :: " in out
+
+
+def test_document_dimension_is_bounded(capsys, tmp_path, monkeypatch):
+    # check_jacobi costs about n^4 steps, so a short document could ask for
+    # unbounded work; the dimension is checked before the algebra is built
+    calls = []
+    jacobi = LieAlgebra.check_jacobi
+    monkeypatch.setattr(LieAlgebra, "check_jacobi",
+                        lambda g: calls.append(g) or jacobi(g))
+    path = _abelian_document(tmp_path, 21, {})
+    code = cli.main(["check-algebra", path])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "[FAIL] error: DocumentError :: " in out
+    assert err == "" and calls == []
 
 
 def test_check_lcs_is_not_bounded_by_the_relative_complex(capsys, tmp_path):

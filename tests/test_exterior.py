@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from lieform import linalg
 from lieform.catalog import abelian, gl2r, sl2r, su2, u2
-from lieform.exterior import (FormError, KForm, NoSolution, ce_d,
-                              form_monomials, interior, lie_derivative,
+from lieform.exterior import (AmbientMismatch, FormError, KForm, NoSolution,
+                              ce_d, form_monomials, interior, lie_derivative,
                               solve_potential, twisted_cohomology_dim,
                               twisted_d, wedge, wedge_power)
 from lieform.scalars import parse_scalar
@@ -96,6 +96,20 @@ def test_kform_rejects_bad_index_tuples():
         KForm(g, 2, {(2, 1): g.one()})
     with pytest.raises(FormError):
         KForm(g, 2, {(1,): g.one()})
+
+
+def test_kform_division_is_exact():
+    e0 = KForm.basis_oneform(u2(), 0)
+    assert e0 / 3 == e0.scaled(Fraction(1, 3))
+    with pytest.raises(ZeroDivisionError):
+        e0 / 0
+
+
+def test_kform_is_unhashable():
+    # its scalars are unhashable; a class that defines __eq__ and not
+    # __hash__ gets __hash__ = None
+    with pytest.raises(TypeError):
+        hash(KForm.basis_oneform(u2(), 0))
 
 
 def test_dual_basis_pairing():
@@ -249,6 +263,11 @@ def test_untwisted_cohomology_of_u2():
     for k, want in [(0, 1), (1, 1), (2, 0), (3, 1), (4, 1)]:
         dim, _ = twisted_cohomology_dim(g, zero, k)
         assert dim == want
+
+
+def test_twisted_cohomology_rejects_lambda_on_another_algebra():
+    with pytest.raises(AmbientMismatch):
+        twisted_cohomology_dim(u2(), KForm.zero(gl2r(), 1), 1)
 
 
 def test_untwisted_cohomology_of_abelian():

@@ -1,5 +1,6 @@
-"""Every name a lieform module imports is used in that module, and every
-module it imports is its own or in the standard library.
+"""Every name a lieform module imports is used in that module, every
+module it imports is its own or in the standard library, and every
+parameter of a ``def`` is read by its body.
 
 The package ``__init__`` is exempt from the first: its imports are the
 public re-exports.
@@ -42,6 +43,43 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_parameters(source):
+    """(line, function, parameter) for each parameter of a def that its body
+    never reads.  Lambdas are skipped: a lambda's signature is fixed by its
+    caller."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(node.lineno, node.name, p) for p in params if p not in read]
+    return out
+
+
+# _FormParser.combine overrides _Parser.combine and reads the position
+UNREAD_PARAMETERS = {("scalars.py", "combine", "at")}
+
+
+def test_checker_flags_an_unused_parameter():
+    # b is only written, and the lambda's unread y is not reported
+    src = ("def f(a, b, *c, d=1, **e):\n"
+           "    b = lambda x, y: x\n"
+           "    return a(d)\n")
+    assert unused_parameters(src) == [(1, "f", "b"), (1, "f", "c"),
+                                      (1, "f", "e")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    unused = {(path.name, name, p) for _, name, p in
+              unused_parameters(path.read_text(encoding="utf-8"))}
+    assert unused - UNREAD_PARAMETERS == set()
 
 
 def imported_modules(source):

@@ -2,12 +2,29 @@
 
 import pytest
 
+from fractions import Fraction
+
 from lieform import linalg
 from lieform.catalog import abelian, gl2r, sl2r, su2, u2
 from lieform.lie_core import (LieAlgebra, LieError, NotADerivation,
                               ZeroVector, center, centralizer,
                               derived_subalgebra, extend_by_derivation,
                               is_derivation)
+from lieform.scalars import Scalar
+
+
+def test_scalar_reads_names_and_rationals_over_the_algebra_parameters():
+    g = u2(("a", "b"))
+    assert g._scalar("b") == Scalar.var(("a", "b"), "b")
+    assert g._scalar(Fraction(-3, 4)) == Scalar.const(("a", "b"),
+                                                      Fraction(-3, 4))
+    assert g._scalar(2) == Scalar.const(("a", "b"), 2)
+    a = Scalar.var(("a", "b"), "a")
+    assert g._scalar(a) is a
+    with pytest.raises(LieError):
+        g._scalar("c")
+    with pytest.raises(LieError):
+        g._scalar(Scalar.var(("a",), "a"))
 
 
 def test_bracket_tables_match_structure_constants():

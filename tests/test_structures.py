@@ -46,7 +46,7 @@ def test_nijenhuis_vanishes_on_abelian():
     g = abelian(4)
     J = ComplexStructure(g, [[0, -1, 0, 0], [1, 0, 0, 0],
                              [0, 0, 0, -1], [0, 0, 1, 0]])
-    _, integrable, vanishing = nijenhuis(g, J)
+    _, integrable, vanishing = nijenhuis(J)
     assert integrable and vanishing == []
 
 
@@ -56,7 +56,7 @@ def test_nijenhuis_detects_nonintegrable():
     g = u2()
     J = ComplexStructure(g, [[0, -1, 0, -1], [1, 0, 1, 0],
                              [0, 0, 0, 1], [0, 0, -1, 0]])
-    table, integrable, vanishing = nijenhuis(g, J)
+    table, integrable, vanishing = nijenhuis(J)
     assert not integrable and vanishing
     assert table[(2, 3)] == g.vector({1: -1})
 
@@ -79,7 +79,7 @@ def test_nonintegrable_structure_subalgebra_round_trip():
     z, o = g.zero(), g.one()
     J = ComplexStructure(g, [[z, z, -o, z], [z, z, z, -o],
                              [o, z, z, z], [z, o, z, z]])
-    _, integrable, _ = nijenhuis(g, J)
+    _, integrable, _ = nijenhuis(J)
     assert not integrable
     J2, is_subalg = subalgebra_to_J(g, J_to_subalgebra(J))
     assert is_subalg is False
@@ -416,8 +416,7 @@ def test_levi_civita_is_metric_and_torsion_free():
     table = {}
     for j in range(n):
         ej = g.basis_vector(j)
-        nabla_ej, _ = nabla_of_vector(g, gm, ej,
-                                      linalg.mat_vec(gm.matrix, ej))
+        nabla_ej, _ = nabla_of_vector(gm, ej, linalg.mat_vec(gm.matrix, ej))
         for i in range(n):
             table[(i, j)] = nabla_ej[i]
     for i in range(n):
@@ -462,17 +461,16 @@ def test_nabla_of_vector_is_linear_in_the_vector(make_lck):
     want = [g.zero_vector() for _ in range(g.dim)]
     for j, c in enumerate(xi):
         ej = g.basis_vector(j)
-        nabla_ej, _ = nabla_of_vector(g, gm, ej,
-                                      linalg.mat_vec(gm.matrix, ej))
+        nabla_ej, _ = nabla_of_vector(gm, ej, linalg.mat_vec(gm.matrix, ej))
         for i in range(g.dim):
             want[i] = linalg.vec_add(want[i], [c * x for x in nabla_ej[i]])
-    got, _ = nabla_of_vector(g, gm, xi, linalg.mat_vec(gm.matrix, xi))
+    got, _ = nabla_of_vector(gm, xi, linalg.mat_vec(gm.matrix, xi))
     assert got == want
 
 
 def _nabla_by_three_pairings(g, gm, y):
     """The Koszul formula with one Metric.pair call per term."""
-    ginv, _ = linalg.inverse(gm.matrix, g.zero())
+    ginv, _ = linalg.inverse(gm.matrix)
     out = []
     for i in range(g.dim):
         ei = g.basis_vector(i)
@@ -503,7 +501,7 @@ def test_nabla_of_vector_matches_three_pairings(path, omega, J, convention):
     g = doc.build_algebra()
     lck = assemble_lck(g, doc.build_form(omega, g),
                        ComplexStructure(g, doc.build_endo(J, g)), convention)
-    got, locus = nabla_of_vector(g, lck.metric, lck.xi,
+    got, locus = nabla_of_vector(lck.metric, lck.xi,
                                  linalg.mat_vec(lck.metric.matrix, lck.xi))
     want = _nabla_by_three_pairings(g, lck.metric, lck.xi)
     assert [[(str(c.num), str(c.den)) for c in row] for row in got] == \
@@ -593,7 +591,7 @@ def test_lee_vector_solves_the_metric_system(id_, J_name, pole):
                     lck = assemble_lck(g, om, J, convention)
                 except NotCompatible:
                     continue
-                xi, _, _ = linalg.solve(lck.metric.matrix, lck.gxi, g.zero())
+                xi, _, _ = linalg.solve(lck.metric.matrix, lck.gxi)
                 assert lck.xi == xi
                 locus = [str(p) for p in lck.locus]
                 assert (pole in locus) == (J is fams[J_name])
@@ -626,7 +624,7 @@ def test_biinvariant_identities_rejects_degenerate_B():
     # e0 spans the center, so this B is ad-invariant but degenerate
     B = [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(DegenerateB):
-        biinvariant_identities(g, B, lck)
+        biinvariant_identities(B, lck)
 
 
 def test_biinvariant_identities_rejects_non_ad_invariant_B():
@@ -635,11 +633,11 @@ def test_biinvariant_identities_rejects_non_ad_invariant_B():
     B = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(NotAdInvariant,
                        match=r"ad-invariance fails on triple \(2,1,3\)$"):
-        biinvariant_identities(g, B, lck)
+        biinvariant_identities(B, lck)
     # asymmetric at (1,2) and (0,3): the first in row-major order is named
     B = [[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(NotAdInvariant, match=r"B not symmetric at \(0,3\)$"):
-        biinvariant_identities(g, B, lck)
+        biinvariant_identities(B, lck)
 
 
 @pytest.mark.parametrize("make, phi, J", [
@@ -676,7 +674,7 @@ def test_ad_invariance_names_the_first_failing_triple(make, phi, J):
         if want is None:
             continue
         with pytest.raises(NotAdInvariant) as exc:
-            biinvariant_identities(g, B, lck)
+            biinvariant_identities(B, lck)
         assert str(exc.value) == f"ad-invariance fails on triple {want}"
 
 
