@@ -6,14 +6,13 @@ from .scalars import (DenominatorVanishes, ParameterValueError, Poly,
 from .lie_core import (LieAlgebra, LieError, Subspace, center, centralizer,
                        derived_subalgebra, extend_by_derivation, is_derivation)
 from .exterior import (KForm, ce_d, interior, lie_derivative, solve_potential,
-                       twisted_cohomology_dim, twisted_d, wedge, wedge_power)
+                       twisted_cohomology_dim, twisted_d, wedge)
 from .structures import (CONVENTION_DEF, CONVENTION_THM, ComplexStructure,
                          LckData, LcsData, Metric, StructureError,
                          StructureReport, assemble_lck, biinvariant_identities,
                          compatibility_check, exact_signature, lcs_check,
-                         metric_from, nabla_of_vector, nijenhuis,
-                         signature_at, signatures, subalgebra_to_J,
-                         J_to_subalgebra, vaisman_check)
+                         metric_from, nabla_of_vector, nijenhuis, signatures,
+                         subalgebra_to_J, J_to_subalgebra, vaisman_check)
 from .constructions import (OrbitData, coadjoint_stabilizer,
                             kirillov_kostant_form, lcs_from_orbit)
 from . import catalog, document

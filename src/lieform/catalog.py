@@ -320,15 +320,15 @@ def _suite_u2():
     gf = u2(("a", "b", "a1", "a2", "a3"))
     omf = lcs_form(gf, oneform(gf, {1: "a1", 2: "a2", 3: "a3"}))
     Jfull = J_ab(gf)
-    ok_generic, _ = compatibility_check(omf, Jfull)
+    ok_generic = compatibility_check(omf, Jfull)
     rep.check("general (omega, J_{a,b}): not J-invariant identically",
               not ok_generic)
-    ok_i, _ = compatibility_check(lcs_form(gf, oneform(gf, {1: "a1"})), Jfull)
+    ok_i = compatibility_check(lcs_form(gf, oneform(gf, {1: "a1"})), Jfull)
     rep.check("J-invariance holds identically once a2 = a3 = 0", ok_i)
     # assemble_lck(ga, om, J0) above raises NotCompatible otherwise
     rep.add("the (0,1) member is J-invariant for every omega", "PASS")
     # a sample away from both branches stays incompatible
-    ok_pt, _ = compatibility_check(
+    ok_pt = compatibility_check(
         lcs_form(g0, oneform(g0, {1: 1, 2: 1})), J_ab(g0, 1, 2))
     rep.check("sample (a,b)=(1,2), a2=1: not J-invariant", not ok_pt)
 
@@ -427,12 +427,12 @@ def _suite_gl2():
     # uniqueness: generic omega is not J_mu-invariant, the ah = 0, am = -ap
     # branch is
     gu = gl2r(("mu1", "mu2", "ah", "ap", "am"))
-    ok_gen, _ = compatibility_check(
+    ok_gen = compatibility_check(
         lcs_form(gu, oneform(gu, {1: "ah", 2: "ap", 3: "am"})), J_mu(gu))
     rep.check("general (omega, J_mu): not J-invariant identically", not ok_gen)
     gq = gl2r(("mu1", "mu2", "ap"))
     apq = gq._scalar("ap")
-    ok_br, _ = compatibility_check(
+    ok_br = compatibility_check(
         lcs_form(gq, oneform(gq, {2: apq, 3: -apq})), J_mu(gq))
     rep.check("J-invariance holds identically once ah = 0, am = -ap", ok_br)
 

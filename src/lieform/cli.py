@@ -19,7 +19,7 @@ from .constructions import coadjoint_stabilizer, lcs_from_orbit
 from .scalars import ScalarError
 from .structures import (CONVENTION_DEF, CONVENTION_THM, ComplexStructure,
                          FAIL, StructureReport, StructureError, assemble_lck,
-                         lcs_check, signature_at, vaisman_check)
+                         lcs_check, signatures, vaisman_check)
 
 
 class CliError(Exception):
@@ -143,7 +143,7 @@ def cmd_check_lck(args):
     def body(rep):
         g, at, lck = _build_lck(args, rep)
         if _fully_numeric(g, at):
-            sig = signature_at(lck.metric, at)
+            sig = next(signatures(lck.metric, [at]))
             rep.info("metric signature", str(sig))
             rep.check("metric nondegenerate at the point", True)
         else:

@@ -30,18 +30,17 @@ class DegenerateOnQuotient(ConstructionError):
 
 
 class OrbitData:
-    """Stabilizer data of a 1-form in the coadjoint representation.
+    """Stabilizer data of a 1-form phi_prime in the coadjoint representation.
 
-    k is the stabilizer {X : phi o ad_X = 0}, h = k intersect ker(phi), and
-    omega_Q(X, Y) = phi([X, Y]) is the Kirillov-Kostant form with kernel k.
+    k is the stabilizer {X : phi_prime o ad_X = 0}, the kernel of the
+    Kirillov-Kostant form, h = k intersect ker(phi_prime), and non_conical
+    says whether phi_prime is nonzero on k.
     """
 
-    def __init__(self, phi_prime, k, h, omega_Q, non_conical):
-        self.g_prime = phi_prime.algebra
+    def __init__(self, phi_prime, k, h, non_conical):
         self.phi_prime = phi_prime
         self.k = k
         self.h = h
-        self.omega_Q = omega_Q
         self.non_conical = non_conical
 
 
@@ -61,8 +60,7 @@ def coadjoint_stabilizer(phi):
         raise NotAOneForm(f"phi has degree {phi.degree}, not 1")
     if phi.is_zero():
         raise ZeroForm("coadjoint stabilizer of the zero form")
-    omega_Q = kirillov_kostant_form(phi)
-    kbasis, locus = linalg.nullspace(gram_matrix(omega_Q))
+    kbasis, locus = linalg.nullspace(gram_matrix(kirillov_kostant_form(phi)))
     k = Subspace(kbasis, locus)
     # h = k intersect ker(phi)
     h_rows = [[phi.evaluate(v) for v in kbasis]]
@@ -70,7 +68,7 @@ def coadjoint_stabilizer(phi):
     kcols = linalg.transpose(kbasis)
     h = Subspace([linalg.mat_vec(kcols, cv) for cv in coeff_kernel], locus)
     non_conical = any(not c.is_zero() for c in h_rows[0])
-    return OrbitData(phi, k, h, omega_Q, non_conical)
+    return OrbitData(phi, k, h, non_conical)
 
 
 def lcs_from_orbit(orbit, D=None):
@@ -81,7 +79,7 @@ def lcs_from_orbit(orbit, D=None):
     equation d_lam(omega) = 0 and the identity omega(Z, .) = phi(Z) lam are
     verified before returning.
     """
-    g = orbit.g_prime
+    g = orbit.phi_prime.algebra
     if not orbit.non_conical:
         raise ConicalOrbit("phi vanishes on its stabilizer")
     if D is None:

@@ -199,13 +199,6 @@ def wedge(alpha, beta):
     return KForm(g, alpha.degree + beta.degree, coeffs)
 
 
-def wedge_power(alpha, k):
-    out = KForm.constant(alpha.algebra, 1)
-    for _ in range(k):
-        out = wedge(out, alpha)
-    return out
-
-
 def ce_d(alpha):
     """Chevalley-Eilenberg differential (anti-derivation extension).
 
@@ -273,8 +266,10 @@ def form_monomials(g, k):
     return list(combinations(range(g.dim), k))
 
 
-def form_to_vector(alpha, monomials):
-    return [alpha.coefficient(idx) for idx in monomials]
+def form_to_vector(alpha):
+    """The coefficients of alpha in the order of ``form_monomials``."""
+    return [alpha.coefficient(idx)
+            for idx in form_monomials(alpha.algebra, alpha.degree)]
 
 
 def matrix_of(forms, monomials):
@@ -283,8 +278,9 @@ def matrix_of(forms, monomials):
     return [[f.coefficient(idx) for f in forms] for idx in monomials]
 
 
-def vector_to_form(g, k, monomials, vec):
-    return KForm(g, k, dict(zip(monomials, vec)))
+def vector_to_form(g, k, vec):
+    """The k-form with coefficients vec: the inverse of form_to_vector."""
+    return KForm(g, k, dict(zip(form_monomials(g, k), vec)))
 
 
 def relative_basis(g, k):
@@ -311,7 +307,7 @@ def relative_basis(g, k):
     if not rows:
         return [KForm.monomial(g, idx) for idx in monos]
     kernel, _ = linalg.nullspace(rows)
-    return [vector_to_form(g, k, monos, v) for v in kernel]
+    return [vector_to_form(g, k, v) for v in kernel]
 
 
 def _twisted_d_rank(lam, k):
@@ -319,8 +315,7 @@ def _twisted_d_rank(lam, k):
     basis = relative_basis(g, k)
     if not basis:
         return 0, 0, []
-    target = form_monomials(g, k + 1)
-    rows = [form_to_vector(twisted_d(b, lam), target) for b in basis]
+    rows = [form_to_vector(twisted_d(b, lam)) for b in basis]
     r, locus = linalg.rank(rows)
     return len(basis), r, locus
 
@@ -361,10 +356,8 @@ def solve_potential(omega, lam, gauge=None):
     """
     g = omega.algebra
     basis = relative_basis(g, 1)
-    target = form_monomials(g, 2)
-    rows = matrix_of([twisted_d(b, lam) for b in basis], target)
-    rhs = form_to_vector(omega, target)
-    x, kernel, _ = linalg.solve(rows, rhs)
+    rows = matrix_of([twisted_d(b, lam) for b in basis], form_monomials(g, 2))
+    x, kernel, _ = linalg.solve(rows, form_to_vector(omega))
     if x is None:
         raise NoSolution("the twisted class of omega is nonzero")
 

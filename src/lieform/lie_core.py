@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
 
 from . import linalg
 from .exterior import KForm, ce_d
@@ -74,8 +75,8 @@ class LieAlgebra:
     # -- scalar plumbing ----------------------------------------------
 
     def _scalar(self, c):
-        """c, a Scalar over params, a parameter name or a rational, as a
-        scalar of this algebra."""
+        """c, a Scalar over params, a parameter name or a rational (an int or
+        a Fraction, never a float), as a scalar of this algebra."""
         if isinstance(c, Scalar):
             if c.params != self.params:
                 raise LieError("scalar parameter mismatch")
@@ -84,6 +85,8 @@ class LieAlgebra:
             if c not in self.params:
                 raise LieError(f"unknown parameter {c!r}")
             return Scalar.var(self.params, c)
+        if not isinstance(c, Rational):
+            raise LieError(f"value {c!r} is not rational")
         return Scalar.const(self.params, Fraction(c))
 
     def _as_vector(self, vec):

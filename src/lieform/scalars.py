@@ -252,8 +252,9 @@ class Poly:
         """Substitute a subset of the parameters by exact rationals.
 
         The result lives over the same parameter list; substituted variables
-        simply no longer occur.
+        simply no longer occur.  Other values raise ParameterValueError.
         """
+        _check_rational(assignment)
         vals = {p: Fraction(v) for p, v in assignment.items()}
         idx = [i for i, p in enumerate(self.params) if p in vals]
         if not idx:
@@ -513,14 +514,19 @@ class Scalar:
         return f"Scalar({self})"
 
 
+def _check_rational(assignment):
+    """ParameterValueError for a value that is not an int or a Fraction."""
+    for name, v in assignment.items():
+        if not isinstance(v, Rational):
+            raise ParameterValueError(name, f"value {v!r} is not rational")
+
+
 def integer_point(params, assignment):
     """(D, X): a point of ints and Fractions as X / D over Z, with D > 0 the
     lcm of its denominators and X the list of D times each value, in the
     order of params.  Raises ParameterValueError for a missing parameter and
     for a value that is not an int or a Fraction."""
-    for name, v in assignment.items():
-        if not isinstance(v, Rational):
-            raise ParameterValueError(name, f"value {v!r} is not rational")
+    _check_rational(assignment)
     for p in params:
         if p not in assignment:
             raise ParameterValueError(p, "no value given")

@@ -14,8 +14,9 @@ from functools import cached_property
 from math import lcm
 
 from . import linalg
-from .exterior import (KForm, ce_d, form_monomials, form_to_vector,
-                       matrix_of, solve_potential, wedge)
+from .exterior import (AmbientMismatch, KForm, ce_d, form_monomials,
+                       form_to_vector, matrix_of, solve_potential,
+                       vector_to_form, wedge)
 from .lie_core import center, centralizer, derived_subalgebra
 from .scalars import DenominatorVanishes, Evaluator
 
@@ -273,20 +274,18 @@ def lcs_check(g, omega):
             f"rank {r} on the quotient (need {n - h_dim})", locus)
     dom = ce_d(omega)
     # solve lam ^ omega = d(omega), lam = sum x_i e^i
-    target = form_monomials(g, 3)
     rows = matrix_of([wedge(KForm.basis_oneform(g, i), omega)
-                      for i in range(n)], target)
-    rhs = form_to_vector(dom, target)
-    x, _, locus2 = linalg.solve(rows, rhs)
+                      for i in range(n)], form_monomials(g, 3))
+    x, _, locus2 = linalg.solve(rows, form_to_vector(dom))
     if x is None:
         raise NoLeeForm("d(omega) is not of the form lam ^ omega")
     linalg.merge_locus(locus, locus2)
-    lam = KForm(g, 1, {(i,): c for i, c in enumerate(x)})
+    lam = vector_to_form(g, 1, x)
     if not ce_d(lam).is_zero():
         raise LeeFormNotClosed(f"d(lam) = {ce_d(lam)} != 0")
     # omega(Z, e_j) = lam(e_j)/2
     half = Fraction(1, 2)
-    rhs_z = [lam.coefficient((j,)) * half for j in range(n)]
+    rhs_z = [c * half for c in form_to_vector(lam)]
     z, _, locus3 = linalg.solve(linalg.transpose(M), rhs_z)
     if z is None:
         raise Degenerate("no Reeb vector: omega(Z,.) = lam/2 unsolvable",
@@ -304,20 +303,18 @@ def lcs_check(g, omega):
 def compatibility_check(omega, J):
     """J-invariance of a 2-form: omega(X, JY) = omega(Y, JX).
 
-    For J^2 = -Id this is omega(JX, JY) = omega(X, Y).  Returns
-    (compatible, defects) where defects maps basis pairs (i, j), i < j, to
-    the nonzero asymmetries omega(e_i, J e_j) - omega(e_j, J e_i) (empty iff
-    compatible identically).
+    For J^2 = -Id this is omega(JX, JY) = omega(X, Y).  Returns True iff it
+    holds identically, stopping at the first asymmetric basis pair.  Raises
+    ``AmbientMismatch`` when J lives on another algebra than omega.
     """
-    mat = _omega_J(omega, J)
-    defects = {(i, j): mat[i][j] - mat[j][i]
-               for i, j in _asymmetric_pairs(mat)}
-    return (not defects), defects
+    return next(_asymmetric_pairs(_omega_J(omega, J)), None) is None
 
 
 def _omega_J(omega, J):
     """The matrix omega(e_i, J e_j); omega is J-invariant iff it is
     symmetric."""
+    if J.algebra is not omega.algebra:
+        raise AmbientMismatch("J lives on another algebra than omega")
     return linalg.mat_mul(gram_matrix(omega), J.matrix)
 
 
@@ -336,16 +333,6 @@ class Metric:
         self.algebra = algebra
         self.matrix = matrix
         self.convention_tag = convention_tag
-
-    def pair(self, x, y):
-        total = self.algebra.zero()
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(y):
-                if not yj.is_zero():
-                    total = total + xi * self.matrix[i][j] * yj
-        return total
 
 
 CONVENTION_DEF = "def"   # g = omega(., J.)
@@ -427,14 +414,14 @@ def _signature_over_z(a):
 
 
 def signatures(gm, points):
-    """Exact signature of the metric at each rational parameter point.
+    """Exact signature of the metric at each rational parameter point, as a
+    generator; ``next(signatures(gm, [point]))`` signs one point.
 
     The upper triangle (``metric_from`` has checked symmetry) is compiled
     once (``scalars.Evaluator``).  At each point its entries are evaluated
-    as int pairs, cleared by one lcm and pivoted by ``_signature_over_z``;
-    no Fraction is built per entry.  Raises DegenerateAtPoint where a
-    denominator vanishes or the metric is degenerate, and
-    ParameterValueError for a missing or non-rational parameter value.
+    as int pairs, cleared by one lcm and pivoted by ``_signature_over_z``.
+    Raises DegenerateAtPoint where a denominator vanishes or the metric is
+    degenerate, and ParameterValueError for a missing or non-rational value.
     """
     n = len(gm.matrix)
     upper = [(i, j) for i in range(n) for j in range(i, n)]
@@ -450,12 +437,6 @@ def signatures(gm, points):
         for (i, j), (num, den) in zip(upper, values):
             a[i][j] = a[j][i] = num * (l // den)
         yield _signature_over_z(a)
-
-
-def signature_at(gm, assignment):
-    """Exact signature of the metric at one rational parameter point: the
-    one-point case of ``signatures``, with its errors."""
-    return next(signatures(gm, [assignment]))
 
 
 # ---------------------------------------------------------------------------
@@ -534,18 +515,18 @@ def assemble_lck(g, omega, J, convention=CONVENTION_THM):
     """
     lcs = lcs_check(g, omega)
     metric = metric_from(omega, J, convention)
-    n = g.dim
+    lam = form_to_vector(lcs.lam)
     half = Fraction(1, 2)
     s = -half if convention == CONVENTION_DEF else half
-    gxi = [lcs.lam.coefficient((j,)) * s for j in range(n)]
+    gxi = [c * s for c in lam]
     xi = [-c for c in J.apply(lcs.Z)]
     if linalg.mat_vec(metric.matrix, xi) != gxi:
         raise StructureError("Z = J xi fails; inconsistent conventions")
     locus = linalg.merge_locus(list(lcs.locus), [
         c.den for row in J.matrix for c in row if not c.den.is_constant()])
-    # theta(e_i) = lam(J e_i) / 2
-    theta = KForm(g, 1, {(i,): lcs.lam.evaluate(J.apply(g.basis_vector(i)))
-                         * half for i in range(n)})
+    # theta(e_i) = lam(J e_i) / 2, so theta = J^T lam / 2
+    theta = vector_to_form(g, 1, [
+        c * half for c in linalg.mat_vec(linalg.transpose(J.matrix), lam)])
     return LckData(lcs, J, metric, xi, gxi, theta, locus)
 
 
@@ -599,8 +580,8 @@ def biinvariant_identities(B, lck):
     report = StructureReport("bi-invariant identities")
     phi = lck.phi
     lam = lck.lcs.lam
-    v = linalg.mat_vec(binv, [phi.coefficient((j,)) for j in range(n)])
-    w = linalg.mat_vec(binv, [lam.coefficient((j,)) for j in range(n)])
+    v = linalg.mat_vec(binv, form_to_vector(phi))
+    w = linalg.mat_vec(binv, form_to_vector(lam))
     if lam.evaluate(w).is_zero():  # B(w, w) = lam(w), since B w = lam
         raise IsotropicLeeVector("B^{-1} lam is isotropic")
 

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieform import linalg
-from lieform.catalog import abelian, gl2r, sl2r, su2, u2
+from lieform.catalog import abelian, gl2r, sl2r, u2
 from lieform.exterior import (AmbientMismatch, FormError, KForm, NoSolution,
-                              ce_d, form_monomials, interior, lie_derivative,
-                              solve_potential, twisted_cohomology_dim,
-                              twisted_d, wedge, wedge_power)
+                              ce_d, form_monomials, form_to_vector, interior,
+                              lie_derivative, solve_potential,
+                              twisted_cohomology_dim, twisted_d,
+                              vector_to_form, wedge)
 from lieform.scalars import parse_scalar
 from conftest import make_rng, random_form, random_vector
 
@@ -286,6 +286,25 @@ def test_twisted_cohomology_vanishes_for_nonzero_multiple():
         lam = e(g, 0).scaled(c)
         dim, _ = twisted_cohomology_dim(g, lam, 1)
         assert dim == 0
+
+
+@pytest.mark.parametrize("g", [u2(), gl2r(("ah", "ap", "am"))],
+                         ids=["u2", "gl2r"])
+def test_form_vector_round_trip_in_every_degree(g):
+    rng = make_rng(31)
+    for k in range(g.dim + 1):
+        monos = form_monomials(g, k)
+        # coordinates follow form_monomials; a zero entry leaves the form
+        # and reads back as zero
+        vec = [g.zero() if t % 3 == 2 else
+               g._scalar(rng.choice(g.params or (1,))) + Fraction(t, 2)
+               for t in range(len(monos))]
+        alpha = vector_to_form(g, k, vec)
+        assert alpha.degree == k
+        assert [alpha.coefficient(idx) for idx in monos] == vec
+        assert form_to_vector(alpha) == vec
+        beta = random_form(rng, g, k)
+        assert vector_to_form(g, k, form_to_vector(beta)) == beta
 
 
 def test_solve_potential_round_trip_and_gauge():

@@ -1,6 +1,6 @@
-"""Every name a lieform module imports is used in that module, every
-module it imports is its own or in the standard library, and every
-parameter of a ``def`` is read by its body.
+"""Every name a lieform module, test or demo imports is used in that file,
+every module a lieform module imports is its own or in the standard
+library, and every parameter of a lieform ``def`` is read by its body.
 
 The package ``__init__`` is exempt from the first: its imports are the
 public re-exports.
@@ -12,8 +12,11 @@ import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lieform"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "lieform"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+IMPORTERS = MODULES + sorted(ROOT.glob("tests/*.py")) + sorted(
+    ROOT.glob("demos/*.py"))
 
 
 def unused_imports(source):
@@ -40,7 +43,7 @@ def test_modules_found():
     assert len(MODULES) >= 9
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from decimal import Decimal
 from fractions import Fraction
 
 from lieform import linalg
@@ -25,6 +26,11 @@ def test_scalar_reads_names_and_rationals_over_the_algebra_parameters():
         g._scalar("c")
     with pytest.raises(LieError):
         g._scalar(Scalar.var(("a",), "a"))
+    # a float would be read as its binary expansion, 0.1 as
+    # 3602879701896397/36028797018963968
+    for value in (0.1, 0.5, Decimal("0.1")):
+        with pytest.raises(LieError, match=r"value .* is not rational$"):
+            g._scalar(value)
 
 
 def test_bracket_tables_match_structure_constants():

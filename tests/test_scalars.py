@@ -1,6 +1,7 @@
 """Exact scalar field: arithmetic, equality, substitution, parsing."""
 
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -124,6 +125,14 @@ def test_scalar_substitute_and_denominator_locus():
         s.substitute({"a": Fraction(1)})
     assert exc.value.point == {"a": Fraction(1)}
     assert str(exc.value) == "denominator vanishes at a=1"
+    # a float would be read as its binary expansion, 0.1 as
+    # 3602879701896397/36028797018963968
+    for value in (0.1, 0.5, Decimal("0.1")):
+        for x in (s, Poly.var(("a",), "a")):
+            with pytest.raises(ParameterValueError) as exc:
+                x.substitute({"a": value})
+            assert str(exc.value) == \
+                f"parameter 'a': value {value!r} is not rational"
 
 
 def test_scalar_eval_exact_and_denominator_guard():

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from lieform import catalog, document, linalg
 from lieform.catalog import J_ab, J_mu, abelian, gl2r, lcs_form, oneform, u2
-from lieform.exterior import KForm, NoSolution, ce_d, twisted_d, wedge
+from lieform.exterior import (AmbientMismatch, KForm, NoSolution, ce_d,
+                              twisted_d, wedge)
 from lieform.scalars import (DenominatorVanishes, ParameterValueError, Scalar,
                              parse_scalar, scalar_eval)
 from lieform.structures import (CONVENTION_DEF, CONVENTION_THM,
@@ -24,7 +25,7 @@ from lieform.structures import (CONVENTION_DEF, CONVENTION_THM,
                                 biinvariant_identities,
                                 compatibility_check, exact_signature,
                                 lcs_check, metric_from, nabla_of_vector,
-                                nijenhuis, signature_at, signatures,
+                                nijenhuis, signatures,
                                 subalgebra_to_J, vaisman_check)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -154,11 +155,23 @@ def test_lcs_check_rejects_degenerate():
 # Compatibility and metrics
 # ---------------------------------------------------------------------------
 
-def test_compatibility_defects_reported():
+def test_compatibility_check_is_false_on_an_incompatible_pair():
     g = u2()
     om = lcs_form(g, oneform(g, {1: 1, 2: 1}))
-    ok, defects = compatibility_check(om, J_ab(g, 1, 2))
-    assert not ok and defects
+    assert compatibility_check(om, J_ab(g, 1, 2)) is False
+
+
+def test_J_on_another_algebra_is_rejected():
+    # without the check, assemble_lck returned lcK data on u2 with a J on
+    # gl2r, and vaisman_check called it Vaisman
+    g = u2()
+    om = lcs_form(g, oneform(g, {1: 1}))
+    J = ComplexStructure(gl2r(), J_ab(g, 0, 1).matrix)
+    for check in (compatibility_check, metric_from,
+                  lambda om, J: assemble_lck(g, om, J, CONVENTION_DEF)):
+        with pytest.raises(AmbientMismatch,
+                           match="J lives on another algebra than omega"):
+            check(om, J)
 
 
 def test_metric_conventions_differ_by_sign():
@@ -203,8 +216,7 @@ def test_matrix_path_matches_basis_evaluation(algebra, J_name, omega_name,
         om.evaluate(J.apply(e(i)), J.apply(e(j))) == om.evaluate(e(i), e(j))
         for i in range(n) for j in range(i + 1, n))
     assert invariant == compatible
-    ok, defects = compatibility_check(om, J)
-    assert ok == invariant and ok == (not defects)
+    assert compatibility_check(om, J) is invariant
     if not compatible:
         with pytest.raises(NotCompatible):
             metric_from(om, J, CONVENTION_DEF)
@@ -261,10 +273,10 @@ def test_signature_at_uses_exact_evaluation():
     g = u2(("a", "b"))
     om = lcs_form(g, oneform(g, {1: 1}))
     m = metric_from(om, J_ab(g), CONVENTION_THM)
-    assert signature_at(m, {"a": 0, "b": -1}) == (4, 0)
-    assert signature_at(m, {"a": 0, "b": 1}) == (2, 2)
+    assert next(signatures(m, [{"a": 0, "b": -1}])) == (4, 0)
+    assert next(signatures(m, [{"a": 0, "b": 1}])) == (2, 2)
     with pytest.raises(DegenerateAtPoint):
-        signature_at(m, {"a": 0, "b": 0})  # on the excluded locus
+        next(signatures(m, [{"a": 0, "b": 0}]))  # on the excluded locus
 
 
 @pytest.mark.parametrize("point, message", [
@@ -277,15 +289,15 @@ def test_signature_at_names_a_missing_or_non_rational_parameter(point,
     g = u2(("a", "b"))
     m = metric_from(lcs_form(g, oneform(g, {1: 1})), J_ab(g), CONVENTION_THM)
     with pytest.raises(ParameterValueError) as exc:
-        signature_at(m, point)
+        next(signatures(m, [point]))
     assert str(exc.value) == message
     assert exc.value.name == "b"
 
 
 def _signature_by_fractions(gm, assignment):
-    """Reference for ``signature_at``: every power, product and partial sum
-    as a Fraction, then symmetric pivoting over Q.  Returns the signature
-    or the message of the DegenerateAtPoint it would raise."""
+    """Reference for ``signatures`` at one point: every power, product and
+    partial sum as a Fraction, then symmetric pivoting over Q.  Returns the
+    signature or the message of the DegenerateAtPoint it would raise."""
     def value(poly, point):
         total = Fraction(0)
         for e, c in poly.terms.items():
@@ -377,7 +389,7 @@ def test_signature_at_matches_the_fraction_route(matrix, av, bv):
     gm = Metric(u2(_SIG_PARAMS), matrix, None)
     want = _signature_by_fractions(gm, {"a": av, "b": bv})
     try:
-        got = signature_at(gm, {"a": av, "b": bv})
+        got = next(signatures(gm, [{"a": av, "b": bv}]))
     except DegenerateAtPoint as exc:
         got = str(exc)
     assert got == want
@@ -413,6 +425,10 @@ def test_levi_civita_is_metric_and_torsion_free():
     lck = assemble_lck(g, om, J_ab(g, 0, 1), CONVENTION_DEF)
     gm = lck.metric
     n = g.dim
+
+    def pair(x, y):
+        return linalg.dot(x, linalg.mat_vec(gm.matrix, y))
+
     table = {}
     for j in range(n):
         ej = g.basis_vector(j)
@@ -427,8 +443,8 @@ def test_levi_civita_is_metric_and_torsion_free():
             for k in range(n):
                 # metric compatibility on constant fields:
                 # g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k) = 0
-                val = gm.pair(table[(i, j)], g.basis_vector(k)) + \
-                    gm.pair(g.basis_vector(j), table[(i, k)])
+                val = pair(table[(i, j)], g.basis_vector(k)) + \
+                    pair(g.basis_vector(j), table[(i, k)])
                 assert val.is_zero()
 
 
@@ -469,7 +485,10 @@ def test_nabla_of_vector_is_linear_in_the_vector(make_lck):
 
 
 def _nabla_by_three_pairings(g, gm, y):
-    """The Koszul formula with one Metric.pair call per term."""
+    """The Koszul formula with one pairing u . G v per term."""
+    def pair(u, v):
+        return linalg.dot(u, linalg.mat_vec(gm.matrix, v))
+
     ginv, _ = linalg.inverse(gm.matrix)
     out = []
     for i in range(g.dim):
@@ -478,9 +497,8 @@ def _nabla_by_three_pairings(g, gm, y):
         rhs = []
         for k in range(g.dim):
             ek = g.basis_vector(k)
-            val = gm.pair(ei_y, ek) \
-                - gm.pair(g.bracket(y, ek), ei) \
-                + gm.pair(g.bracket(ek, ei), y)
+            val = pair(ei_y, ek) - pair(g.bracket(y, ek), ei) \
+                + pair(g.bracket(ek, ei), y)
             rhs.append(val * Fraction(1, 2))
         out.append(linalg.mat_vec(ginv, rhs))
     return out
@@ -535,7 +553,7 @@ def test_g_xi_xi_from_gxi_matches_the_metric_pairing(path, omega, J):
     lck = assemble_lck(g, doc.build_form(omega, g),
                        ComplexStructure(g, doc.build_endo(J, g)),
                        CONVENTION_DEF)
-    assert lck.metric.pair(lck.xi, lck.xi) == \
+    assert linalg.dot(lck.xi, linalg.mat_vec(lck.metric.matrix, lck.xi)) == \
         sum(x * y for x, y in zip(lck.xi, lck.gxi))
 
 
@@ -545,7 +563,8 @@ def test_vaisman_flat_on_standard_structure_and_not_on_perturbed():
     lck = assemble_lck(g, om, J_ab(g, 0, 1), CONVENTION_DEF)
     ok, vanishing, _ = vaisman_check(lck)
     assert ok and not vanishing
-    assert not lck.metric.pair(lck.xi, lck.xi).is_zero()
+    assert not linalg.dot(
+        lck.xi, linalg.mat_vec(lck.metric.matrix, lck.xi)).is_zero()
     om2 = lcs_form(g, oneform(g, {1: 1, 2: 1}))
     lck2 = assemble_lck(g, om2, J_ab(g, 0, 1), CONVENTION_DEF)
     ok2, vanishing2, _ = vaisman_check(lck2)
@@ -651,9 +670,11 @@ def test_ad_invariance_names_the_first_failing_triple(make, phi, J):
 
     def first_defect(B):
         # B([e_i, e_j], e_k) + B(e_j, [e_i, e_k]) in (i, j, k) order
+        Bs = [[g._scalar(c) for c in row] for row in B]
+
         def pair(x, y):
-            return sum((x[r] * B[r][s] * y[s] for r in range(n)
-                        for s in range(n)), g.zero())
+            return linalg.dot(x, linalg.mat_vec(Bs, y))
+
         for i in range(n):
             for j in range(n):
                 for k in range(n):
@@ -719,7 +740,7 @@ def test_signature_at_upper_triangle_matches_full_evaluation(algebra, J_name,
             except (DenominatorVanishes, DegenerateAtPoint):
                 full = None
             try:
-                upper = signature_at(m, point)
+                upper = next(signatures(m, [point]))
             except DegenerateAtPoint:
                 upper = None
             assert upper == full, point
