@@ -8,6 +8,10 @@ Conventions are fixed once and for all:
   d(alpha)(X_0..X_k) = sum_{i<j} (-1)^{i+j} alpha([X_i,X_j], ..hat i..hat j..);
 * the twisted differential is d_lam(alpha) = d(alpha) - lam ^ alpha.
 
+The differential reads each algebra's table of the terms of d(e^I),
+``LieAlgebra.d_terms``.  The forms this module builds skip the public
+``KForm`` constructor's checks of their index tuples.
+
 A linear system in forms is built by ``matrix_of``: column j holds the
 coefficients of the j-th form, one row per monomial.
 """
@@ -16,8 +20,10 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from operator import add, sub
 
 from . import linalg
+from .scalars import Scalar
 
 
 class FormError(Exception):
@@ -80,18 +86,31 @@ class KForm:
     __slots__ = ("algebra", "degree", "coeffs")
 
     def __init__(self, algebra, degree, coeffs=None):
-        self.algebra = algebra
-        self.degree = int(degree)
-        clean = {}
-        for idx, c in (coeffs or {}).items():
-            idx = tuple(idx)
-            if len(idx) != self.degree:
+        degree = int(degree)
+        coeffs = {tuple(idx): c for idx, c in (coeffs or {}).items()}
+        for idx, c in coeffs.items():
+            if len(idx) != degree:
                 raise FormError(f"index tuple {idx} has wrong length")
+            if not all(isinstance(i, int) and 0 <= i < algebra.dim
+                       for i in idx):
+                raise FormError(f"index tuple {idx} is out of range for "
+                                f"dimension {algebra.dim}")
             if list(idx) != sorted(set(idx)):
                 raise FormError(f"index tuple {idx} is not strictly increasing")
-            if not c.is_zero():
-                clean[idx] = c
-        self.coeffs = clean
+            if not (isinstance(c, Scalar) and c.params == algebra.params):
+                raise FormError(f"coefficient {c!r} is not a scalar over "
+                                f"{algebra.params}")
+        self.algebra, self.degree = algebra, degree
+        self.coeffs = {idx: c for idx, c in coeffs.items() if not c.is_zero()}
+
+    @classmethod
+    def _built(cls, algebra, degree, coeffs):
+        """The form on coefficients keyed by index tuples this module built:
+        only the zero coefficients are dropped."""
+        form = cls.__new__(cls)
+        form.algebra, form.degree = algebra, degree
+        form.coeffs = {idx: c for idx, c in coeffs.items() if not c.is_zero()}
+        return form
 
     # -- constructors -------------------------------------------------
 
@@ -122,26 +141,30 @@ class KForm:
     def is_zero(self):
         return not self.coeffs
 
-    def __add__(self, other):
+    def _sum(self, other, op):
+        """self + other or self - other, for op the Scalar add or sub."""
         self._check(other)
         if self.degree != other.degree:
             raise FormError("cannot add forms of different degree")
         coeffs = dict(self.coeffs)
         for idx, c in other.coeffs.items():
-            coeffs[idx] = coeffs.get(idx, self.algebra.zero()) + c
-        return KForm(self.algebra, self.degree, coeffs)
+            coeffs[idx] = op(coeffs.get(idx, self.algebra.zero()), c)
+        return KForm._built(self.algebra, self.degree, coeffs)
+
+    def __add__(self, other):
+        return self._sum(other, add)
 
     def __neg__(self):
-        return KForm(self.algebra, self.degree,
-                     {i: -c for i, c in self.coeffs.items()})
+        return KForm._built(self.algebra, self.degree,
+                            {i: -c for i, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._sum(other, sub)
 
     def scaled(self, c):
         c = self.algebra._scalar(c)
-        return KForm(self.algebra, self.degree,
-                     {i: c * v for i, v in self.coeffs.items()})
+        return KForm._built(self.algebra, self.degree,
+                            {i: c * v for i, v in self.coeffs.items()})
 
     def __rmul__(self, c):
         return self.scaled(c)
@@ -196,7 +219,7 @@ def wedge(alpha, beta):
                 continue
             term = c1 * c2 if sign == 1 else -(c1 * c2)
             coeffs[merged] = coeffs.get(merged, g.zero()) + term
-    return KForm(g, alpha.degree + beta.degree, coeffs)
+    return KForm._built(g, alpha.degree + beta.degree, coeffs)
 
 
 def ce_d(alpha):
@@ -205,25 +228,16 @@ def ce_d(alpha):
     d(e^k) = -sum_{i<j} c_{ij}^k e^i ^ e^j is a 2-form, so it commutes past
     the 1-forms before e^k in a monomial:
     d(e^{idx}) = sum_a (-1)^a d(e^{idx[a]}) ^ e^{idx without position a}.
+    The terms of each d(e^{idx}) come from the algebra's table
+    (``LieAlgebra.d_terms``) and are summed in its order.
     """
     g = alpha.algebra
-    brackets = [((i, j), g.bracket_basis(i, j))
-                for i in range(g.dim) for j in range(i + 1, g.dim)]
+    zero = g.zero()
     coeffs = {}
     for idx, c in alpha.coeffs.items():
-        for a, k in enumerate(idx):
-            rest = idx[:a] + idx[a + 1:]
-            for ij, b in brackets:
-                if b[k].is_zero():
-                    continue
-                merged, sign = _merge_sign(ij, rest)
-                if merged is None:
-                    continue
-                term = c * b[k]
-                if sign * (-1) ** a == 1:
-                    term = -term
-                coeffs[merged] = coeffs.get(merged, g.zero()) + term
-    return KForm(g, alpha.degree + 1, coeffs)
+        for merged, s in g.d_terms(idx):
+            coeffs[merged] = coeffs.get(merged, zero) + c * s
+    return KForm._built(g, alpha.degree + 1, coeffs)
 
 
 def twisted_d(alpha, lam):
@@ -248,7 +262,7 @@ def interior(v, alpha):
             if a % 2 == 1:
                 term = -term
             coeffs[rest] = coeffs.get(rest, g.zero()) + term
-    return KForm(g, alpha.degree - 1, coeffs)
+    return KForm._built(g, alpha.degree - 1, coeffs)
 
 
 def lie_derivative(v, alpha):

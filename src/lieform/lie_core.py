@@ -6,7 +6,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from . import linalg
-from .exterior import KForm, ce_d
+from .exterior import KForm, _merge_sign, ce_d
 from .scalars import Scalar
 
 # the largest dimension of a document or a catalog id: check_jacobi costs n^4
@@ -67,6 +67,8 @@ class LieAlgebra:
             if (j, i) not in table:
                 table[(j, i)] = [-c for c in table[(i, j)]]
         self._table = table
+        self._constants = None  # structure_constants, built on first use
+        self._d_terms = {}  # d_terms, one entry per monomial asked for
         self.h_subalgebra = None
         if h_subalgebra:
             self.h_subalgebra = [
@@ -134,6 +136,33 @@ class LieAlgebra:
                     if not b[k].is_zero():
                         out[k] = out[k] + xi * yj * b[k]
         return out
+
+    def structure_constants(self, k):
+        """((i, j), c, -c) for each i < j with c = c_ij^k != 0, in
+        lexicographic order of (i, j); every d_terms entry shares c or -c."""
+        if self._constants is None:
+            self._constants = [[] for _ in range(self.dim)]
+            for i in range(self.dim):
+                for j in range(i + 1, self.dim):
+                    for m, c in enumerate(self._table.get((i, j), ())):
+                        if not c.is_zero():
+                            self._constants[m].append(((i, j), c, -c))
+        return self._constants[k]
+
+    def d_terms(self, idx):
+        """The terms (merged index, signed c_ij^k) of d(e^idx) in the order
+        ce_d sums them: position a of k in idx, then the pairs i < j."""
+        terms = self._d_terms.get(idx)
+        if terms is None:
+            terms = self._d_terms[idx] = []
+            for a, k in enumerate(idx):
+                rest = idx[:a] + idx[a + 1:]
+                for ij, c, neg in self.structure_constants(k):
+                    merged, sign = _merge_sign(ij, rest)
+                    if merged is not None:
+                        terms.append(
+                            (merged, neg if sign * (-1) ** a == 1 else c))
+        return terms
 
     def ad(self, v):
         """Matrix of ad_v: column j is [v, e_j]."""

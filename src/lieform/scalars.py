@@ -21,7 +21,11 @@ returns a zero factor, or the other factor of a one, as it is (zero is
 always the pair (0, 1), and normalization is idempotent); a sum or
 difference returns the other operand of a zero summand; a constant factor
 scales coefficients; a denominator of 1 is not multiplied; and a difference
-subtracts directly instead of adding a negation.
+subtracts directly instead of adding a negation.  Constants (denominator
+1, numerator at most a constant term) combine by one rational operation,
+which is all the general formula does to them: it keeps the denominator 1
+and builds the one numerator term, dropped when zero.  Every denominator 1
+is the shared ``Poly.one`` of its parameters, told by identity.
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ class Poly:
     """
 
     __slots__ = ("params", "terms")
+    _units = {}  # the one Poly of each parameter tuple (Poly.one)
 
     def __init__(self, params, terms):
         self.params = tuple(params)
@@ -82,7 +87,7 @@ class Poly:
 
     @classmethod
     def const(cls, params, value):
-        if not isinstance(value, int):
+        if not isinstance(value, (int, Fraction)):
             value = Fraction(value)
         return cls(params, {(0,) * len(params): value})
 
@@ -92,7 +97,13 @@ class Poly:
 
     @classmethod
     def one(cls, params):
-        return cls.const(params, 1)
+        """The one over params: one shared instance per parameter tuple, so
+        that a scalar's denominator of one is told by identity."""
+        params = tuple(params)
+        unit = cls._units.get(params)
+        if unit is None:
+            unit = cls._units[params] = cls.const(params, 1)
+        return unit
 
     @classmethod
     def var(cls, params, name):
@@ -110,10 +121,8 @@ class Poly:
         return all(sum(e) == 0 for e in self.terms)
 
     def is_one(self):
-        if len(self.terms) != 1:
-            return False
-        (e, c), = self.terms.items()
-        return c == 1 and not any(e)
+        return (len(self.terms) == 1
+                and self.terms.get((0,) * len(self.params)) == 1)
 
     def constant_value(self):
         if self.is_zero():
@@ -197,21 +206,26 @@ class Poly:
         return l, {e: c.numerator * (l // c.denominator)
                    for e, c in self.terms.items()}
 
+    def _scaled(self, c):
+        """self times the int or Fraction c; self itself when c is 1."""
+        if c == 1:
+            return self
+        return Poly(self.params, {e: x * c for e, x in self.terms.items()})
+
     def __mul__(self, other):
         if not isinstance(other, Poly):  # an int or a Fraction
-            if other == 1:
-                return self
-            return Poly(self.params,
-                        {e: c * other for e, c in self.terms.items()})
+            return self._scaled(other)
         self._check(other)
         if not self.terms:
             return self
         if not other.terms:
             return other
         # a constant operand scales the other one's coefficients
-        for p, q in ((self, other), (other, self)):
-            if len(q.terms) == 1 and not any(next(iter(q.terms))):
-                return p * next(iter(q.terms.values()))
+        zero = (0,) * len(self.params)
+        if len(other.terms) == 1 and zero in other.terms:
+            return self._scaled(other.terms[zero])
+        if len(self.terms) == 1 and zero in self.terms:
+            return other._scaled(self.terms[zero])
         # multiply over Z and divide each product term once
         l1, a = self._integral()
         l2, b = other._integral()
@@ -326,24 +340,21 @@ class Scalar:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if den is None:
-            den = Poly.one(num.params)
-        elif num.params != den.params:
-            raise ScalarError("parameter mismatch in scalar")
-        if den.is_one():
+        one = Poly.one(num.params)
+        if den is not None and den is not one:
+            if num.params != den.params:
+                raise ScalarError("parameter mismatch in scalar")
+            if den.is_zero():
+                raise ScalarError("zero denominator")
+        if den is None or num.is_zero() or den.is_one():
             self.num = num
-            self.den = den
+            self.den = one
             return
-        if den.is_zero():
-            raise ScalarError("zero denominator")
-        if num.is_zero():
-            den = Poly.one(num.params)
-        else:
-            m_num = num.monomial_gcd()
-            m_den = den.monomial_gcd()
-            mono = tuple(min(a, b) for a, b in zip(m_num, m_den))
-            num = num.shift_down(mono)
-            den = den.shift_down(mono)
+        m_num = num.monomial_gcd()
+        m_den = den.monomial_gcd()
+        mono = tuple(min(a, b) for a, b in zip(m_num, m_den))
+        num = num.shift_down(mono)
+        den = den.shift_down(mono)
         c = den.content()
         _, lead = den.leading()
         if lead < 0:
@@ -353,7 +364,7 @@ class Scalar:
             num = num * inv
             den = den * inv
         self.num = num
-        self.den = den
+        self.den = one if den.is_one() else den
 
     # -- constructors -------------------------------------------------
 
@@ -388,6 +399,14 @@ class Scalar:
     def is_constant(self):
         return self.num.is_constant() and self.den.is_constant()
 
+    def _constant_term(self):
+        """c when self is the nonzero constant c, with the shared denominator
+        one and a numerator of one constant term; else None."""
+        terms = self.num.terms
+        if len(terms) == 1 and self.den is Poly.one(self.num.params):
+            return terms.get((0,) * len(self.num.params))
+        return None
+
     def constant_value(self):
         return self.num.constant_value() / self.den.constant_value()
 
@@ -421,6 +440,9 @@ class Scalar:
             return self
         if self.is_zero():
             return other if op is add else -other
+        if (a := self._constant_term()) is not None and \
+                (b := other._constant_term()) is not None:
+            return Scalar.const(self.params, op(a, b))
         if self.den == other.den:
             return Scalar(op(self.num, other.num), self.den)
         return Scalar(op(self.num * other.den, other.num * self.den),
@@ -449,9 +471,13 @@ class Scalar:
             return self
         if other.is_zero() or self._is_one():
             return other
-        if self.den.is_one():
+        if (a := self._constant_term()) is not None and \
+                (b := other._constant_term()) is not None:
+            return Scalar.const(self.params, a * b)
+        one = Poly.one(self.params)
+        if self.den is one:
             den = other.den
-        elif other.den.is_one():
+        elif other.den is one:
             den = self.den
         else:
             den = self.den * other.den

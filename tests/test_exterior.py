@@ -15,7 +15,8 @@ from lieform.exterior import (AmbientMismatch, FormError, KForm, NoSolution,
                               lie_derivative, solve_potential,
                               twisted_cohomology_dim, twisted_d,
                               vector_to_form, wedge)
-from lieform.scalars import parse_scalar
+from lieform.lie_core import LieAlgebra
+from lieform.scalars import Scalar, parse_scalar
 from conftest import make_rng, random_form, random_vector
 
 
@@ -96,6 +97,12 @@ def test_kform_rejects_bad_index_tuples():
         KForm(g, 2, {(2, 1): g.one()})
     with pytest.raises(FormError):
         KForm(g, 2, {(1,): g.one()})
+    # an index outside range(dim), and a coefficient that is not a scalar
+    # over the algebra's parameters
+    for coeffs in ({(-1,): g.one()}, {(7,): g.one()},
+                   {(1,): Scalar.one(("a",))}, {(1,): 1}):
+        with pytest.raises(FormError):
+            KForm(g, 1, coeffs)
 
 
 def test_kform_division_is_exact():
@@ -197,6 +204,17 @@ def test_differential_matches_pointwise_oracle():
             a = random_form(rng, g, k)
             vs = [random_vector(rng, g) for _ in range(k + 1)]
             assert ce_d(a).evaluate(*vs) == d_oracle(a, vs)
+    # a parametric structure constant, [x, y] = t y over Q(t), and
+    # parametric coefficients
+    g = LieAlgebra(["x", "y"], {(0, 1): {1: "t"}}, params=("t",))
+    vs = [g.vector([1, "t"]), g.vector([Fraction(-2, 3), 5])]
+    for text in ("1", "t", "(t^2 - 1)/(2*t + 3)"):
+        c = parse_scalar(text, g.params)
+        for a in (KForm(g, 1, {(0,): c}), KForm(g, 1, {(1,): c}),
+                  KForm(g, 1, {(0,): c, (1,): c * c + 1})):
+            assert ce_d(a).evaluate(*vs) == d_oracle(a, vs)
+    assert ce_d(KForm.basis_oneform(g, 1)) == \
+        KForm(g, 2, {(0, 1): parse_scalar("-t", g.params)})
 
 
 def test_d_is_an_antiderivation():

@@ -472,7 +472,7 @@ def _z_product(p, q):
         for e2, c2 in b.items():
             e = tuple(x + y for x, y in zip(e1, e2))
             terms[e] = terms.get(e, 0) + c1 * c2
-    return Poly(P, {e: Fraction(c, l1 * l2) for e, c in terms.items()})
+    return Poly(p.params, {e: Fraction(c, l1 * l2) for e, c in terms.items()})
 
 
 def _assert_same_poly(got, want):
@@ -496,8 +496,11 @@ def test_poly_times_constant_matches_the_z_product(p, c):
 
 @st.composite
 def shortcut_pairs(draw):
-    """Two scalars, each a zero, a constant, a polynomial, a quotient over a
-    denominator the pair shares, or a general quotient."""
+    """Two scalars over (a, b), each a zero, a constant, a polynomial, a
+    quotient over a denominator the pair shares, or a general quotient; or
+    two zeros or constants over no parameters.  In some pairs the second is
+    the negated first, so that their sum cancels."""
+    params = draw(st.sampled_from([P, ()]))
     # constant term 1 and a positive leading coefficient: a normalized
     # denominator that Scalar keeps as given
     shared = Poly(P, {(0, 0): 1,
@@ -506,11 +509,12 @@ def shortcut_pairs(draw):
 
     def operand():
         kind = draw(st.sampled_from(
-            ["zero", "constant", "polynomial", "shared", "general"]))
+            ["zero", "constant", "polynomial", "shared", "general"]
+            if params else ["zero", "constant"]))
         if kind == "zero":
-            return Scalar.zero(P)
+            return Scalar.zero(params)
         if kind == "constant":
-            return Scalar.const(P, draw(st.fractions(
+            return Scalar.const(params, draw(st.fractions(
                 min_value=-3, max_value=3, max_denominator=4)))
         if kind == "polynomial":
             return Scalar(draw(polys))
@@ -518,7 +522,10 @@ def shortcut_pairs(draw):
             return Scalar(draw(polys), shared)
         return draw(scalars())
 
-    return operand(), operand()
+    x = operand()
+    if draw(st.integers(0, 3)) == 0:
+        return x, Scalar(-x.num, x.den)
+    return x, operand()
 
 
 def _sum_formula(x, y):
@@ -535,18 +542,21 @@ def _assert_same_scalar(got, want):
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.large_base_example])
 @given(shortcut_pairs())
+@example((Scalar.const(P, Fraction(3, 2)), Scalar.const(P, Fraction(-3, 2))))
+@example((Scalar.const((), Fraction(-7, 3)), Scalar.const((), Fraction(7, 3))))
 def test_shortcuts_match_the_general_formulas(pair):
     x, y = pair
+    params = x.params
     _assert_same_scalar(x + y, _sum_formula(x, y))
     _assert_same_scalar(y + x, _sum_formula(y, x))
     _assert_same_scalar(x - y, _sum_formula(x, Scalar(-y.num, y.den)))
-    _assert_same_scalar(x + 0, _sum_formula(x, Scalar.zero(P)))
-    _assert_same_scalar(0 + x, _sum_formula(Scalar.zero(P), x))
+    _assert_same_scalar(x + 0, _sum_formula(x, Scalar.zero(params)))
+    _assert_same_scalar(0 + x, _sum_formula(Scalar.zero(params), x))
     _assert_same_scalar(x * y, Scalar(_z_product(x.num, y.num),
                                       _z_product(x.den, y.den)))
     # a zero factor and a factor of one, on either side of any operand kind,
     # quotients included
-    for c, k in ((Scalar.zero(P), 0), (Scalar.one(P), 1)):
+    for c, k in ((Scalar.zero(params), 0), (Scalar.one(params), 1)):
         for z in (x, y):
             want = Scalar(_z_product(c.num, z.num), _z_product(c.den, z.den))
             for got in (c * z, z * c, k * z, z * k):

@@ -15,15 +15,20 @@ values plus at most 10%, so a kernel or a product that stops skipping
 structural zeros fails.  The fifth bounds the products, the degree and the
 report size of ``check-vaisman`` on a form with a 91-term coefficient, and
 the sixth the report size of ``check-vaisman`` on a gl(2, R) form scaled by
-a linear factor.
+a linear factor.  The last counts the ``Poly`` products and the ``Scalar``
+constructions of the exterior differentials and bounds them at the
+measured values plus at most 10%, so a differential that stops reading its
+table or a constant product that takes the polynomial path fails.
 """
 
 import json
 import os
+from itertools import combinations
 
 import pytest
 
 from lieform import catalog, cli, constructions, linalg, scalars, structures
+from lieform.exterior import KForm, ce_d, twisted_d
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -160,3 +165,41 @@ def test_vaisman_check_of_a_scaled_gl2_form_is_bounded(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["check-vaisman", str(path), "omega_swell", "J_mu"]) == 0
     assert len(capsys.readouterr().out) < 10_000
+
+
+@pytest.mark.parametrize("make, products, constructions", [
+    (catalog.u2, 39, 84),
+    (catalog.gl2r, 66, 141),
+])
+def test_differentials_of_monomials_are_bounded(make, products,
+                                                constructions, monkeypatch):
+    # ce_d and twisted_d, lam = a e^0, of c e^I for every monomial e^I and
+    # c in 1, 3/2, a + 1, 1/(a + 1); measured: 36 products and 77
+    # constructions (u2), 60 and 129 (gl2r); while ce_d negated each term
+    # it built and a product of two constants took the polynomial path,
+    # 88 and 104 (u2), 136 and 160 (gl2r)
+    g = make(("a",))
+    lam = KForm.monomial(g, (0,), g._scalar("a"))
+    forms = [KForm.monomial(g, idx, scalars.parse_scalar(c, g.params))
+             for c in ("1", "3/2", "a + 1", "1/(a + 1)")
+             for k in range(g.dim + 1)
+             for idx in combinations(range(g.dim), k)]
+    calls = {"products": 0, "constructions": 0}
+    mul = scalars.Poly.__mul__
+    init = scalars.Scalar.__init__
+
+    def counting_mul(a, b):
+        calls["products"] += 1
+        return mul(a, b)
+
+    def counting_init(self, *args):
+        calls["constructions"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(scalars.Poly, "__mul__", counting_mul)
+    monkeypatch.setattr(scalars.Scalar, "__init__", counting_init)
+    for f in forms:
+        ce_d(f)
+        twisted_d(f, lam)
+    assert calls["products"] <= products, calls
+    assert calls["constructions"] <= constructions, calls
