@@ -10,8 +10,8 @@ from .exterior import (KForm, ce_d, interior, lie_derivative, solve_potential,
 from .structures import (CONVENTION_DEF, CONVENTION_THM, ComplexStructure,
                          LckData, LcsData, Metric, StructureError,
                          StructureReport, assemble_lck, biinvariant_identities,
-                         compatibility_check, exact_signature, lcs_check,
-                         metric_from, nabla_of_vector, nijenhuis, signatures,
+                         compatibility_check, lcs_check, metric_from,
+                         nabla_of_vector, nijenhuis, signatures,
                          subalgebra_to_J, J_to_subalgebra, vaisman_check)
 from .constructions import (OrbitData, coadjoint_stabilizer,
                             kirillov_kostant_form, lcs_from_orbit)

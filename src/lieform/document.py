@@ -17,20 +17,21 @@ A document is a single JSON file with the shape
 
 Scalar entries use the literal grammar of the scalars module.  A wedge
 expression is the same grammar with the basis names as atoms: ``e0^e1``
-reads as the monomial form on the dual basis, so a term is
-``[scalar *] name^name^...``.  Emission is canonical, so parse -> emit ->
-parse is the identity.  ``loads`` raises DocumentError on text that is not
-JSON or nests too deeply, on sections of another shape, on a dim above
-``lie_core.MAX_DIM`` and on basis or parameter names that are not
-identifiers or that appear in both lists; ``load`` also on a directory and
-on bytes that are not UTF-8.
+reads as the monomial form on the dual basis, the wedge of its basis
+one-forms, so a term is ``[scalar *] name^name^...``.  A form prints as its
+canonical wedge expression, ``KForm.__str__`` (``emit_form`` returns the
+same text), so ``parse_form(str(f)) == f``.  ``loads`` raises DocumentError
+on text that is not JSON or nests too deeply, on sections of another shape,
+on a dim above ``lie_core.MAX_DIM`` and on basis or parameter names that are
+not identifiers or that appear in both lists; ``load`` also on a directory
+and on bytes that are not UTF-8.
 """
 
 from __future__ import annotations
 
 import json
 
-from .exterior import KForm, _merge_sign
+from .exterior import KForm, wedge
 from .lie_core import MAX_DIM, LieAlgebra
 from .scalars import Scalar, _Parser, parse_scalar
 
@@ -228,17 +229,16 @@ class _FormParser(_Parser):
         basis = self.g.basis_names
         if name not in basis:
             return super().name(name)
-        idx = [basis.index(name)]
+        form = KForm.basis_oneform(self.g, basis.index(name))
         while self.peek() == "^":
             self.pos += 1
             name = self.identifier()
             if name not in basis:
                 self.error("expected a basis name")
-            idx.append(basis.index(name))
-        if len(set(idx)) != len(idx):
-            self.error("repeated factor in monomial")
-        key, sign = _merge_sign(tuple(idx), ())
-        return KForm.monomial(self.g, key, self.g._scalar(sign))
+            form = wedge(form, KForm.basis_oneform(self.g, basis.index(name)))
+            if form.is_zero():
+                self.error("repeated factor in monomial")
+        return form
 
     def combine(self, op, at, a, b):
         ka, kb = (x.degree if isinstance(x, KForm) else None for x in (a, b))
@@ -266,20 +266,8 @@ def parse_form(text, g, at=None):
 
 
 def emit_form(f):
-    """Canonical wedge expression; parse(emit(f)) == f."""
-    g = f.algebra
-    if f.is_zero():
-        return "0" if f.degree == 0 else "0 * " + "^".join(
-            g.basis_names[i] for i in range(f.degree))
-    parts = []
-    for idx in sorted(f.coeffs):
-        c = f.coeffs[idx]
-        mono = "^".join(g.basis_names[i] for i in idx)
-        if not idx:
-            parts.append(f"({c})")
-        else:
-            parts.append(f"({c}) * {mono}")
-    return " + ".join(parts)
+    """The canonical wedge expression of f, ``str(f)``."""
+    return str(f)
 
 
 def document_from_entry(entry):

@@ -8,6 +8,9 @@ Conventions are fixed once and for all:
   d(alpha)(X_0..X_k) = sum_{i<j} (-1)^{i+j} alpha([X_i,X_j], ..hat i..hat j..);
 * the twisted differential is d_lam(alpha) = d(alpha) - lam ^ alpha.
 
+A form prints as its canonical wedge expression, ``(c) * e0^e1 + ...``;
+``document.parse_form`` reads it back, so ``parse_form(str(f)) == f``.
+
 The differential reads each algebra's table of the terms of d(e^I),
 ``LieAlgebra.d_terms``.  The forms this module builds skip the public
 ``KForm`` constructor's checks of their index tuples.
@@ -59,21 +62,13 @@ MAX_MONOMIALS = 924
 
 
 def _merge_sign(left, right):
-    """Sign of sorting the concatenation of two index tuples.
-
-    Returns (sorted tuple, sign) or (None, 0) when an index repeats.
-    """
-    if set(left) & set(right):
+    """(sorted union, sign of the shuffle) of two increasing index tuples,
+    or (None, 0) when they share an index: the sign is the parity of the
+    pairs a in left, b in right with a > b."""
+    if not set(left).isdisjoint(right):
         return None, 0
-    merged = tuple(sorted(left + right))
-    # count inversions of the concatenation
-    seq = left + right
-    inv = 0
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                inv += 1
-    return merged, (-1) ** inv
+    inv = sum(a > b for b in right for a in left)
+    return tuple(sorted(left + right)), (-1) ** inv
 
 
 class KForm:
@@ -193,15 +188,15 @@ class KForm:
         return form.coefficient(())
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
+        """``(c) * e0^e1 + ...``; the zero k-form is ``0 * e0^...^e{k-1}``,
+        or ``0`` in degree 0 and above the dimension (no monomial)."""
         names = self.algebra.basis_names
-        parts = []
-        for idx in sorted(self.coeffs):
-            c = self.coeffs[idx]
-            mono = "^".join(names[i] for i in idx) if idx else "1"
-            parts.append(f"({c})*{mono}" if idx else f"({c})")
-        return " + ".join(parts)
+        if self.is_zero():
+            return ("0 * " + "^".join(names[:self.degree])
+                    if 0 < self.degree <= len(names) else "0")
+        return " + ".join(f"({c}) * {'^'.join(names[i] for i in idx)}"
+                          if idx else f"({c})"
+                          for idx, c in sorted(self.coeffs.items()))
 
     def __repr__(self):
         return f"KForm[{self.degree}]({self})"

@@ -355,18 +355,6 @@ def metric_from(omega, J, convention=CONVENTION_THM):
     return Metric(g, mat, convention)
 
 
-def exact_signature(rows):
-    """Signature (p, q) of a symmetric matrix of ints and Fractions, exactly.
-
-    The matrix is scaled by the positive lcm of its entry denominators and
-    handed to the integer core ``_signature_over_z``, which ``signatures``
-    also runs at each of its points.
-    """
-    l = lcm(*(c.denominator for r in rows for c in r))
-    return _signature_over_z([[c.numerator * (l // c.denominator) for c in r]
-                              for r in rows])
-
-
 def _signature_over_z(a):
     """Signature (p, q) of a symmetric int matrix, reduced in place over Z
     by symmetric pivoting (Sylvester's law of inertia): a pivot d counts

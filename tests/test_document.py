@@ -110,6 +110,8 @@ def test_emit_parse_round_trip():
         assert parse_form(emit_form(f), g) == f
     zero = KForm.zero(g, 2)
     assert parse_form(emit_form(zero), g) == zero
+    # above the dimension the only form is zero, with no monomial to print
+    assert emit_form(KForm.zero(g, g.dim + 1)) == "0"
 
 
 U2_AB = catalog.u2(("a", "b"))  # the parameters of the scalars() strategy
@@ -117,11 +119,13 @@ U2_AB = catalog.u2(("a", "b"))  # the parameters of the scalars() strategy
 
 @st.composite
 def forms(draw):
-    """A form of any degree on U2_AB; no monomial and zero coefficients
-    give zero forms."""
-    k = draw(st.integers(0, U2_AB.dim))
-    keys = draw(st.lists(st.sampled_from(
-        list(combinations(range(U2_AB.dim), k))), unique=True))
+    """A form of any degree up to dim + 1 on U2_AB; no monomial and zero
+    coefficients give zero forms, and above the dimension only the zero
+    form exists."""
+    k = draw(st.integers(0, U2_AB.dim + 1))
+    monomials = list(combinations(range(U2_AB.dim), k))
+    keys = draw(st.lists(st.sampled_from(monomials), unique=True)
+                if monomials else st.just([]))
     return KForm(U2_AB, k, {idx: draw(scalars()) for idx in keys})
 
 
@@ -129,7 +133,12 @@ def forms(draw):
           suppress_health_check=[HealthCheck.large_base_example])
 @given(forms())
 def test_parse_inverts_emit(f):
-    parsed = parse_form(emit_form(f), U2_AB)
+    text = str(f)
+    assert emit_form(f) == text
+    if f.degree > U2_AB.dim:
+        assert text == "0"
+        return
+    parsed = parse_form(text, U2_AB)
     assert parsed.degree == f.degree
     assert parsed == f
 

@@ -189,6 +189,12 @@ def test_differential_of_dual_basis_verbatim():
     assert ce_d(e(g, 1)) == e(g, 2, 3)
     assert ce_d(e(g, 2)) == -e(g, 1, 3)
     assert ce_d(e(g, 3)) == e(g, 1, 2)
+    # printed as canonical wedge expressions; d of the top-degree form is
+    # the zero form of degree dim + 1, which has no monomial to print
+    assert str(ce_d(e(g, 2))) == "(-1) * e1^e3"
+    assert str(ce_d(e(g, 0))) == "0 * e0^e1"
+    top = ce_d(e(g, 0, 1, 2, 3))
+    assert top.degree == 5 and str(top) == "0"
     h = gl2r()
     # [h,e+] = 2e+, [h,e-] = -2e-, [e+,e-] = h
     assert ce_d(e(h, 1)) == -e(h, 2, 3)

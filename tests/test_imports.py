@@ -1,6 +1,8 @@
 """Every name a lieform module, test or demo imports is used in that file,
 every module a lieform module imports is its own or in the standard
-library, and every parameter of a lieform ``def`` is read by its body.
+library, no lieform module imports another's private name beyond the
+stated exceptions, and every parameter of a lieform ``def`` is read by its
+body.
 
 The package ``__init__`` is exempt from the first: its imports are the
 public re-exports.
@@ -108,3 +110,40 @@ def test_checker_finds_absolute_imports():
 def test_runtime_imports_only_the_standard_library(path):
     imported = imported_modules(path.read_text(encoding="utf-8"))
     assert imported - sys.stdlib_module_names == set()
+
+
+def private_imports(source):
+    """(module, name) for each private name that source imports from a
+    module of its own package, relatively or as ``lieform.module``."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("lieform")):
+            module = (node.module or "").rpartition(".")[2]
+            out.update((module, alias.name) for alias in node.names
+                       if alias.name.startswith("_")
+                       and not alias.name.startswith("__"))
+    return out
+
+
+# document subclasses the literal parser; LieAlgebra.d_terms reads the
+# shuffle sign of the wedge
+PRIVATE_IMPORTS = {("document.py", "scalars", "_Parser"),
+                   ("lie_core.py", "exterior", "_merge_sign")}
+
+
+def test_checker_flags_a_private_import():
+    src = ("from __future__ import annotations\n"
+           "from .exterior import KForm, _merge_sign\n"
+           "from lieform.scalars import _Parser\n"
+           "from os import _exit\n"
+           "from . import linalg\n")
+    assert private_imports(src) == {("exterior", "_merge_sign"),
+                                    ("scalars", "_Parser")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    found = {(path.name, module, name) for module, name in
+             private_imports(path.read_text(encoding="utf-8"))}
+    assert found - PRIVATE_IMPORTS == set()

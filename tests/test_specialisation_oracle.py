@@ -1,0 +1,107 @@
+"""Symbolic lcK and Vaisman verdicts against the same checks recomputed at
+rational points.
+
+Each case of the shipped documents is assembled once over Q(parameters).
+At seeded points off every reported locus, the document is rebuilt with
+the point substituted into each literal (``Document.build_*(..., at)``),
+and the parameter-free checks must agree with the symbolic answer
+specialised: the Lee form is the symbolic one at the point, and the
+structure is Vaisman at the point exactly when every polynomial of the
+symbolic vanishing list vanishes there.
+"""
+
+import functools
+import os
+import random
+from fractions import Fraction
+
+import pytest
+
+from lieform import document
+from lieform.exterior import FormError, form_to_vector
+from lieform.scalars import ScalarError
+from lieform.structures import (CONVENTION_DEF, CONVENTION_THM,
+                                ComplexStructure, StructureError,
+                                assemble_lck, vaisman_check)
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+# (document, omega, J)
+CASES = [
+    ("u2", "omega_std", "J_ab"),
+    ("u2", "omega_std", "J_01"),
+    ("u2", "omega_general", "J_01"),
+    ("gl2r", "omega_std", "J_mu"),
+    ("gl2r", "omega_std", "J_mu1"),
+    ("gl2r", "omega_general", "J_mu1"),
+]
+CONVENTIONS = [CONVENTION_DEF, CONVENTION_THM]
+POINTS = 20
+
+
+def on_branch(name, point):
+    """The point moved onto the Vaisman branch of its document: a2 = a3 = 0
+    on u2, ah = 0 and am = -ap on gl2r."""
+    if name == "u2":
+        return point | {"a2": Fraction(0), "a3": Fraction(0)}
+    return point | {"ah": Fraction(0), "am": -point["ap"]}
+
+
+def lck_of(doc, omega, J, convention, at=None):
+    g = doc.build_algebra(at)
+    om = doc.build_form(omega, g, at)
+    return assemble_lck(g, om, ComplexStructure(g, doc.build_endo(J, g, at)),
+                        convention)
+
+
+def vanishes(poly, point):
+    return poly.substitute(point).is_zero()
+
+
+@functools.cache
+def outcome(name, omega, J, convention):
+    """(points used, pointwise Vaisman verdicts seen) over the case's seeded
+    points, every other one on the Vaisman branch; asserts the agreement at
+    each point used.  A point is skipped where an entry of the lcK locus or
+    of the Vaisman check's locus vanishes, or where the pointwise build
+    raises.  On both omega_general cases the branch lies inside the lcK
+    locus (it lists a3, resp. ah), so their branch points are skipped."""
+    doc = document.load(os.path.join(DATA, f"{name}.json"))
+    lck = lck_of(doc, omega, J, convention)
+    _, vanishing, vaisman_locus = vaisman_check(lck)
+    lam = form_to_vector(lck.lcs.lam)
+    rng = random.Random(CASES.index((name, omega, J)))
+    used, verdicts = 0, set()
+    for n in range(POINTS):
+        point = {p: Fraction(rng.randint(-6, 6), 2) for p in doc.parameters}
+        if n % 2:
+            point = on_branch(name, point)
+        if any(vanishes(p, point) for p in lck.locus + vaisman_locus):
+            continue
+        try:
+            at_point = lck_of(doc, omega, J, convention, point)
+        except (StructureError, FormError, ScalarError):
+            continue
+        used += 1
+        assert [c.substitute(point) for c in lam] == \
+            form_to_vector(at_point.lcs.lam), point
+        vaisman = vaisman_check(at_point)[0]
+        assert vaisman == all(vanishes(p, point) for p in vanishing), point
+        verdicts.add(vaisman)
+    return used, verdicts
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("name, omega, J", CASES)
+def test_symbolic_verdicts_specialise_to_the_pointwise_ones(name, omega, J,
+                                                            convention):
+    used, _ = outcome(name, omega, J, convention)
+    assert used >= POINTS // 4
+
+
+def test_the_points_used_cover_both_verdicts():
+    outcomes = [outcome(*case, convention)
+                for case in CASES for convention in CONVENTIONS]
+    assert sum(used for used, _ in outcomes) >= 150
+    assert set().union(*(verdicts for _, verdicts in outcomes)) == \
+        {True, False}

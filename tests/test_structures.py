@@ -5,6 +5,7 @@ import json
 import os
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,7 +24,7 @@ from lieform.structures import (CONVENTION_DEF, CONVENTION_THM,
                                 NotAlmostComplex, NotCompatible,
                                 NotTransverse, StructureReport, assemble_lck,
                                 biinvariant_identities,
-                                compatibility_check, exact_signature,
+                                _signature_over_z, compatibility_check,
                                 lcs_check, metric_from, nabla_of_vector,
                                 nijenhuis, signatures,
                                 subalgebra_to_J, vaisman_check)
@@ -230,6 +231,15 @@ def test_matrix_path_matches_basis_evaluation(algebra, J_name, omega_name,
 # ---------------------------------------------------------------------------
 # Exact signatures, with a numeric eigenvalue oracle
 # ---------------------------------------------------------------------------
+
+def exact_signature(rows):
+    """Signature (p, q) of a symmetric matrix of ints and Fractions: the
+    matrix scaled by the lcm of its entry denominators, handed to the
+    integer core that ``signatures`` runs at each of its points."""
+    l = lcm(*(c.denominator for r in rows for c in r))
+    return _signature_over_z([[c.numerator * (l // c.denominator) for c in r]
+                              for r in rows])
+
 
 def test_exact_signature_known():
     assert exact_signature([[1, 0], [0, -1]]) == (1, 1)
