@@ -21,6 +21,7 @@ coefficients of the j-th form, one row per monomial.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from math import comb
 from operator import add, sub
@@ -81,7 +82,8 @@ class KForm:
     __slots__ = ("algebra", "degree", "coeffs")
 
     def __init__(self, algebra, degree, coeffs=None):
-        degree = int(degree)
+        if type(degree) is not int or degree < 0:
+            raise FormError(f"degree {degree!r} is not a non-negative int")
         coeffs = {tuple(idx): c for idx, c in (coeffs or {}).items()}
         for idx, c in coeffs.items():
             if len(idx) != degree:
@@ -202,19 +204,36 @@ class KForm:
         return f"KForm[{self.degree}]({self})"
 
 
-def wedge(alpha, beta):
-    """Graded-commutative shuffle-convention wedge product."""
+def _wedge_coeffs(alpha, beta):
+    """The coefficients of alpha ^ beta, the zero ones included."""
     alpha._check(beta)
+    zero = alpha.algebra.zero()
     coeffs = {}
-    g = alpha.algebra
     for i1, c1 in alpha.coeffs.items():
         for i2, c2 in beta.coeffs.items():
             merged, sign = _merge_sign(i1, i2)
             if merged is None:
                 continue
             term = c1 * c2 if sign == 1 else -(c1 * c2)
-            coeffs[merged] = coeffs.get(merged, g.zero()) + term
-    return KForm._built(g, alpha.degree + beta.degree, coeffs)
+            coeffs[merged] = coeffs.get(merged, zero) + term
+    return coeffs
+
+
+def _d_coeffs(alpha):
+    """The coefficients of d(alpha), the zero ones included (see ce_d)."""
+    g = alpha.algebra
+    zero = g.zero()
+    coeffs = {}
+    for idx, c in alpha.coeffs.items():
+        for merged, s in g.d_terms(idx):
+            coeffs[merged] = coeffs.get(merged, zero) + c * s
+    return coeffs
+
+
+def wedge(alpha, beta):
+    """Graded-commutative shuffle-convention wedge product."""
+    return KForm._built(alpha.algebra, alpha.degree + beta.degree,
+                        _wedge_coeffs(alpha, beta))
 
 
 def ce_d(alpha):
@@ -226,20 +245,20 @@ def ce_d(alpha):
     The terms of each d(e^{idx}) come from the algebra's table
     (``LieAlgebra.d_terms``) and are summed in its order.
     """
-    g = alpha.algebra
-    zero = g.zero()
-    coeffs = {}
-    for idx, c in alpha.coeffs.items():
-        for merged, s in g.d_terms(idx):
-            coeffs[merged] = coeffs.get(merged, zero) + c * s
-    return KForm._built(g, alpha.degree + 1, coeffs)
+    return KForm._built(alpha.algebra, alpha.degree + 1, _d_coeffs(alpha))
 
 
 def twisted_d(alpha, lam):
-    """d_lam(alpha) = d(alpha) - lam ^ alpha.  lam should be closed."""
+    """d_lam(alpha) = d(alpha) - lam ^ alpha, built as one form by the scalar
+    operations of that difference, in its order.  lam should be closed."""
     if lam.degree != 1:
         raise FormError("twisting form must have degree 1")
-    return ce_d(alpha) - wedge(lam, alpha)
+    g = alpha.algebra
+    coeffs = {i: c for i, c in _d_coeffs(alpha).items() if not c.is_zero()}
+    for idx, c in _wedge_coeffs(lam, alpha).items():
+        if not c.is_zero():
+            coeffs[idx] = coeffs.get(idx, g.zero()) - c
+    return KForm._built(g, alpha.degree + 1, coeffs)
 
 
 def interior(v, alpha):
@@ -272,7 +291,13 @@ def lie_derivative(v, alpha):
 # ---------------------------------------------------------------------------
 
 def form_monomials(g, k):
-    return list(combinations(range(g.dim), k))
+    """The increasing index tuples of degree k, in lexicographic order."""
+    return _monomials(g.dim, k)
+
+
+@cache
+def _monomials(dim, k):
+    return tuple(combinations(range(dim), k))
 
 
 def form_to_vector(alpha):
@@ -300,9 +325,10 @@ def relative_basis(g, k):
     monos = form_monomials(g, k)
     if not monos:
         return []
+    monomials = [KForm._built(g, k, {idx: g.one()}) for idx in monos]
     h_vectors = g.h_subalgebra or []
     if not h_vectors:
-        return [KForm.monomial(g, idx) for idx in monos]
+        return monomials
     rows = []
     lower = form_monomials(g, k - 1) if k >= 1 else []
     for X in h_vectors:
@@ -311,10 +337,9 @@ def relative_basis(g, k):
         for target, op in ((lower, interior), (monos, lie_derivative)):
             if not target:
                 continue
-            rows.extend(matrix_of(
-                [op(X, KForm.monomial(g, idx)) for idx in monos], target))
+            rows.extend(matrix_of([op(X, m) for m in monomials], target))
     if not rows:
-        return [KForm.monomial(g, idx) for idx in monos]
+        return monomials
     kernel, _ = linalg.nullspace(rows)
     return [vector_to_form(g, k, v) for v in kernel]
 

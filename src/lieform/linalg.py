@@ -29,7 +29,7 @@ class LinalgError(Exception):
 
 def pivot_locus(x):
     """Exclusion polynomial of a pivot, or None when the pivot is constant."""
-    return None if x.num.is_constant() else x.num
+    return None if x.rational is not None or x.num.is_constant() else x.num
 
 
 def merge_locus(locus, extra):

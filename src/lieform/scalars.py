@@ -21,11 +21,15 @@ returns a zero factor, or the other factor of a one, as it is (zero is
 always the pair (0, 1), and normalization is idempotent); a sum or
 difference returns the other operand of a zero summand; a constant factor
 scales coefficients; a denominator of 1 is not multiplied; and a difference
-subtracts directly instead of adding a negation.  Constants (denominator
-1, numerator at most a constant term) combine by one rational operation,
-which is all the general formula does to them: it keeps the denominator 1
-and builds the one numerator term, dropped when zero.  Every denominator 1
-is the shared ``Poly.one`` of its parameters, told by identity.
+subtracts directly instead of adding a negation.  Every denominator 1 is
+the shared ``Poly.one`` of its parameters, told by identity.  A constant
+(denominator 1, numerator at most a constant term) records its value, an
+``int`` or a ``Fraction`` (0 for zero), as ``Scalar.rational`` when it is
+built, also when the normalization leaves one (``6/4``, ``(2*a)/a``).
+Constants add, subtract, multiply, negate, invert and divide by one
+rational operation on those values, which is all the general formula does
+to them: it keeps the denominator 1 and builds the one numerator term,
+dropped when zero.
 """
 
 from __future__ import annotations
@@ -337,34 +341,41 @@ class Scalar:
     already in this form and is kept as given.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "rational")
 
     def __init__(self, num, den=None):
         one = Poly.one(num.params)
-        if den is not None and den is not one:
+        if den is None:
+            den = one
+        elif den is not one:
             if num.params != den.params:
                 raise ScalarError("parameter mismatch in scalar")
             if den.is_zero():
                 raise ScalarError("zero denominator")
-        if den is None or num.is_zero() or den.is_one():
-            self.num = num
-            self.den = one
-            return
-        m_num = num.monomial_gcd()
-        m_den = den.monomial_gcd()
-        mono = tuple(min(a, b) for a, b in zip(m_num, m_den))
-        num = num.shift_down(mono)
-        den = den.shift_down(mono)
-        c = den.content()
-        _, lead = den.leading()
-        if lead < 0:
-            c = -c
-        if c != 1:
-            inv = Fraction(1) / c
-            num = num * inv
-            den = den * inv
+            if not num.terms or den.is_one():
+                den = one
+            else:
+                m_num = num.monomial_gcd()
+                m_den = den.monomial_gcd()
+                mono = tuple(min(a, b) for a, b in zip(m_num, m_den))
+                num = num.shift_down(mono)
+                den = den.shift_down(mono)
+                c = den.content()
+                _, lead = den.leading()
+                if lead < 0:
+                    c = -c
+                if c != 1:
+                    inv = Fraction(1) / c
+                    num = num * inv
+                    den = den * inv
+                if den.is_one():
+                    den = one
         self.num = num
-        self.den = one if den.is_one() else den
+        self.den = den
+        # the value of a constant (0 for zero), None for any other scalar
+        terms = num.terms
+        self.rational = (None if den is not one or len(terms) > 1 else
+                         terms.get((0,) * len(num.params)) if terms else 0)
 
     # -- constructors -------------------------------------------------
 
@@ -391,21 +402,10 @@ class Scalar:
         return self.num.params
 
     def is_zero(self):
-        return self.num.is_zero()
-
-    def _is_one(self):
-        return self.num.is_one() and self.den.is_one()
+        return not self.num.terms
 
     def is_constant(self):
         return self.num.is_constant() and self.den.is_constant()
-
-    def _constant_term(self):
-        """c when self is the nonzero constant c, with the shared denominator
-        one and a numerator of one constant term; else None."""
-        terms = self.num.terms
-        if len(terms) == 1 and self.den is Poly.one(self.num.params):
-            return terms.get((0,) * len(self.num.params))
-        return None
 
     def constant_value(self):
         return self.num.constant_value() / self.den.constant_value()
@@ -440,8 +440,8 @@ class Scalar:
             return self
         if self.is_zero():
             return other if op is add else -other
-        if (a := self._constant_term()) is not None and \
-                (b := other._constant_term()) is not None:
+        if (a := self.rational) is not None and \
+                (b := other.rational) is not None:
             return Scalar.const(self.params, op(a, b))
         if self.den == other.den:
             return Scalar(op(self.num, other.num), self.den)
@@ -454,6 +454,8 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
+        if (a := self.rational) is not None:
+            return Scalar.const(self.params, -a)
         return Scalar(-self.num, self.den)
 
     def __sub__(self, other):
@@ -467,12 +469,12 @@ class Scalar:
         if other is None:
             return NotImplemented
         self.num._check(other.num)
-        if self.is_zero() or other._is_one():
+        if self.is_zero() or other.rational == 1:
             return self
-        if other.is_zero() or self._is_one():
+        if other.is_zero() or self.rational == 1:
             return other
-        if (a := self._constant_term()) is not None and \
-                (b := other._constant_term()) is not None:
+        if (a := self.rational) is not None and \
+                (b := other.rational) is not None:
             return Scalar.const(self.params, a * b)
         one = Poly.one(self.params)
         if self.den is one:
@@ -489,8 +491,12 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        self.num._check(other.num)
         if other.is_zero():
             raise ZeroDivisionError("division by zero scalar")
+        if (a := self.rational) is not None and \
+                (b := other.rational) is not None:
+            return Scalar.const(self.params, Fraction(a) / b)
         return Scalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -499,6 +505,9 @@ class Scalar:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
+        if (a := self.rational) is not None:
+            return Scalar.const(self.params, Fraction(a.denominator,
+                                                      a.numerator))
         return Scalar(self.den, self.num)
 
     def __pow__(self, k):

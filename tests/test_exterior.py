@@ -103,6 +103,14 @@ def test_kform_rejects_bad_index_tuples():
                    {(1,): Scalar.one(("a",))}, {(1,): 1}):
         with pytest.raises(FormError):
             KForm(g, 1, coeffs)
+    # a degree that is not a non-negative int: 2.5 was read as 2, and -1
+    # failed later, in itertools, when the form met form_monomials
+    for degree in (2.5, -1, "2", None, True):
+        with pytest.raises(FormError):
+            KForm(g, degree, {})
+    with pytest.raises(FormError):
+        KForm.zero(g, -1)
+    assert form_to_vector(KForm.zero(g, g.dim + 1)) == []
 
 
 def test_kform_division_is_exact():
@@ -268,6 +276,32 @@ def test_twisted_d_squares_to_zero_for_closed_lambda():
     for _ in range(20):
         a = random_form(rng, g, rng.randint(0, 3))
         assert twisted_d(twisted_d(a, lam), lam).is_zero()
+
+
+@pytest.mark.parametrize("make, lam", [(u2, "a - 1/2"), (gl2r, "a + 1/3")],
+                         ids=["u2", "gl2r"])
+def test_twisted_d_is_the_difference_of_its_parts(make, lam):
+    # the one-pass d_lam builds the (num, den) pairs, in the order, of the
+    # difference of the two forms, on constant and quotient coefficients;
+    # lam need not be closed.  On gl(2, R), d(e^23) cancels at e^123, which
+    # lam ^ e^23 then fills: the difference puts it after e^012
+    g = make(("a",))
+    lam = KForm(g, 1, {(0,): parse_scalar(lam, g.params),
+                       (1,): g._scalar(Fraction(3, 2))})
+    rng = make_rng(29)
+    quotients = [parse_scalar(t, g.params)
+                 for t in ("3/2", "a + 1", "1/(a + 1)", "(2*a)/(a^2 - 3)")]
+    forms = [KForm(g, 2, {(2, 3): g.one(), (0, 2): quotients[2]})]
+    for _ in range(40):
+        a = random_form(rng, g, rng.randint(0, g.dim))
+        forms.append(KForm(g, a.degree, {idx: c * rng.choice(quotients)
+                                         for idx, c in a.coeffs.items()}))
+    for a in forms:
+        want = ce_d(a) - wedge(lam, a)
+        got = twisted_d(a, lam)
+        assert [(idx, str(c.num), str(c.den)) for idx, c in got.coeffs.items()] \
+            == [(idx, str(c.num), str(c.den))
+                for idx, c in want.coeffs.items()]
 
 
 def test_twisted_d_requires_degree_one():

@@ -2,8 +2,9 @@
 
 ``LieAlgebra.zero()`` and ``one()`` hand every caller the same instance, and
 ``Scalar`` arithmetic may return an operand itself, so nothing in
-``src/lieform`` may assign to ``.num``, ``.den`` or ``.terms`` outside an
-``__init__``, or change the dict held in ``.terms``.
+``src/lieform`` may assign to ``.num``, ``.den``, ``.rational`` (the
+recorded value of a constant) or ``.terms`` outside an ``__init__``, or
+change the dict held in ``.terms``.
 """
 
 import ast
@@ -13,7 +14,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lieform"
 MODULES = sorted(SRC.glob("*.py"))
-FIELDS = {"num", "den", "terms"}
+FIELDS = {"num", "den", "rational", "terms"}
 DICT_MUTATORS = {"clear", "pop", "popitem", "setdefault", "update"}
 
 
@@ -69,8 +70,10 @@ def test_checker_flags_each_kind_of_write():
         "    def __init__(self):\n"
         "        self.terms = {}\n"
         "        self.terms[0] = 1\n"
+        "        self.rational = 0\n"
         "    def f(self, s):\n"
         "        s.num, s.den = s.den, s.num\n"
+        "        s.rational = None\n"
         "        self.terms[(0,)] += 1\n"
         "        del self.terms[(0,)]\n"
         "        self.terms.update({})\n"
@@ -78,9 +81,9 @@ def test_checker_flags_each_kind_of_write():
         "        terms[0] = s.terms[0]\n"
     )
     assert mutations(src) == [
-        (4, "self.terms[0]"), (6, "s.den"), (6, "s.num"),
-        (7, "self.terms[0,]"), (8, "self.terms[0,]"),
-        (9, "self.terms.update")]
+        (4, "self.terms[0]"), (7, "s.den"), (7, "s.num"),
+        (8, "s.rational"), (9, "self.terms[0,]"), (10, "self.terms[0,]"),
+        (11, "self.terms.update")]
 
 
 def test_modules_found():

@@ -109,6 +109,13 @@ def test_scalar_parameter_mismatch_rejected():
                 op(x, other)
             with pytest.raises(ScalarError, match="parameter mismatch"):
                 op(other, x)
+    # two constants, which combine by one rational operation, and a quotient
+    two, three = Scalar.const(("c",), 2), Scalar.const(P, 3)
+    for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v,
+               lambda u, v: u / v, lambda u, v: u == v):
+        for u, v in ((two, three), (three, two), (two, S("1/a"))):
+            with pytest.raises(ScalarError, match="parameter mismatch"):
+                op(u, v)
 
 
 def test_scalar_zero_denominator_rejected():
@@ -116,6 +123,14 @@ def test_scalar_zero_denominator_rejected():
         Scalar(Poly.one(P), Poly.zero(P))
     with pytest.raises(ZeroDivisionError):
         S("a") / Scalar.zero(P)
+    # a constant's inverse and quotient test for zero first, too
+    for zero in (Scalar.zero(()), Scalar.zero(P), S("0/a")):
+        with pytest.raises(ZeroDivisionError):
+            zero.inverse()
+        with pytest.raises(ZeroDivisionError):
+            Scalar.const(zero.params, 3) / zero
+    with pytest.raises(ScalarParseError, match="division by zero"):
+        S("3/(2 - 2)")
 
 
 def test_scalar_substitute_and_denominator_locus():
@@ -564,3 +579,81 @@ def test_shortcuts_match_the_general_formulas(pair):
     cross = (_z_product(x.num, y.den) - _z_product(y.num, x.den)).is_zero()
     assert (x == y) is cross and (y == x) is cross
     assert x == x
+
+
+# ---------------------------------------------------------------------------
+# The recorded value of a constant, against its definition
+# ---------------------------------------------------------------------------
+
+def _value_by_definition(x):
+    """The int or Fraction c when x has the shared denominator one and a
+    numerator of at most the constant term c (0 for zero); else None."""
+    terms = x.num.terms
+    if x.den is not Poly.one(x.params) or any(sum(e) for e in terms):
+        return None
+    return next(iter(terms.values()), 0)
+
+
+def _assert_same_pair(got, want):
+    for p, q in ((got.num, want.num), (got.den, want.den)):
+        assert p.terms == q.terms
+        assert {e: type(c) for e, c in p.terms.items()} == \
+            {e: type(c) for e, c in q.terms.items()}
+
+
+@st.composite
+def slot_pairs(draw):
+    """Two scalars over () or (a, b), each a zero, a one, a minus one, an
+    int, a Fraction, a quotient of constants or of monomials that the
+    normalization turns into a constant (6/4, (2*a)/a), or over (a, b) a
+    polynomial or a general quotient."""
+    params = draw(st.sampled_from([P, ()]))
+    ints = st.sampled_from([0, 1, -1]) | st.integers(-50, 50)
+
+    def operand():
+        kind = draw(st.sampled_from(
+            ["int", "fraction", "quotient"] +
+            (["monomials", "polynomial", "general"] if params else [])))
+        if kind == "int":
+            return Scalar.const(params, draw(ints))
+        if kind == "fraction":
+            return Scalar.const(params, draw(st.fractions(
+                min_value=-9, max_value=9, max_denominator=6)))
+        if kind == "quotient":
+            return Scalar(Poly.const(params, draw(ints)), Poly.const(
+                params, draw(st.integers(1, 9) | st.integers(-9, -1))))
+        if kind == "monomials":
+            e = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+            return Scalar(Poly(P, {e: draw(ints)}),
+                          Poly(P, {e: draw(st.integers(1, 9))}))
+        if kind == "polynomial":
+            return Scalar(draw(polys))
+        return draw(scalars())
+
+    return operand(), operand()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.large_base_example])
+@given(slot_pairs())
+@example((S("6/4"), S("(2*a)/a")))
+@example((S("-3/2"), Scalar.const(P, Fraction(2, 3))))
+@example((Scalar.zero(()), Scalar.const((), -1)))
+def test_recorded_value_and_constant_shortcuts(pair):
+    x, y = pair
+    for z in (x, y, -x, x * y, x + y, x - y):
+        want = _value_by_definition(z)
+        assert z.rational == want and type(z.rational) is type(want)
+    if x.rational is None or y.rational is None:
+        return
+    # constants: each shortcut builds the pair of the general formula
+    _assert_same_pair(x * y, Scalar(_z_product(x.num, y.num),
+                                    _z_product(x.den, y.den)))
+    _assert_same_pair(x + y, _sum_formula(x, y))
+    _assert_same_pair(x - y, _sum_formula(x, Scalar(-y.num, y.den)))
+    _assert_same_pair(-x, Scalar(-x.num, x.den))
+    if not x.is_zero():
+        _assert_same_pair(x.inverse(), Scalar(x.den, x.num))
+    if not y.is_zero():
+        _assert_same_pair(x / y, Scalar(_z_product(x.num, y.den),
+                                        _z_product(x.den, y.num)))

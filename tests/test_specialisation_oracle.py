@@ -8,6 +8,12 @@ and the parameter-free checks must agree with the symbolic answer
 specialised: the Lee form is the symbolic one at the point, and the
 structure is Vaisman at the point exactly when every polynomial of the
 symbolic vanishing list vanishes there.
+
+A second oracle computes the Killing list in the test: with M = G ad_xi,
+the Lee field is parallel exactly when M + M^T = 0, since G xi = s lam is
+closed.  It skips a point only where the Pfaffian of omega or a
+denominator of J vanishes, so it also checks the Vaisman branches, which
+lie inside the lcK locus of both omega_general cases.
 """
 
 import functools
@@ -17,7 +23,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieform import document
+from lieform import document, linalg
 from lieform.exterior import FormError, form_to_vector
 from lieform.scalars import ScalarError
 from lieform.structures import (CONVENTION_DEF, CONVENTION_THM,
@@ -58,6 +64,14 @@ def vanishes(poly, point):
     return poly.substitute(point).is_zero()
 
 
+def seeded_points(doc, name, case):
+    """The case's seeded points, every other one on the Vaisman branch."""
+    rng = random.Random(CASES.index(case))
+    for n in range(POINTS):
+        point = {p: Fraction(rng.randint(-6, 6), 2) for p in doc.parameters}
+        yield on_branch(name, point) if n % 2 else point
+
+
 @functools.cache
 def outcome(name, omega, J, convention):
     """(points used, pointwise Vaisman verdicts seen) over the case's seeded
@@ -70,12 +84,8 @@ def outcome(name, omega, J, convention):
     lck = lck_of(doc, omega, J, convention)
     _, vanishing, vaisman_locus = vaisman_check(lck)
     lam = form_to_vector(lck.lcs.lam)
-    rng = random.Random(CASES.index((name, omega, J)))
     used, verdicts = 0, set()
-    for n in range(POINTS):
-        point = {p: Fraction(rng.randint(-6, 6), 2) for p in doc.parameters}
-        if n % 2:
-            point = on_branch(name, point)
+    for point in seeded_points(doc, name, (name, omega, J)):
         if any(vanishes(p, point) for p in lck.locus + vaisman_locus):
             continue
         try:
@@ -105,3 +115,48 @@ def test_the_points_used_cover_both_verdicts():
     assert sum(used for used, _ in outcomes) >= 150
     assert set().union(*(verdicts for _, verdicts in outcomes)) == \
         {True, False}
+
+
+@functools.cache
+def killing_outcome(name, omega, J, convention):
+    """(points used, pointwise Vaisman verdicts seen) of the Killing list
+    against the pointwise vaisman_check, over the points of ``outcome``;
+    asserts the agreement at each point used.  A point is skipped only
+    where Pf(omega) = m01 m23 - m02 m13 + m03 m12 or a denominator of J
+    vanishes; the pointwise build must succeed everywhere else."""
+    doc = document.load(os.path.join(DATA, f"{name}.json"))
+    lck = lck_of(doc, omega, J, convention)
+    g = lck.algebra
+    M = linalg.mat_mul(lck.metric.matrix, g.ad(lck.xi))
+    killing = linalg.vanishing(M[i][j] + M[j][i]
+                               for i in range(g.dim) for j in range(i, g.dim))
+    m = lck.lcs.omega.coefficient
+    pf = m((0, 1)) * m((2, 3)) - m((0, 2)) * m((1, 3)) + m((0, 3)) * m((1, 2))
+    singular = [pf.num] + [c.den for row in lck.J.matrix for c in row]
+    used, verdicts = 0, set()
+    for point in seeded_points(doc, name, (name, omega, J)):
+        if any(vanishes(p, point) for p in singular):
+            continue
+        used += 1
+        vaisman = vaisman_check(lck_of(doc, omega, J, convention, point))[0]
+        assert vaisman == all(vanishes(p, point) for p in killing), point
+        verdicts.add(vaisman)
+    return used, verdicts
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("name, omega, J", CASES)
+def test_killing_list_specialises_to_the_pointwise_verdicts(name, omega, J,
+                                                           convention):
+    used, verdicts = killing_outcome(name, omega, J, convention)
+    assert used >= POINTS * 3 // 4
+    if omega == "omega_general":
+        # the branch points the lcK locus hides are used here
+        assert verdicts == {True, False}
+
+
+def test_the_killing_oracle_uses_almost_every_point():
+    # measured: 228 of the 240 points; the 12 others lie on Pf = 0 or on
+    # a zero of a denominator of J
+    assert sum(killing_outcome(*case, convention)[0]
+               for case in CASES for convention in CONVENTIONS) >= 228

@@ -15,10 +15,12 @@ values plus at most 10%, so a kernel or a product that stops skipping
 structural zeros fails.  The fifth bounds the products, the degree and the
 report size of ``check-vaisman`` on a form with a 91-term coefficient, and
 the sixth the report size of ``check-vaisman`` on a gl(2, R) form scaled by
-a linear factor.  The last counts the ``Poly`` products and the ``Scalar``
+a linear factor.  The seventh counts the ``Poly`` products and the ``Scalar``
 constructions of the exterior differentials and bounds them at the
 measured values plus at most 10%, so a differential that stops reading its
-table or a constant product that takes the polynomial path fails.
+table or a constant product that takes the polynomial path fails.  The
+last counts the content and leading-term reads of inverting a metric with
+constant entries, which a constant pivot's inverse never needs.
 """
 
 import json
@@ -53,8 +55,9 @@ def count_poly_products(monkeypatch):
 def test_gl2_suite_poly_product_work_is_bounded(monkeypatch):
     seen = count_poly_products(monkeypatch)
     assert catalog.run_suite("gl2_classification").ok
-    # measured: 7,155 products and degree 31
-    assert seen["products"] <= 7_870
+    # measured: 3,603 products and degree 31; 3,642 while a constant
+    # inverse ran the quotient normalization, and 7,155 before that
+    assert seen["products"] <= 3_960
     assert seen["degree"] <= 34
 
 
@@ -203,3 +206,29 @@ def test_differentials_of_monomials_are_bounded(make, products,
         twisted_d(f, lam)
     assert calls["products"] <= products, calls
     assert calls["constructions"] <= constructions, calls
+
+
+def test_inverse_of_a_constant_metric_skips_normalization(monkeypatch):
+    # gl(2, R), omega_std and J_mu1: the metric is diag(1, 4, 2, 2); a
+    # constant inverse is one rational operation, where the quotient
+    # normalization read 3 contents and 3 leading terms
+    g = catalog.gl2r()
+    omega = catalog.lcs_form(g, catalog.oneform(g, {2: 1, 3: -1}))
+    lck = structures.assemble_lck(g, omega, catalog.J_mu(g, 1, 0))
+    calls = {"content": 0, "leading": 0}
+
+    def counting(name):
+        fn = getattr(scalars.Poly, name)
+
+        def wrapper(self):
+            calls[name] += 1
+            return fn(self)
+        monkeypatch.setattr(scalars.Poly, name, wrapper)
+
+    counting("content")
+    counting("leading")
+    inverse, locus = linalg.inverse(lck.metric.matrix)
+    assert calls == {"content": 0, "leading": 0}
+    assert locus == []
+    assert linalg.mat_mul(lck.metric.matrix, inverse) == \
+        [[g._scalar(int(i == j)) for j in range(4)] for i in range(4)]
