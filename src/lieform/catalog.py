@@ -208,11 +208,11 @@ def get(id_):
 # Sample grids
 # ---------------------------------------------------------------------------
 
-def lattice(dims, step=Fraction(1, 2), box=3):
-    """All rational lattice points of the closed box [-box, box]^dims."""
+def lattice(dims, step=Fraction(1, 2)):
+    """All rational lattice points of the closed box [-3, 3]^dims."""
     axis = []
-    v = -Fraction(box)
-    while v <= box:
+    v = Fraction(-3)
+    while v <= 3:
         axis.append(v)
         v += step
     pts = [()]

@@ -73,12 +73,11 @@ def _fully_numeric(g, at):
     return all(p in at for p in g.params)
 
 
-def _emit(report, fmt, stream=None):
-    stream = stream or sys.stdout
+def _emit(report, fmt):
     if fmt == "json":
-        stream.write(json.dumps(report.to_json(), indent=2) + "\n")
+        sys.stdout.write(json.dumps(report.to_json(), indent=2) + "\n")
     else:
-        stream.write(report.to_text() + "\n")
+        sys.stdout.write(report.to_text() + "\n")
     return 0 if report.ok else 1
 
 

@@ -84,7 +84,8 @@ def lcs_from_orbit(orbit, D=None):
         raise ConicalOrbit("phi vanishes on its stabilizer")
     if D is None:
         D = [[0] * g.dim for _ in range(g.dim)]
-    ext, lam = extend_by_derivation(g, D)
+    ext = extend_by_derivation(g, D)
+    lam = KForm.basis_oneform(ext, 0)
     if orbit.h.span:
         ext.h_subalgebra = [[ext.zero()] + list(v) for v in orbit.h.span]
     phi = KForm(ext, 1, {(i + 1,): c

@@ -33,7 +33,7 @@ import json
 
 from .exterior import KForm, wedge
 from .lie_core import MAX_DIM, LieAlgebra
-from .scalars import Scalar, _Parser, parse_scalar
+from .scalars import Parser, Scalar, parse_scalar
 
 
 class DocumentError(Exception):
@@ -175,7 +175,7 @@ def _check_shapes(raw):
 def _is_name(text):
     """Whether the literal grammar reads text as one identifier."""
     return ((text[:1].isalpha() or text[:1] == "_")
-            and _Parser(text, ()).identifier() == text)
+            and Parser(text, ()).identifier() == text)
 
 
 def _is_index(x):
@@ -212,7 +212,7 @@ def dumps(doc):
 # Wedge expressions
 # ---------------------------------------------------------------------------
 
-class _FormParser(_Parser):
+class _FormParser(Parser):
     """The literal grammar with the basis names of g as atoms: a name, or
     ``name^name^...``, is a signed monomial KForm.  A sum takes forms of one
     degree, a product at most one form, and a divisor or the base of a power

@@ -11,9 +11,10 @@ Conventions are fixed once and for all:
 A form prints as its canonical wedge expression, ``(c) * e0^e1 + ...``;
 ``document.parse_form`` reads it back, so ``parse_form(str(f)) == f``.
 
-The differential reads each algebra's table of the terms of d(e^I),
-``LieAlgebra.d_terms``.  The forms this module builds skip the public
-``KForm`` constructor's checks of their index tuples.
+The differential reads each algebra's table of the terms of d(e^I), which
+this module builds on first use and drops with its algebra.  The forms
+this module builds skip the public ``KForm`` constructor's checks of their
+index tuples.
 
 A linear system in forms is built by ``matrix_of``: column j holds the
 coefficients of the j-th form, one row per monomial.
@@ -25,6 +26,7 @@ from functools import cache
 from itertools import combinations
 from math import comb
 from operator import add, sub
+from weakref import WeakKeyDictionary
 
 from . import linalg
 from .scalars import Scalar
@@ -219,13 +221,44 @@ def _wedge_coeffs(alpha, beta):
     return coeffs
 
 
+# each algebra's table of d(e^I), built on first use and dropped with it
+_D_TABLES = WeakKeyDictionary()
+
+
+def _d_terms(constants, idx):
+    """The terms (merged index, signed c_ij^k) of d(e^idx) in the order
+    ce_d sums them: position a of k in idx, then the pairs i < j."""
+    terms = []
+    for a, k in enumerate(idx):
+        rest = idx[:a] + idx[a + 1:]
+        for ij, c, neg in constants[k]:
+            merged, sign = _merge_sign(ij, rest)
+            if merged is not None:
+                terms.append((merged, neg if sign * (-1) ** a == 1 else c))
+    return terms
+
+
 def _d_coeffs(alpha):
     """The coefficients of d(alpha), the zero ones included (see ce_d)."""
     g = alpha.algebra
+    table = _D_TABLES.get(g)
+    if table is None:
+        # by k, ((i, j), c, -c) for each i < j with c = c_ij^k != 0, in
+        # lexicographic order of (i, j): every term shares c or -c
+        constants = [[] for _ in range(g.dim)]
+        for ij, vec in g.structure_table().items():
+            for k, c in enumerate(vec):
+                if not c.is_zero():
+                    constants[k].append((ij, c, -c))
+        table = _D_TABLES[g] = (constants, {})
+    constants, by_idx = table
     zero = g.zero()
     coeffs = {}
     for idx, c in alpha.coeffs.items():
-        for merged, s in g.d_terms(idx):
+        terms = by_idx.get(idx)
+        if terms is None:
+            terms = by_idx[idx] = _d_terms(constants, idx)
+        for merged, s in terms:
             coeffs[merged] = coeffs.get(merged, zero) + c * s
     return coeffs
 
@@ -242,8 +275,8 @@ def ce_d(alpha):
     d(e^k) = -sum_{i<j} c_{ij}^k e^i ^ e^j is a 2-form, so it commutes past
     the 1-forms before e^k in a monomial:
     d(e^{idx}) = sum_a (-1)^a d(e^{idx[a]}) ^ e^{idx without position a}.
-    The terms of each d(e^{idx}) come from the algebra's table
-    (``LieAlgebra.d_terms``) and are summed in its order.
+    The terms of each d(e^{idx}) come from the algebra's table, built on
+    first use, and are summed in its order.
     """
     return KForm._built(alpha.algebra, alpha.degree + 1, _d_coeffs(alpha))
 
@@ -338,8 +371,6 @@ def relative_basis(g, k):
             if not target:
                 continue
             rows.extend(matrix_of([op(X, m) for m in monomials], target))
-    if not rows:
-        return monomials
     kernel, _ = linalg.nullspace(rows)
     return [vector_to_form(g, k, v) for v in kernel]
 
@@ -347,8 +378,6 @@ def relative_basis(g, k):
 def _twisted_d_rank(lam, k):
     g = lam.algebra
     basis = relative_basis(g, k)
-    if not basis:
-        return 0, 0, []
     rows = [form_to_vector(twisted_d(b, lam)) for b in basis]
     r, locus = linalg.rank(rows)
     return len(basis), r, locus

@@ -6,7 +6,6 @@ from fractions import Fraction
 from numbers import Rational
 
 from . import linalg
-from .exterior import KForm, _merge_sign, ce_d
 from .scalars import Scalar
 
 # the largest dimension of a document or a catalog id: check_jacobi costs n^4
@@ -67,8 +66,6 @@ class LieAlgebra:
             if (j, i) not in table:
                 table[(j, i)] = [-c for c in table[(i, j)]]
         self._table = table
-        self._constants = None  # structure_constants, built on first use
-        self._d_terms = {}  # d_terms, one entry per monomial asked for
         self.h_subalgebra = None
         if h_subalgebra:
             self.h_subalgebra = [
@@ -136,33 +133,6 @@ class LieAlgebra:
                     if not b[k].is_zero():
                         out[k] = out[k] + xi * yj * b[k]
         return out
-
-    def structure_constants(self, k):
-        """((i, j), c, -c) for each i < j with c = c_ij^k != 0, in
-        lexicographic order of (i, j); every d_terms entry shares c or -c."""
-        if self._constants is None:
-            self._constants = [[] for _ in range(self.dim)]
-            for i in range(self.dim):
-                for j in range(i + 1, self.dim):
-                    for m, c in enumerate(self._table.get((i, j), ())):
-                        if not c.is_zero():
-                            self._constants[m].append(((i, j), c, -c))
-        return self._constants[k]
-
-    def d_terms(self, idx):
-        """The terms (merged index, signed c_ij^k) of d(e^idx) in the order
-        ce_d sums them: position a of k in idx, then the pairs i < j."""
-        terms = self._d_terms.get(idx)
-        if terms is None:
-            terms = self._d_terms[idx] = []
-            for a, k in enumerate(idx):
-                rest = idx[:a] + idx[a + 1:]
-                for ij, c, neg in self.structure_constants(k):
-                    merged, sign = _merge_sign(ij, rest)
-                    if merged is not None:
-                        terms.append(
-                            (merged, neg if sign * (-1) ** a == 1 else c))
-        return terms
 
     def ad(self, v):
         """Matrix of ad_v: column j is [v, e_j]."""
@@ -262,8 +232,6 @@ def center(g):
     stacked = []
     for i in range(g.dim):
         stacked.extend(g.ad(g.basis_vector(i)))
-    if not stacked:
-        return Subspace([g.basis_vector(i) for i in range(g.dim)])
     basis, locus = linalg.nullspace(stacked)
     return Subspace(basis, locus)
 
@@ -280,13 +248,10 @@ def derived_subalgebra(g):
     return Subspace([red[r] for r in range(len(pivots))])
 
 
-def extend_by_derivation(g, D, new_name="D"):
+def extend_by_derivation(g, D):
     """The extension with basis (D, e_1..e_n): [D, x] = Dx, for a
-    dim x dim matrix D.
-
-    Returns the extended algebra and the closed dual 1-form lam with
-    lam(D) = 1, lam(g) = 0.  Closedness of lam is asserted post hoc.
-    """
+    dim x dim matrix D.  Its brackets all lie in span(e_1..e_n), so the
+    dual 1-form e^0 of D is closed."""
     ok, witness = is_derivation(g, D)
     if not ok:
         raise NotADerivation(f"Leibniz identity fails on basis pair {witness}")
@@ -301,10 +266,6 @@ def extend_by_derivation(g, D, new_name="D"):
     h_sub = None
     if g.h_subalgebra:
         h_sub = [[g.zero()] + list(v) for v in g.h_subalgebra]
-    ext = LieAlgebra([new_name] + list(g.basis_names), brackets,
-                     params=g.params, h_subalgebra=h_sub,
-                     name=f"{g.name}(D)" if g.name else "extension")
-    lam = KForm.monomial(ext, (0,), ext.one())
-    if not ce_d(lam).is_zero():
-        raise NotADerivation("dual form of D is not closed")
-    return ext, lam
+    return LieAlgebra(["D"] + list(g.basis_names), brackets, params=g.params,
+                      h_subalgebra=h_sub,
+                      name=f"{g.name}(D)" if g.name else "extension")

@@ -128,13 +128,6 @@ class Poly:
         return (len(self.terms) == 1
                 and self.terms.get((0,) * len(self.params)) == 1)
 
-    def constant_value(self):
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_constant():
-            raise ScalarError(f"not a constant polynomial: {self}")
-        return Fraction(next(iter(self.terms.values())))
-
     def total_degree(self):
         if self.is_zero():
             return -1
@@ -404,12 +397,6 @@ class Scalar:
     def is_zero(self):
         return not self.num.terms
 
-    def is_constant(self):
-        return self.num.is_constant() and self.den.is_constant()
-
-    def constant_value(self):
-        return self.num.constant_value() / self.den.constant_value()
-
     def substitute(self, assignment):
         """Partial specialization of parameters; exact.
 
@@ -642,7 +629,7 @@ MAX_POWER_BITS = 4096  # |k| times the bit length of the largest coefficient
 _OPERATORS = {"+": add, "-": sub, "*": mul, "/": truediv}
 
 
-class _Parser:
+class Parser:
     """Recursive descent over the literal grammar.  Identifiers are read by
     name() and operators applied by combine(), which a subclass may extend
     to values other than scalars."""
@@ -783,4 +770,4 @@ class _Parser:
 
 def parse_scalar(text, params):
     """Parse a scalar literal like ``-(1+a^2)/b`` over the given parameters."""
-    return _Parser(str(text), params).parse()
+    return Parser(str(text), params).parse()

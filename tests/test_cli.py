@@ -125,6 +125,37 @@ def test_cohomology(capsys):
     assert "dim H^1 twisted by lambda_std :: 0" in out
 
 
+def _u2_document(tmp_path, edit):
+    """tests/data/u2.json, changed in place by edit(doc), written to
+    tmp_path."""
+    with open(U2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / "u2_changed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_cohomology_of_a_form_that_is_not_closed_fails(capsys, tmp_path):
+    # d(e1) = e2^e3 on u2
+    path = _u2_document(tmp_path, lambda doc: doc["forms"].update(lam="e1"))
+    code, out = run(capsys, "cohomology", path, "--lambda", "lam",
+                    "--degree", "1")
+    assert code == 1
+    assert "[FAIL] twisting form is closed :: (1) * e2^e3\n" in out
+
+
+@pytest.mark.parametrize("h, closed", [
+    ([["0", "1", "0", "0"]], True),
+    ([["0", "1", "0", "0"], ["0", "0", "1", "0"]], False),  # [e1, e2] = -e3
+])
+def test_check_algebra_checks_h_is_a_subalgebra(h, closed, capsys, tmp_path):
+    path = _u2_document(tmp_path, lambda doc: doc.update(h_subalgebra=h))
+    code, out = run(capsys, "check-algebra", path)
+    assert code == (0 if closed else 1)
+    assert ("h is not closed under the bracket" in out) is not closed
+
+
 def _abelian_document(tmp_path, n, forms):
     doc = {"algebra": {"dim": n, "basis": [f"e{i}" for i in range(n)]},
            "forms": forms}
@@ -325,6 +356,23 @@ def test_construct_orbit(capsys):
     assert "orbit is non-conical" in out
     assert "[INFO] omega :: (-1) * D^e1 + (1) * e2^e3" in out
     assert "[INFO] Lee form :: (1) * D" in out
+
+
+def test_construct_orbit_with_an_inner_derivation(capsys, tmp_path):
+    assert cli.main(["catalog", "su2", "--emit"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["forms"]["phi"] = "e2"
+    # ad(e1): e2 -> -e3, e3 -> e2
+    doc["endos"]["D"] = [["0", "0", "0"], ["0", "0", "1"], ["0", "-1", "0"]]
+    path = tmp_path / "su2.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run(capsys, "construct-orbit", str(path), "--phi", "phi",
+                    "--derivation", "D")
+    assert code == 0, out
+    assert "[INFO] extension basis :: D e1 e2 e3\n" in out
+    # d(e2)(D, e3) = -e2([D, e3]) = -1 is the term that D adds
+    assert "[INFO] omega :: (-1) * D^e2 + (-1) * D^e3 + (-1) * e1^e3\n" \
+        in out
 
 
 def test_construct_orbit_rejects_a_two_form(capsys):

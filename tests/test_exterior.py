@@ -4,6 +4,7 @@ pointwise oracle built from evaluation on vectors."""
 
 from fractions import Fraction
 from itertools import combinations, permutations
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -241,6 +242,15 @@ def test_d_is_an_antiderivation():
         lhs = ce_d(wedge(a, b))
         rhs = wedge(ce_d(a), b) + wedge(a, ce_d(b)).scaled((-1) ** ka)
         assert lhs == rhs
+
+
+def test_the_table_of_d_goes_with_its_algebra():
+    # the table of d(e^I) that ce_d builds holds no reference to g
+    g = u2()
+    assert ce_d(e(g, 1)) == e(g, 2, 3)
+    ref = weakref.ref(g)
+    del g
+    assert ref() is None
 
 
 def test_interior_product_oracle_and_square_zero():

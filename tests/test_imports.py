@@ -1,8 +1,8 @@
 """Every name a lieform module, test or demo imports is used in that file,
 every module a lieform module imports is its own or in the standard
-library, no lieform module imports another's private name beyond the
-stated exceptions, and every parameter of a lieform ``def`` is read by its
-body.
+library, no lieform module imports another's private name, each imports
+only the lieform modules in the layers below its own, and every parameter
+of a lieform ``def`` is read by its body.
 
 The package ``__init__`` is exempt from the first: its imports are the
 public re-exports.
@@ -67,7 +67,7 @@ def unused_parameters(source):
     return out
 
 
-# _FormParser.combine overrides _Parser.combine and reads the position
+# _FormParser.combine overrides Parser.combine and reads the position
 UNREAD_PARAMETERS = {("scalars.py", "combine", "at")}
 
 
@@ -126,12 +126,6 @@ def private_imports(source):
     return out
 
 
-# document subclasses the literal parser; LieAlgebra.d_terms reads the
-# shuffle sign of the wedge
-PRIVATE_IMPORTS = {("document.py", "scalars", "_Parser"),
-                   ("lie_core.py", "exterior", "_merge_sign")}
-
-
 def test_checker_flags_a_private_import():
     src = ("from __future__ import annotations\n"
            "from .exterior import KForm, _merge_sign\n"
@@ -144,6 +138,44 @@ def test_checker_flags_a_private_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_imports_across_modules(path):
-    found = {(path.name, module, name) for module, name in
-             private_imports(path.read_text(encoding="utf-8"))}
-    assert found - PRIVATE_IMPORTS == set()
+    assert private_imports(path.read_text(encoding="utf-8")) == set()
+
+
+# each module may import only the modules before it
+LAYERS = ["scalars", "linalg", "lie_core", "exterior", "structures",
+          "constructions", "catalog", "document", "cli"]
+
+
+def package_imports(source):
+    """The modules of its own package that source imports, relatively or
+    as ``lieform.module``."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("lieform")):
+            module = (node.module or "").removeprefix("lieform").lstrip(".")
+            if module:
+                out.add(module.partition(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_checker_finds_package_imports():
+    src = ("from . import linalg\n"
+           "from .exterior import KForm\n"
+           "from lieform.scalars import Scalar\n"
+           "from lieform import catalog\n"
+           "from os import path\n")
+    assert package_imports(src) == {"linalg", "exterior", "scalars",
+                                    "catalog"}
+
+
+def test_every_module_has_a_layer():
+    assert sorted(LAYERS) == [p.stem for p in MODULES]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_modules_import_only_lower_layers(path):
+    lower = set(LAYERS[:LAYERS.index(path.stem)])
+    assert package_imports(path.read_text(encoding="utf-8")) - lower == set()

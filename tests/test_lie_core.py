@@ -122,15 +122,16 @@ def test_derivation_matrix_shape_is_checked(D):
 
 def test_extension_by_zero_derivation():
     g = su2()
-    ext, lam = extend_by_derivation(g, [[0] * 3 for _ in range(3)])
+    ext = extend_by_derivation(g, [[0] * 3 for _ in range(3)])
     assert ext.dim == 4
     assert ext.basis_names[0] == "D"
     # old brackets survive with shifted indices
     assert ext.bracket_basis(1, 2) == ext.vector({3: -1})
     # D is central here
     assert ext.bracket_basis(0, 1) == ext.zero_vector()
-    from lieform.exterior import ce_d
-    assert ce_d(lam).is_zero()
+    # the dual 1-form of D is closed
+    from lieform.exterior import KForm, ce_d
+    assert ce_d(KForm.basis_oneform(ext, 0)).is_zero()
     assert bool(ext.check_jacobi())
 
 
@@ -144,7 +145,7 @@ def test_extension_rejects_non_derivation():
 def test_extension_by_inner_derivation_keeps_jacobi():
     g = sl2r()
     D = g.ad(g.vector([0, 1, 1]))
-    ext, _ = extend_by_derivation(g, D)
+    ext = extend_by_derivation(g, D)
     assert bool(ext.check_jacobi())
 
 

@@ -450,12 +450,6 @@ def test_int_normal_form_prints_like_the_fraction_reference(x, y, v):
         assert str(got) == _ref_str(want)
 
 
-def test_constant_value_is_a_fraction():
-    value = S("6/3").constant_value()
-    assert type(value) is Fraction and value == 2
-    assert type(Poly.const(P, 2).constant_value()) is Fraction
-
-
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.large_base_example])
 @given(scalars())
