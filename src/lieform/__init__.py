@@ -11,8 +11,8 @@ from .structures import (CONVENTION_DEF, CONVENTION_THM, ComplexStructure,
                          LckData, LcsData, Metric, StructureError,
                          StructureReport, assemble_lck, biinvariant_identities,
                          compatibility_check, lcs_check, metric_from,
-                         nabla_of_vector, nijenhuis, signatures,
-                         subalgebra_to_J, J_to_subalgebra, vaisman_check)
+                         nijenhuis, signatures, subalgebra_to_J,
+                         J_to_subalgebra, vaisman_check)
 from .constructions import (OrbitData, coadjoint_stabilizer,
                             kirillov_kostant_form, lcs_from_orbit)
 from . import catalog, document

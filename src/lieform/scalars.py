@@ -91,8 +91,10 @@ class Poly:
 
     @classmethod
     def const(cls, params, value):
+        """value is an int or a Fraction: a float would be read inexactly."""
         if not isinstance(value, (int, Fraction)):
-            value = Fraction(value)
+            raise ScalarError(
+                f"constant {value!r} is not an int or a Fraction")
         return cls(params, {(0,) * len(params): value})
 
     @classmethod

@@ -1,6 +1,6 @@
 """Geometric-structure checkers: complex structures, lcs/lcK data, metrics,
-the covariant derivative of a left-invariant vector (Koszul formula), the
-Vaisman test and bi-invariant-form identities.
+the Vaisman test (the covariant derivative of the Lee vector by the Koszul
+formula) and bi-invariant-form identities.
 
 All verdicts are exact.  Parametric inputs get symbolic verdicts; when an
 identity fails to hold identically the nonzero numerator polynomials are
@@ -15,7 +15,7 @@ from math import lcm
 
 from . import linalg
 from .exterior import (AmbientMismatch, KForm, ce_d, form_monomials,
-                       form_to_vector, matrix_of, solve_potential,
+                       form_to_vector, interior, matrix_of, solve_potential,
                        vector_to_form, wedge)
 from .lie_core import center, centralizer, derived_subalgebra
 from .scalars import DenominatorVanishes, Evaluator
@@ -258,13 +258,23 @@ def gram_matrix(omega):
 def lcs_check(g, omega):
     """Verify the lcs equation and extract the Lee form and Reeb vector.
 
-    Checks nondegeneracy of omega on g/h, solves lam ^ omega = d(omega) for
-    the Lee form, checks d(lam) = 0 separately (automatic only above
-    dimension 4), and solves omega(Z, .) = lam/2 for the Reeb vector.
+    Checks that omega lives on g/h (i_X omega = 0 = L_X omega for X in h)
+    and is nondegenerate there, solves lam ^ omega = d(omega) for the Lee
+    form, checks d(lam) = 0 separately (automatic only above dimension 4),
+    and solves omega(Z, .) = lam/2 for the Reeb vector: lam(Z) = 0 as
+    omega is skew.
     """
     if omega.degree != 2:
         raise StructureError(f"omega has degree {omega.degree}, not 2")
     n = g.dim
+    dom = ce_d(omega)
+    for X in g.h_subalgebra or []:
+        # once i_X omega = 0, L_X omega = i_X d(omega) (Cartan)
+        for name, form in (("i_X", omega), ("L_X", dom)):
+            if not (rest := interior(X, form)).is_zero():
+                raise StructureError(
+                    f"omega does not live on g/h: {name} omega = {rest} "
+                    f"for X = [{', '.join(str(c) for c in X)}]")
     # h may be given by a dependent spanning set
     h_dim, _ = linalg.rank(g.h_subalgebra or [])
     M = gram_matrix(omega)
@@ -272,7 +282,6 @@ def lcs_check(g, omega):
     if r < n - h_dim:
         raise Degenerate(
             f"rank {r} on the quotient (need {n - h_dim})", locus)
-    dom = ce_d(omega)
     # solve lam ^ omega = d(omega), lam = sum x_i e^i
     rows = matrix_of([wedge(KForm.basis_oneform(g, i), omega)
                       for i in range(n)], form_monomials(g, 3))
@@ -291,8 +300,6 @@ def lcs_check(g, omega):
         raise Degenerate("no Reeb vector: omega(Z,.) = lam/2 unsolvable",
                          locus)
     linalg.merge_locus(locus, locus3)
-    if not lam.evaluate(z).is_zero():
-        raise StructureError("lam(Z) != 0; omega is not skew")
     return LcsData(omega, lam, z, proper=not dom.is_zero(), locus=locus)
 
 
@@ -428,41 +435,6 @@ def signatures(gm, points):
 
 
 # ---------------------------------------------------------------------------
-# Covariant derivative and the Vaisman test
-# ---------------------------------------------------------------------------
-
-def nabla_of_vector(gm, y, gy):
-    """Covariant derivatives nabla_{e_i} y of a left-invariant vector y.
-
-    The Koszul formula for a left-invariant metric,
-    2 g(nabla_X Y, W) = g([X,Y],W) - g([Y,W],X) + g([W,X],Y),
-    with X = e_i, Y = y and W = e_k reads, for the symmetric metric G and
-    M = G ad_y,
-    2 g(nabla_{e_i} y, e_k) = -M[k][i] - M[i][k] + sum_l c_{ki}^l gy[l]:
-    the covector of nabla_{e_i} y; one inverse of the metric turns each
-    into a vector.  The caller passes gy = G y, which it often knows
-    without the product (for the Lee vector, s lam: ``LckData.gxi``).
-    Returns ([nabla_{e_i} y for i], locus); a singular metric raises
-    ``DegenerateMetric``.
-    """
-    g = gm.algebra
-    n = g.dim
-    try:
-        ginv, locus = linalg.inverse(gm.matrix)
-    except linalg.LinalgError as exc:
-        raise DegenerateMetric("metric is singular") from exc
-    M = linalg.mat_mul(gm.matrix, g.ad(y))
-    half = Fraction(1, 2)
-    out = []
-    for i in range(n):
-        # c_gy[k] = sum_l c_{ki}^l gy[l]
-        c_gy = linalg.mat_vec([g.bracket_basis(k, i) for k in range(n)], gy)
-        rhs = [(-M[k][i] - M[i][k] + c_gy[k]) * half for k in range(n)]
-        out.append(linalg.mat_vec(ginv, rhs))
-    return out, locus
-
-
-# ---------------------------------------------------------------------------
 # Full lcK assembly
 # ---------------------------------------------------------------------------
 
@@ -472,7 +444,7 @@ class LckData:
         self.J = J
         self.metric = metric
         self.xi = xi
-        self.gxi = gxi  # G xi = s lam, as checked by assemble_lck
+        self.gxi = gxi  # G xi = s lam by construction (see assemble_lck)
         self.theta = theta
         self.locus = list(locus)
 
@@ -494,10 +466,11 @@ def assemble_lck(g, omega, J, convention=CONVENTION_THM):
     """Assemble the full lcK data set.
 
     The Lee vector is xi = -J Z, with Z the Reeb vector of ``lcs_check``
-    (Z = J xi, as J^2 = -Id).  Then G xi = s lam, with s = -1/2 in the
-    defining convention g = omega(., J.) and +1/2 in the other, which
-    negates g; this is checked entry by entry and s lam is kept as
-    ``gxi``.  The returned Metric carries the requested convention tag.
+    (Z = J xi, as J^2 = -Id).  The metric is G = +-Omega J, Omega the Gram
+    matrix of omega, so G xi = +-Omega Z = s lam exactly, as Omega^T Z =
+    lam/2 and Omega^T = -Omega; s lam is kept as ``gxi``, with s = -1/2 in
+    the defining convention g = omega(., J.) and +1/2 in the other.
+    The returned Metric carries the requested convention tag.
     The locus is that of ``lcs_check`` plus the non-constant denominators
     of J.
     """
@@ -508,8 +481,6 @@ def assemble_lck(g, omega, J, convention=CONVENTION_THM):
     s = -half if convention == CONVENTION_DEF else half
     gxi = [c * s for c in lam]
     xi = [-c for c in J.apply(lcs.Z)]
-    if linalg.mat_vec(metric.matrix, xi) != gxi:
-        raise StructureError("Z = J xi fails; inconsistent conventions")
     locus = linalg.merge_locus(list(lcs.locus), [
         c.den for row in J.matrix for c in row if not c.den.is_constant()])
     # theta(e_i) = lam(J e_i) / 2, so theta = J^T lam / 2
@@ -518,17 +489,32 @@ def assemble_lck(g, omega, J, convention=CONVENTION_THM):
     return LckData(lcs, J, metric, xi, gxi, theta, locus)
 
 
+# ---------------------------------------------------------------------------
+# The Vaisman test
+# ---------------------------------------------------------------------------
+
 def vaisman_check(lck):
     """Parallel-Lee-field test: nabla xi = 0 identically.
 
-    Only the derivatives of xi itself are computed (``nabla_of_vector``),
-    with G xi = s lam taken from ``LckData.gxi``.
+    With M = G ad_xi and G xi = s lam, the Koszul formula for a
+    left-invariant metric reads 2 g(nabla_{e_i} xi, e_k) = -M[k][i] -
+    M[i][k] - s d(lam)(e_k, e_i), and d(lam) = 0 (``lcs_check``); one
+    inverse of G turns each covector into nabla_{e_i} xi.
     Returns (is_vaisman, vanishing, locus) where vanishing lists numerator
     polynomials whose common zero locus is where the structure is Vaisman,
     and locus lists the exclusion polynomials off which the inverse metric,
-    and so the verdict, is generic.
+    and so the verdict, is generic; a singular G raises DegenerateMetric.
     """
-    nxi, locus = nabla_of_vector(lck.metric, lck.xi, lck.gxi)
+    G = lck.metric.matrix
+    n = len(G)
+    try:
+        ginv, locus = linalg.inverse(G)
+    except linalg.LinalgError as exc:
+        raise DegenerateMetric("metric is singular") from exc
+    M = linalg.mat_mul(G, lck.algebra.ad(lck.xi))
+    half = Fraction(1, 2)
+    nxi = [linalg.mat_vec(ginv, [(-M[k][i] - M[i][k]) * half
+                                 for k in range(n)]) for i in range(n)]
     vanishing = linalg.vanishing(c for v in nxi for c in v)
     return not vanishing, vanishing, locus
 

@@ -5,6 +5,8 @@ import gc
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from lieform import cli
 from lieform.lie_core import LieAlgebra
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(os.path.dirname(__file__), "data")
 U2 = os.path.join(DATA, "u2.json")
 GL2R = os.path.join(DATA, "gl2r.json")
@@ -154,6 +157,59 @@ def test_check_algebra_checks_h_is_a_subalgebra(h, closed, capsys, tmp_path):
     code, out = run(capsys, "check-algebra", path)
     assert code == (0 if closed else 1)
     assert ("h is not closed under the bracket" in out) is not closed
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-lcs", "omega_std"),
+    ("check-lck", "omega_std", "J_01"),
+    ("check-vaisman", "omega_std", "J_01"),
+])
+def test_a_form_that_does_not_live_on_g_mod_h_fails(argv, capsys, tmp_path):
+    # h = span(e0), the centre: G/H is 3-dimensional, yet omega_std has rank
+    # 4 and is not zero on e0, so no lcs structure lives on g/h
+    h = [["1", "0", "0", "0"]]
+    path = _u2_document(tmp_path, lambda doc: doc.update(h_subalgebra=h))
+    code, out = run(capsys, argv[0], path, *argv[1:])
+    assert code == 1
+    assert "[FAIL] error: StructureError :: omega does not live on g/h: " \
+        "i_X omega = (1) * e1 for X = [1, 0, 0, 0]\n" in out
+
+
+def _basic_u2_document(tmp_path):
+    """u2 with h = span(e0, e1) and omega = e2^e3, which vanishes on h and
+    is h-invariant: a (Kahler) form on the 2-dimensional g/h."""
+    def edit(doc):
+        doc["h_subalgebra"] = [["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+        doc["forms"]["omega_h"] = "e2^e3"
+    return _u2_document(tmp_path, edit)
+
+
+def test_a_form_that_lives_on_g_mod_h_passes(capsys, tmp_path):
+    code, out = run(capsys, "check-lcs", _basic_u2_document(tmp_path),
+                    "omega_h")
+    assert code == 0, out
+    assert "[PASS] omega nondegenerate on the quotient\n" in out
+
+
+def test_a_metric_singular_on_g_mod_h_fails_the_vaisman_test(capsys,
+                                                            tmp_path):
+    # the metric of omega_h and J_01 vanishes on h, so check-lck passes but
+    # the Vaisman test cannot invert it
+    path = _basic_u2_document(tmp_path)
+    code, out = run(capsys, "check-lck", path, "omega_h", "J_01")
+    assert code == 0, out
+    code, out = run(capsys, "check-vaisman", path, "omega_h", "J_01")
+    assert code == 1
+    assert "[FAIL] error: DegenerateMetric :: metric is singular\n" in out
+
+
+def test_a_lee_form_that_is_not_closed_fails(capsys, tmp_path):
+    path = _u2_document(tmp_path, lambda doc: doc["forms"].update(
+        omega_nc="e0^e1 + e2^e3 + e0^e2"))
+    code, out = run(capsys, "check-lcs", path, "omega_nc")
+    assert code == 1
+    assert "[FAIL] error: LeeFormNotClosed :: d(lam) = (1) * e1^e2 != 0\n" \
+        in out
 
 
 def _abelian_document(tmp_path, n, forms):
@@ -411,6 +467,22 @@ def test_json_format(capsys):
 def test_missing_file_exit_code(capsys):
     code = cli.main(["check-algebra", "/nonexistent/doc.json"])
     assert code == 2
+
+
+def test_exit_codes_of_the_program():
+    # the tests above call cli.main in-process; running the module as a
+    # program also covers its __main__ guard, sys.exit and argparse's own
+    # exit on a usage error
+    env = dict(os.environ, PYTHONPATH="src")
+    for argv, want in [(["catalog", "u2"], 0),
+                       (["check-algebra", "tests/data/corrupted.json"], 1),
+                       (["check-algebra", "tests/data/no-such.json"], 2),
+                       (["suite", "nope"], 2)]:
+        proc = subprocess.run([sys.executable, "-m", "lieform.cli", *argv],
+                              cwd=ROOT, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == want, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
 
 
 def test_bad_at_value(capsys):

@@ -29,6 +29,19 @@ def test_poly_construction_drops_zero_terms():
     assert list(p.terms) == [(0, 1)]
 
 
+@pytest.mark.parametrize("value", [0.1, 0.5, Decimal("0.1"), "1/2"])
+def test_a_constant_is_an_int_or_a_fraction(value):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, which no exact
+    # input means; a constant is built from an int or a Fraction only
+    for make in (Poly.const, Scalar.const):
+        with pytest.raises(ScalarError) as exc:
+            make(P, value)
+        assert str(exc.value) == \
+            f"constant {value!r} is not an int or a Fraction"
+    assert Scalar.const(P, 3) == S("3")
+    assert Scalar.const(P, Fraction(1, 2)) == S("1/2")
+
+
 def test_poly_arithmetic_known_values():
     a = Poly.var(P, "a")
     b = Poly.var(P, "b")

@@ -25,8 +25,8 @@ from lieform.structures import (CONVENTION_DEF, CONVENTION_THM,
                                 NotTransverse, StructureReport, assemble_lck,
                                 biinvariant_identities,
                                 _signature_over_z, compatibility_check,
-                                lcs_check, metric_from, nabla_of_vector,
-                                nijenhuis, signatures,
+                                lcs_check, metric_from, nijenhuis,
+                                signatures,
                                 subalgebra_to_J, vaisman_check)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -429,73 +429,9 @@ def test_signatures_match_the_fraction_route_at_every_point(matrix, grid):
 # Connection and Vaisman
 # ---------------------------------------------------------------------------
 
-def test_levi_civita_is_metric_and_torsion_free():
-    g = u2()
-    om = lcs_form(g, oneform(g, {1: 1}))
-    lck = assemble_lck(g, om, J_ab(g, 0, 1), CONVENTION_DEF)
-    gm = lck.metric
-    n = g.dim
-
-    def pair(x, y):
-        return linalg.dot(x, linalg.mat_vec(gm.matrix, y))
-
-    table = {}
-    for j in range(n):
-        ej = g.basis_vector(j)
-        nabla_ej, _ = nabla_of_vector(gm, ej, linalg.mat_vec(gm.matrix, ej))
-        for i in range(n):
-            table[(i, j)] = nabla_ej[i]
-    for i in range(n):
-        for j in range(n):
-            # torsion: nabla_i e_j - nabla_j e_i = [e_i, e_j]
-            diff = linalg.vec_sub(table[(i, j)], table[(j, i)])
-            assert diff == g.bracket_basis(i, j)
-            for k in range(n):
-                # metric compatibility on constant fields:
-                # g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k) = 0
-                val = pair(table[(i, j)], g.basis_vector(k)) + \
-                    pair(g.basis_vector(j), table[(i, k)])
-                assert val.is_zero()
-
-
-def _lck_u2_J_ab():
-    g = u2(("a", "b"))
-    return assemble_lck(g, lcs_form(g, oneform(g, {1: 1})), J_ab(g),
-                        CONVENTION_DEF)
-
-
-def _lck_u2_general_J_01():
-    # not Vaisman: nabla xi != 0 off a locus
-    g = u2(("a1", "a2", "a3"))
-    phi = oneform(g, {1: "a1", 2: "a2", 3: "a3"})
-    return assemble_lck(g, lcs_form(g, phi), J_ab(g, 0, 1), CONVENTION_DEF)
-
-
-def _lck_gl2r_J_mu1():
-    g = gl2r(("ap",))
-    ap = Scalar.var(g.params, "ap")
-    om = lcs_form(g, KForm(g, 1, {(2,): ap, (3,): -ap}))
-    return assemble_lck(g, om, J_mu(g, 1, 0), CONVENTION_DEF)
-
-
-@pytest.mark.parametrize("make_lck", [_lck_u2_J_ab, _lck_u2_general_J_01,
-                                      _lck_gl2r_J_mu1])
-def test_nabla_of_vector_is_linear_in_the_vector(make_lck):
-    # reference: the basis derivatives nabla_{e_i} e_j contracted with xi
-    lck = make_lck()
-    g, gm, xi = lck.algebra, lck.metric, lck.xi
-    want = [g.zero_vector() for _ in range(g.dim)]
-    for j, c in enumerate(xi):
-        ej = g.basis_vector(j)
-        nabla_ej, _ = nabla_of_vector(gm, ej, linalg.mat_vec(gm.matrix, ej))
-        for i in range(g.dim):
-            want[i] = linalg.vec_add(want[i], [c * x for x in nabla_ej[i]])
-    got, _ = nabla_of_vector(gm, xi, linalg.mat_vec(gm.matrix, xi))
-    assert got == want
-
-
 def _nabla_by_three_pairings(g, gm, y):
-    """The Koszul formula with one pairing u . G v per term."""
+    """The Koszul formula with one pairing u . G v per term: the covariant
+    derivatives [nabla_{e_i} y for i] of a left-invariant vector y."""
     def pair(u, v):
         return linalg.dot(u, linalg.mat_vec(gm.matrix, v))
 
@@ -514,6 +450,35 @@ def _nabla_by_three_pairings(g, gm, y):
     return out
 
 
+def test_levi_civita_is_metric_and_torsion_free():
+    # the oracle above is the one general covariant derivative
+    g = u2()
+    om = lcs_form(g, oneform(g, {1: 1}))
+    lck = assemble_lck(g, om, J_ab(g, 0, 1), CONVENTION_DEF)
+    gm = lck.metric
+    n = g.dim
+
+    def pair(x, y):
+        return linalg.dot(x, linalg.mat_vec(gm.matrix, y))
+
+    table = {}
+    for j in range(n):
+        nabla_ej = _nabla_by_three_pairings(g, gm, g.basis_vector(j))
+        for i in range(n):
+            table[(i, j)] = nabla_ej[i]
+    for i in range(n):
+        for j in range(n):
+            # torsion: nabla_i e_j - nabla_j e_i = [e_i, e_j]
+            diff = linalg.vec_sub(table[(i, j)], table[(j, i)])
+            assert diff == g.bracket_basis(i, j)
+            for k in range(n):
+                # metric compatibility on constant fields:
+                # g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k) = 0
+                val = pair(table[(i, j)], g.basis_vector(k)) + \
+                    pair(g.basis_vector(j), table[(i, k)])
+                assert val.is_zero()
+
+
 @pytest.mark.parametrize("path, omega, J, convention", [
     ("u2.json", "omega_std", "J_01", CONVENTION_DEF),
     ("u2.json", "omega_std", "J_ab", CONVENTION_DEF),
@@ -522,27 +487,21 @@ def _nabla_by_three_pairings(g, gm, y):
     ("gl2r.json", "omega_std", "J_mu1", CONVENTION_DEF),
     ("gl2r.json", "omega_general", "J_mu1", CONVENTION_DEF),
 ])
-def test_nabla_of_vector_matches_three_pairings(path, omega, J, convention):
-    # scalars have no canonical form, so the printed num/den pairs of every
-    # entry are compared, not just the values
+def test_vaisman_check_matches_the_koszul_oracle(path, omega, J, convention):
+    # vaisman_check drops the structure-constant term of the Koszul formula
+    # (zero, as d(lam) = 0); scalars have no canonical form, so the printed
+    # numerators of the oracle's full formula are compared, not just values
     doc = document.load(os.path.join(DATA, path))
     g = doc.build_algebra()
     lck = assemble_lck(g, doc.build_form(omega, g),
                        ComplexStructure(g, doc.build_endo(J, g)), convention)
-    got, locus = nabla_of_vector(lck.metric, lck.xi,
-                                 linalg.mat_vec(lck.metric.matrix, lck.xi))
     want = _nabla_by_three_pairings(g, lck.metric, lck.xi)
-    assert [[(str(c.num), str(c.den)) for c in row] for row in got] == \
-        [[(str(c.num), str(c.den)) for c in row] for row in want]
-    # vaisman_check takes G xi = s lam from lck.gxi and must print the same
-    # vanishing and locus lists as the product G xi above
-    vanishing = []
-    for c in (c for row in got for c in row if not c.is_zero()):
-        linalg.merge_locus(vanishing, [c.num])
+    vanishing = linalg.vanishing(c for row in want for c in row)
+    _, pivots = linalg.inverse(lck.metric.matrix)
     ok, got_vanishing, got_locus = vaisman_check(lck)
     assert ok == (not vanishing)
     assert [str(p) for p in got_vanishing] == [str(p) for p in vanishing]
-    assert [str(p) for p in got_locus] == [str(p) for p in locus]
+    assert [str(p) for p in got_locus] == [str(p) for p in pivots]
 
 
 def _recorded_vaisman_calls():
@@ -554,16 +513,25 @@ def _recorded_vaisman_calls():
                    if call.startswith("check-vaisman ")})
 
 
+@pytest.mark.parametrize("convention", [CONVENTION_DEF, CONVENTION_THM])
 @pytest.mark.parametrize("path, omega, J", _recorded_vaisman_calls())
-def test_g_xi_xi_from_gxi_matches_the_metric_pairing(path, omega, J):
-    # check-vaisman prints g(xi, xi) as xi . gxi (G xi = s lam, checked by
-    # assemble_lck); the reference is the full pairing xi^T G xi
+def test_g_xi_xi_from_gxi_matches_the_metric_pairing(path, omega, J,
+                                                     convention):
+    # check-vaisman prints g(xi, xi) as xi . gxi, and assemble_lck keeps
+    # gxi = s lam without forming G xi (exact by construction), as the Reeb
+    # vector has lam(Z) = 0 without a check; the references are the
+    # products G xi and xi^T G xi and the evaluation lam(Z)
     doc = document.load(os.path.join(DATA, os.path.basename(path)))
     g = doc.build_algebra()
     lck = assemble_lck(g, doc.build_form(omega, g),
                        ComplexStructure(g, doc.build_endo(J, g)),
-                       CONVENTION_DEF)
-    assert linalg.dot(lck.xi, linalg.mat_vec(lck.metric.matrix, lck.xi)) == \
+                       convention)
+    gxi = linalg.mat_vec(lck.metric.matrix, lck.xi)
+    assert len(gxi) == len(lck.gxi)
+    for got, want in zip(lck.gxi, gxi):
+        assert got == want
+    assert lck.lcs.lam.evaluate(lck.lcs.Z).is_zero()
+    assert linalg.dot(lck.xi, gxi) == \
         sum(x * y for x, y in zip(lck.xi, lck.gxi))
 
 
