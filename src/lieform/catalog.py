@@ -209,11 +209,12 @@ def get(id_):
 # ---------------------------------------------------------------------------
 
 def lattice(dims, step=Fraction(1, 2)):
-    """All rational lattice points of the closed box [-3, 3]^dims."""
+    """All rational lattice points of the closed box [-3, 3]^dims, with an
+    int for each integral coordinate."""
     axis = []
     v = Fraction(-3)
     while v <= 3:
-        axis.append(v)
+        axis.append(v.numerator if v.denominator == 1 else v)
         v += step
     pts = [()]
     for _ in range(dims):

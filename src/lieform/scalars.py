@@ -564,12 +564,16 @@ class Evaluator:
     for evaluation over Z at many points X / D (``integer_point``): from
     power tables of D and each X_i, a polynomial of total degree deg is
     v / s with v = sum l c_e X^e D^(deg-|e|) and s = l D^deg, and a scalar
-    num / den is the int pair (v_num s_den, s_num v_den)."""
+    num / den is the int pair (v_num s_den, s_num v_den).  A constant
+    polynomial's pair (v, s) = (l c, l) is the same at every point, so it
+    is taken once, when the scalars are compiled."""
 
     def __init__(self, params, scalars):
         self.params = tuple(params)
-        self.polys = [p.compiled() for s in scalars for p in (s.num, s.den)]
-        self.degree = max((deg for _, deg, _ in self.polys), default=0)
+        compiled = [p.compiled() for s in scalars for p in (s.num, s.den)]
+        self.polys = [(c, _value(c, (1,), ()) if c[1] == 0 else None)
+                      for c in compiled]
+        self.degree = max((deg for _, deg, _ in compiled), default=0)
 
     def __call__(self, assignment):
         """[(num, den)], den != 0, for the scalars at the point.  Raises
@@ -579,13 +583,11 @@ class Evaluator:
         Dp = [D ** k for k in powers]
         Xp = [[x ** k for k in powers] for x in X]
         out = []
-        polys = iter(self.polys)
-        for num, den in zip(polys, polys):
-            v_den, s_den = _value(den, Dp, Xp)
+        polys = (pair or _value(c, Dp, Xp) for c, pair in self.polys)
+        for (v_num, s_num), (v_den, s_den) in zip(polys, polys):
             if v_den == 0:
                 raise DenominatorVanishes(
                     {p: Fraction(v) for p, v in assignment.items()})
-            v_num, s_num = _value(num, Dp, Xp)
             out.append((v_num * s_den, s_num * v_den))
         return out
 

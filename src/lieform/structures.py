@@ -1,6 +1,7 @@
 """Geometric-structure checkers: complex structures, lcs/lcK data, metrics,
-the Vaisman test (the covariant derivative of the Lee vector by the Koszul
-formula) and bi-invariant-form identities.
+the Vaisman test (the verdict is the Killing form of the Lee vector; its
+covariant derivative by the Koszul formula is formed only for a FAIL list)
+and bi-invariant-form identities.
 
 All verdicts are exact.  Parametric inputs get symbolic verdicts; when an
 identity fails to hold identically the nonzero numerator polynomials are
@@ -494,29 +495,37 @@ def assemble_lck(g, omega, J, convention=CONVENTION_THM):
 # ---------------------------------------------------------------------------
 
 def vaisman_check(lck):
-    """Parallel-Lee-field test: nabla xi = 0 identically.
+    """Parallel-Lee-field test, decided by the Killing form of xi.
 
     With M = G ad_xi and G xi = s lam, the Koszul formula for a
     left-invariant metric reads 2 g(nabla_{e_i} xi, e_k) = -M[k][i] -
-    M[i][k] - s d(lam)(e_k, e_i), and d(lam) = 0 (``lcs_check``); one
-    inverse of G turns each covector into nabla_{e_i} xi.
-    Returns (is_vaisman, vanishing, locus) where vanishing lists numerator
-    polynomials whose common zero locus is where the structure is Vaisman,
-    and locus lists the exclusion polynomials off which the inverse metric,
-    and so the verdict, is generic; a singular G raises DegenerateMetric.
+    M[i][k] - s d(lam)(e_k, e_i), and d(lam) = 0 (``lcs_check``).  As G is
+    invertible, nabla xi = 0 exactly when every covector -(M + M^T)[i]/2 is
+    zero, that is when xi is a Killing field.
+    Returns (is_vaisman, vanishing, locus).  A PASS is (True, [], []): its
+    only denominators are those of xi and G, so it holds wherever the lcK
+    data are defined.  A FAIL inverts G once to form nabla_{e_i} xi;
+    vanishing lists the numerators of its nonzero entries, whose common
+    zero locus is where the structure is Vaisman, and locus the pivots of
+    the inverse metric, off which that list is generic.  G = +-Omega J is
+    singular exactly when h != 0 (i_X omega = 0 on h), which raises
+    DegenerateMetric.
     """
+    g = lck.algebra
+    if linalg.rank(g.h_subalgebra or [])[0]:
+        raise DegenerateMetric("metric is singular")
     G = lck.metric.matrix
     n = len(G)
-    try:
-        ginv, locus = linalg.inverse(G)
-    except linalg.LinalgError as exc:
-        raise DegenerateMetric("metric is singular") from exc
-    M = linalg.mat_mul(G, lck.algebra.ad(lck.xi))
+    M = linalg.mat_mul(G, g.ad(lck.xi))
     half = Fraction(1, 2)
-    nxi = [linalg.mat_vec(ginv, [(-M[k][i] - M[i][k]) * half
-                                 for k in range(n)]) for i in range(n)]
-    vanishing = linalg.vanishing(c for v in nxi for c in v)
-    return not vanishing, vanishing, locus
+    cov = [[(-M[k][i] - M[i][k]) * half for k in range(n)]
+           for i in range(n)]
+    if all(c.is_zero() for row in cov for c in row):
+        return True, [], []
+    ginv, locus = linalg.inverse(G)
+    vanishing = linalg.vanishing(c for row in cov
+                                 for c in linalg.mat_vec(ginv, row))
+    return False, vanishing, locus
 
 
 # ---------------------------------------------------------------------------

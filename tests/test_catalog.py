@@ -100,6 +100,10 @@ def test_lattice_counts_and_contents():
     assert (Fraction(-3),) in pts and (Fraction(3, 2),) in pts
     assert len(catalog.lattice(2)) == 169
     assert len(catalog.lattice(3, step=Fraction(1))) == 343
+    # the census runs over Z: an integral coordinate is an int
+    assert [type(x) for (x,) in pts] == [int, Fraction] * 6 + [int]
+    assert {type(x) for p in catalog.lattice(3, step=Fraction(1))
+            for x in p} == {int}
 
 
 def test_suite_names_are_registered():

@@ -479,6 +479,14 @@ def test_levi_civita_is_metric_and_torsion_free():
                 assert val.is_zero()
 
 
+def _lck_of(name, omega, J, convention):
+    """The lcK data of the named forms of the document tests/data/<name>."""
+    doc = document.load(os.path.join(DATA, name))
+    g = doc.build_algebra()
+    return assemble_lck(g, doc.build_form(omega, g),
+                        ComplexStructure(g, doc.build_endo(J, g)), convention)
+
+
 @pytest.mark.parametrize("path, omega, J, convention", [
     ("u2.json", "omega_std", "J_01", CONVENTION_DEF),
     ("u2.json", "omega_std", "J_ab", CONVENTION_DEF),
@@ -491,17 +499,17 @@ def test_vaisman_check_matches_the_koszul_oracle(path, omega, J, convention):
     # vaisman_check drops the structure-constant term of the Koszul formula
     # (zero, as d(lam) = 0); scalars have no canonical form, so the printed
     # numerators of the oracle's full formula are compared, not just values
-    doc = document.load(os.path.join(DATA, path))
-    g = doc.build_algebra()
-    lck = assemble_lck(g, doc.build_form(omega, g),
-                       ComplexStructure(g, doc.build_endo(J, g)), convention)
+    lck = _lck_of(path, omega, J, convention)
+    g = lck.algebra
     want = _nabla_by_three_pairings(g, lck.metric, lck.xi)
     vanishing = linalg.vanishing(c for row in want for c in row)
     _, pivots = linalg.inverse(lck.metric.matrix)
     ok, got_vanishing, got_locus = vaisman_check(lck)
     assert ok == (not vanishing)
     assert [str(p) for p in got_vanishing] == [str(p) for p in vanishing]
-    assert [str(p) for p in got_locus] == [str(p) for p in pivots]
+    # a PASS inverts no metric: its verdict holds wherever lck is defined
+    assert [str(p) for p in got_locus] == \
+        ([str(p) for p in pivots] if vanishing else [])
 
 
 def _recorded_vaisman_calls():
@@ -521,11 +529,7 @@ def test_g_xi_xi_from_gxi_matches_the_metric_pairing(path, omega, J,
     # gxi = s lam without forming G xi (exact by construction), as the Reeb
     # vector has lam(Z) = 0 without a check; the references are the
     # products G xi and xi^T G xi and the evaluation lam(Z)
-    doc = document.load(os.path.join(DATA, os.path.basename(path)))
-    g = doc.build_algebra()
-    lck = assemble_lck(g, doc.build_form(omega, g),
-                       ComplexStructure(g, doc.build_endo(J, g)),
-                       convention)
+    lck = _lck_of(os.path.basename(path), omega, J, convention)
     gxi = linalg.mat_vec(lck.metric.matrix, lck.xi)
     assert len(gxi) == len(lck.gxi)
     for got, want in zip(lck.gxi, gxi):
@@ -533,6 +537,23 @@ def test_g_xi_xi_from_gxi_matches_the_metric_pairing(path, omega, J,
     assert lck.lcs.lam.evaluate(lck.lcs.Z).is_zero()
     assert linalg.dot(lck.xi, gxi) == \
         sum(x * y for x, y in zip(lck.xi, lck.gxi))
+
+
+@pytest.mark.parametrize("convention", [CONVENTION_DEF, CONVENTION_THM])
+@pytest.mark.parametrize("path, omega, J", _recorded_vaisman_calls())
+def test_nabla_xi_vanishes_exactly_when_the_killing_list_is_empty(
+        path, omega, J, convention):
+    # Vaisman's criterion on a Lie algebra: as G xi = s lam is closed,
+    # nabla xi = 0 exactly when M + M^T = 0, M = G ad_xi; the oracle forms
+    # nabla xi by the full Koszul formula and one inverse of G
+    lck = _lck_of(os.path.basename(path), omega, J, convention)
+    n = lck.algebra.dim
+    M = linalg.mat_mul(lck.metric.matrix, lck.algebra.ad(lck.xi))
+    killing = linalg.vanishing(M[i][j] + M[j][i]
+                               for i in range(n) for j in range(i, n))
+    nabla = _nabla_by_three_pairings(lck.algebra, lck.metric, lck.xi)
+    assert all(c.is_zero() for row in nabla for c in row) == (not killing)
+    assert vaisman_check(lck)[0] == (not killing)
 
 
 def test_vaisman_flat_on_standard_structure_and_not_on_perturbed():

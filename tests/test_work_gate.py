@@ -1,4 +1,4 @@
-"""Deterministic work gates for the classification suites and two CLI calls.
+"""Deterministic work gates for the classification suites and four CLI calls.
 
 Wall-clock time drifts from host to host and run to run; the work a suite
 does does not.  The first gate counts, over every product of two ``Poly``
@@ -15,7 +15,10 @@ values plus at most 10%, so a kernel or a product that stops skipping
 structural zeros fails.  The fifth bounds the products, the degree and the
 report size of ``check-vaisman`` on a form with a 91-term coefficient, and
 the sixth the report size of ``check-vaisman`` on a gl(2, R) form scaled by
-a linear factor.  The seventh counts the ``Poly`` products and the ``Scalar``
+a linear factor.  The seventh bounds the products, the degree and the
+report size of ``check-vaisman`` on that form scaled by the factor's fourth
+power, and the eighth counts the metric inverses of a Vaisman PASS (none)
+and FAIL (one).  The ninth counts the ``Poly`` products and the ``Scalar``
 constructions of the exterior differentials and bounds them at the
 measured values plus at most 10%, so a differential that stops reading its
 table or a constant product that takes the polynomial path fails.  The
@@ -23,7 +26,6 @@ last counts the content and leading-term reads of inverting a metric with
 constant entries, which a constant pivot's inverse never needs.
 """
 
-import json
 import os
 from itertools import combinations
 
@@ -31,6 +33,7 @@ import pytest
 
 from lieform import catalog, cli, constructions, linalg, scalars, structures
 from lieform.exterior import KForm, ce_d, twisted_d
+from size_table import swell_document
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -55,22 +58,24 @@ def count_poly_products(monkeypatch):
 def test_gl2_suite_poly_product_work_is_bounded(monkeypatch):
     seen = count_poly_products(monkeypatch)
     assert catalog.run_suite("gl2_classification").ok
-    # measured: 3,545 products and degree 31; 3,603 while the Vaisman test
-    # summed the Koszul formula's structure-constant term (zero for the Lee
-    # vector), 3,642 while a constant inverse ran the quotient
-    # normalization, and 7,155 before that
-    assert seen["products"] <= 3_890
-    assert seen["degree"] <= 34
+    # measured: 861 products and degree 5; 3,545 and degree 31 while the
+    # Vaisman test inverted the metric of a PASS; 3,603 while it summed the
+    # Koszul formula's structure-constant term (zero for the Lee vector),
+    # 3,642 while a constant inverse ran the quotient normalization, and
+    # 7,155 before that
+    assert seen["products"] <= 940
+    assert seen["degree"] <= 5
 
 
 @pytest.mark.parametrize("suite, lcs_checks, rrefs", [
-    ("u2_classification", 8, 34),
-    ("gl2_classification", 9, 38),
+    ("u2_classification", 8, 32),
+    ("gl2_classification", 9, 34),
 ])
 def test_suite_lcs_checks_and_eliminations_are_bounded(
         suite, lcs_checks, rrefs, monkeypatch):
     # each lcs fact is computed once: the suites read the general omega's
-    # Lee form off the assemble_lck they run on it anyway
+    # Lee form off the assemble_lck they run on it anyway; a Vaisman PASS
+    # inverts no metric (34 and 38 eliminations while it did)
     calls = {"lcs_check": 0, "rref": 0}
 
     def counting(name, fn):
@@ -118,12 +123,13 @@ def test_suite_census_compiles_each_entry_once(suite, compiled, integrals,
 
 
 @pytest.mark.parametrize("suite, constructions", [
-    ("u2_classification", 1_940),
-    ("gl2_classification", 3_340),
+    ("u2_classification", 1_760),
+    ("gl2_classification", 3_000),
 ])
 def test_suite_scalar_constructions_are_bounded(suite, constructions,
                                                 monkeypatch):
-    # measured: 1,770 (u2) and 3,037 (gl2); 1,815 and 3,130 while the
+    # measured: 1,744 (u2) and 2,963 (gl2); 1,770 and 3,037 while a
+    # Vaisman PASS inverted the metric; 1,815 and 3,130 while the
     # Vaisman test summed the Koszul formula's structure-constant term and
     # assemble_lck formed G xi to check it against s lam; earlier 1,855 and
     # 3,166; with the suites' second compatibility check, 1,858 and 3,185;
@@ -142,39 +148,72 @@ def test_suite_scalar_constructions_are_bounded(suite, constructions,
     assert calls["init"] <= constructions, calls
 
 
+def count_inverses(monkeypatch):
+    """Count the calls of linalg.inverse from here to the end of the test."""
+    inverse = linalg.inverse
+    seen = {"inverses": 0}
+
+    def counting(rows):
+        seen["inverses"] += 1
+        return inverse(rows)
+
+    monkeypatch.setattr(linalg, "inverse", counting)
+    return seen
+
+
 def test_vaisman_check_of_a_large_coefficient_is_bounded(
         monkeypatch, tmp_path, capsys):
     # omega = (a+b+1)^12 e^01 + e^23 on u(2): while the Lee vector was
     # solved from G xi = s lam, this call ran for more than 20 minutes
-    with open(os.path.join(DATA, "u2.json"), encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc["forms"]["omega_swell"] = "(a+b+1)^12 * e0^e1 + e2^e3"
-    path = tmp_path / "u2_swell.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path = swell_document(tmp_path, "u2", "(a+b+1)^12 * e0^e1 + e2^e3")
     seen = count_poly_products(monkeypatch)
-    assert cli.main(["check-vaisman", str(path), "omega_swell", "J_ab"]) == 0
+    assert cli.main(["check-vaisman", path, "omega_swell", "J_ab"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] Lee field is parallel (Vaisman)" in out
-    # measured: 20,564 characters, 389,400 products and degree 62; 438,046
-    # products while the Vaisman test summed the Koszul formula's
+    # measured: 20,564 characters, 24,032 products and degree 26; 389,400
+    # products and degree 62 while the Vaisman test inverted the metric of
+    # a PASS, and 438,046 products while it summed the Koszul formula's
     # structure-constant term, which is zero for the Lee vector
     assert len(out) <= 22_600
-    assert seen["products"] <= 428_000
-    assert seen["degree"] <= 68
+    assert seen["products"] <= 26_400
+    assert seen["degree"] <= 28
 
 
 def test_vaisman_check_of_a_scaled_gl2_form_is_bounded(tmp_path, capsys):
     # omega = (mu1+mu2+1) * omega_std on gl(2, R): while g(xi, xi) was
     # printed as the pairing xi^T G xi, this call printed 1,689,687
     # characters; xi . (G xi), with G xi = s lam, prints 6,316
-    with open(os.path.join(DATA, "gl2r.json"), encoding="utf-8") as fh:
-        doc = json.load(fh)
-    std = doc["forms"]["omega_std"]
-    doc["forms"]["omega_swell"] = f"(mu1+mu2+1) * ({std})"
-    path = tmp_path / "gl2r_swell.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    assert cli.main(["check-vaisman", str(path), "omega_swell", "J_mu"]) == 0
+    path = swell_document(tmp_path, "gl2r", "(mu1+mu2+1) * ({std})")
+    assert cli.main(["check-vaisman", path, "omega_swell", "J_mu"]) == 0
     assert len(capsys.readouterr().out) < 10_000
+
+
+def test_vaisman_pass_of_a_gl2_form_to_the_fourth_inverts_no_metric(
+        monkeypatch, tmp_path, capsys):
+    # omega = (mu1+mu2+1)^4 * omega_std on gl(2, R), the largest gl(2, R)
+    # row of tests/size_table.py: the verdict is the Killing form of xi, so
+    # a PASS inverts no metric; while it did, 10,383,938 products of
+    # degree up to 115
+    path = swell_document(tmp_path, "gl2r", "(mu1+mu2+1)^4 * ({std})")
+    seen = count_poly_products(monkeypatch)
+    inverses = count_inverses(monkeypatch)
+    assert cli.main(["check-vaisman", path, "omega_swell", "J_mu"]) == 0
+    out = capsys.readouterr().out.replace(path, "")
+    assert "[PASS] Lee field is parallel (Vaisman)" in out
+    assert inverses["inverses"] == 0
+    # measured: 141,458 characters, 841,853 products and degree 49
+    assert len(out) <= 155_600
+    assert seen["products"] <= 926_000
+    assert seen["degree"] <= 53
+
+
+def test_vaisman_fail_inverts_the_metric_once(monkeypatch, capsys):
+    # a FAIL list is made of the entries of nabla xi, which needs G^-1
+    inverses = count_inverses(monkeypatch)
+    assert cli.main(["check-vaisman", os.path.join(DATA, "u2.json"),
+                     "omega_general", "J_01"]) == 1
+    assert "[FAIL] Lee field is parallel (Vaisman)" in capsys.readouterr().out
+    assert inverses["inverses"] == 1
 
 
 @pytest.mark.parametrize("make, products, constructions", [
