@@ -19,8 +19,8 @@ for g, phi_coeffs, label in [
     phi = KForm(g, 1, {k: g._scalar(c) for k, c in phi_coeffs.items()})
     print(f"== {label} ==")
     orbit = coadjoint_stabilizer(phi)
-    print("dim of the coadjoint stabilizer k:", orbit.k.dim)
-    print("dim of the kernel subalgebra h:   ", orbit.h.dim)
+    print("dim of the coadjoint stabilizer k:", len(orbit.k))
+    print("dim of the kernel subalgebra h:   ", len(orbit.h))
     print("orbit is non-conical:             ", orbit.non_conical)
     ext, lcs, phi_ext = lcs_from_orbit(orbit)
     print("extended basis:", " ".join(ext.basis_names))

@@ -3,7 +3,7 @@
 from .scalars import (DenominatorVanishes, ParameterValueError, Poly,
                       Scalar, ScalarError, ScalarParseError, parse_scalar,
                       scalar_eval)
-from .lie_core import (LieAlgebra, LieError, Subspace, center, centralizer,
+from .lie_core import (LieAlgebra, LieError, center, centralizer,
                        derived_subalgebra, extend_by_derivation, is_derivation)
 from .exterior import (KForm, ce_d, interior, lie_derivative, solve_potential,
                        twisted_cohomology_dim, twisted_d, wedge)

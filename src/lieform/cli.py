@@ -104,7 +104,7 @@ def cmd_check_algebra(args):
                   "" if jr.passed else f"{jr.reason} at {jr.witness}")
         if jr.passed:
             rep.info("dim", g.dim)
-            rep.info("dim of the center", center(g).dim)
+            rep.info("dim of the center", len(center(g)))
     return _run(f"check-algebra {args.document}", args.format, body)
 
 
@@ -195,8 +195,8 @@ def cmd_construct_orbit(args):
         if args.derivation:
             D = doc.build_endo(args.derivation, g, at)
         orbit = coadjoint_stabilizer(phi)
-        rep.info("dim of the coadjoint stabilizer", orbit.k.dim)
-        rep.info("dim of the kernel subalgebra h", orbit.h.dim)
+        rep.info("dim of the coadjoint stabilizer", len(orbit.k))
+        rep.info("dim of the kernel subalgebra h", len(orbit.h))
         rep.check("orbit is non-conical (phi nonzero on its stabilizer)",
                   orbit.non_conical)
         if not orbit.non_conical:

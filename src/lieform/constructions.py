@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from . import linalg
 from .exterior import KForm, ce_d, interior, twisted_d
-from .lie_core import Subspace, extend_by_derivation
+from .lie_core import extend_by_derivation
 from .structures import StructureError, gram_matrix, lcs_check
 
 
@@ -32,9 +32,9 @@ class DegenerateOnQuotient(ConstructionError):
 class OrbitData:
     """Stabilizer data of a 1-form phi_prime in the coadjoint representation.
 
-    k is the stabilizer {X : phi_prime o ad_X = 0}, the kernel of the
-    Kirillov-Kostant form, h = k intersect ker(phi_prime), and non_conical
-    says whether phi_prime is nonzero on k.
+    k and h are basis lists: k of the stabilizer {X : phi_prime o ad_X = 0},
+    the kernel of the Kirillov-Kostant form, and h of k intersect
+    ker(phi_prime).  non_conical says whether phi_prime is nonzero on k.
     """
 
     def __init__(self, phi_prime, k, h, non_conical):
@@ -60,13 +60,12 @@ def coadjoint_stabilizer(phi):
         raise NotAOneForm(f"phi has degree {phi.degree}, not 1")
     if phi.is_zero():
         raise ZeroForm("coadjoint stabilizer of the zero form")
-    kbasis, locus = linalg.nullspace(gram_matrix(kirillov_kostant_form(phi)))
-    k = Subspace(kbasis, locus)
+    k, _ = linalg.nullspace(gram_matrix(kirillov_kostant_form(phi)))
     # h = k intersect ker(phi)
-    h_rows = [[phi.evaluate(v) for v in kbasis]]
+    h_rows = [[phi.evaluate(v) for v in k]]
     coeff_kernel, _ = linalg.nullspace(h_rows)
-    kcols = linalg.transpose(kbasis)
-    h = Subspace([linalg.mat_vec(kcols, cv) for cv in coeff_kernel], locus)
+    kcols = linalg.transpose(k)
+    h = [linalg.mat_vec(kcols, cv) for cv in coeff_kernel]
     non_conical = any(not c.is_zero() for c in h_rows[0])
     return OrbitData(phi, k, h, non_conical)
 
@@ -76,8 +75,11 @@ def lcs_from_orbit(orbit, D=None):
 
     Builds g(D) with the dual 1-form lam of D, extends phi by phi(D) = 0,
     and assembles omega = d_lam(phi) = d(phi) - lam ^ phi.  The lcs
-    equation d_lam(omega) = 0 and the identity omega(Z, .) = phi(Z) lam are
-    verified before returning.
+    equation d_lam(omega) = 0 holds by construction: d_lam o d_lam is
+    -d(lam) ^ ., and lam is closed on g(D), whose brackets all lie in
+    span(e_1..e_n).  Before returning, ``lcs_check`` is run on omega, and
+    omega(Z, .) = phi(Z) lam and (when h = 0) the extracted Lee form are
+    checked.
     """
     g = orbit.phi_prime.algebra
     if not orbit.non_conical:
@@ -86,8 +88,8 @@ def lcs_from_orbit(orbit, D=None):
         D = [[0] * g.dim for _ in range(g.dim)]
     ext = extend_by_derivation(g, D)
     lam = KForm.basis_oneform(ext, 0)
-    if orbit.h.span:
-        ext.h_subalgebra = [[ext.zero()] + list(v) for v in orbit.h.span]
+    if orbit.h:
+        ext.h_subalgebra = [[ext.zero()] + list(v) for v in orbit.h]
     phi = KForm(ext, 1, {(i + 1,): c
                          for (i,), c in orbit.phi_prime.coeffs.items()})
     omega = twisted_d(phi, lam)
@@ -96,9 +98,6 @@ def lcs_from_orbit(orbit, D=None):
     except StructureError as exc:
         raise DegenerateOnQuotient(
             f"constructed 2-form degenerate on the quotient: {exc}") from exc
-    # d_lam(omega) = 0 and omega(Z, .) = phi(Z) lam, exactly
-    if not twisted_d(omega, lam).is_zero():
-        raise ConstructionError("lcs equation fails on the extension")
     if interior(lcs.Z, omega) != lam.scaled(phi.evaluate(lcs.Z)):
         raise ConstructionError("omega(Z,.) = phi(Z) lam fails")
     if not ext.h_subalgebra and lcs.lam != lam:

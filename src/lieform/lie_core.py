@@ -182,23 +182,6 @@ class LieAlgebra:
         return out
 
 
-class Subspace:
-    """Subspace of a Lie algebra given by a basis of column vectors (every
-    subspace the library builds holds one: a nullspace basis, rref pivot
-    rows, the orbit's k and h), so its dimension is the number of vectors."""
-
-    def __init__(self, span, locus=None):
-        self.span = [list(v) for v in span]
-        self.locus = list(locus or [])
-
-    @property
-    def dim(self):
-        return len(self.span)
-
-    def contains(self, v):
-        return linalg.in_span(self.span, v)
-
-
 def is_derivation(g, D):
     """Leibniz check D[x,y] = [Dx,y] + [x,Dy] on all basis pairs.
 
@@ -220,24 +203,23 @@ def is_derivation(g, D):
 
 
 def centralizer(g, v):
-    """Nullspace of ad_v as a subspace; v must be nonzero."""
+    """Basis list of the nullspace of ad_v; v must be nonzero."""
     if linalg.vec_is_zero(v):
         raise ZeroVector("centralizer of the zero vector")
-    basis, locus = linalg.nullspace(g.ad(v))
-    return Subspace(basis, locus)
+    return linalg.nullspace(g.ad(v))[0]
 
 
 def center(g):
-    """Intersection of the nullspaces of all ad_{e_i}."""
+    """Basis list of the intersection of the nullspaces of all ad_{e_i}."""
     stacked = []
     for i in range(g.dim):
         stacked.extend(g.ad(g.basis_vector(i)))
-    basis, locus = linalg.nullspace(stacked)
-    return Subspace(basis, locus)
+    return linalg.nullspace(stacked)[0]
 
 
 def derived_subalgebra(g):
-    """Span of all brackets [e_i, e_j]."""
+    """Basis list (the rref pivot rows) of the span of all brackets
+    [e_i, e_j]."""
     vectors = []
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
@@ -245,7 +227,7 @@ def derived_subalgebra(g):
             if any(not c.is_zero() for c in b):
                 vectors.append(b)
     red, pivots, _ = linalg.rref(vectors)
-    return Subspace([red[r] for r in range(len(pivots))])
+    return red[:len(pivots)]
 
 
 def extend_by_derivation(g, D):

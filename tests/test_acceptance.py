@@ -91,7 +91,7 @@ def test_7_orbit_construction_round_trips():
     # the compact orbit: dual of a compact-factor generator
     g = su2()
     orbit = coadjoint_stabilizer(KForm.basis_oneform(g, 0))
-    assert orbit.non_conical and orbit.h.dim == 0
+    assert orbit.non_conical and len(orbit.h) == 0
     ext, lcs, phi = lcs_from_orbit(orbit)
     # relabeling e0 := -D carries this to the standard structure on u(2):
     # omega = -e^D^e^1 + e^{23}  <->  e^{01} + e^{23}

@@ -1,4 +1,4 @@
-"""Deterministic work gates for the classification suites and four CLI calls.
+"""Deterministic work gates for the catalog suites and four CLI calls.
 
 Wall-clock time drifts from host to host and run to run; the work a suite
 does does not.  The first gate counts, over every product of two ``Poly``
@@ -38,6 +38,21 @@ from size_table import swell_document
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
+def count_calls(monkeypatch, owner, name):
+    """Patch owner.name to count its calls from here to the end of the
+    test; the returned function reads the count so far."""
+    fn = getattr(owner, name)
+    count = 0
+
+    def counting(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return lambda: count
+
+
 def count_poly_products(monkeypatch):
     """Count Poly x Poly coefficient products and the largest degree built
     from here to the end of the test."""
@@ -70,29 +85,24 @@ def test_gl2_suite_poly_product_work_is_bounded(monkeypatch):
 @pytest.mark.parametrize("suite, lcs_checks, rrefs", [
     ("u2_classification", 8, 32),
     ("gl2_classification", 9, 34),
+    ("reductive_identities", 2, 30),
 ])
 def test_suite_lcs_checks_and_eliminations_are_bounded(
         suite, lcs_checks, rrefs, monkeypatch):
     # each lcs fact is computed once: the suites read the general omega's
     # Lee form off the assemble_lck they run on it anyway; a Vaisman PASS
-    # inverts no metric (34 and 38 eliminations while it did)
-    calls = {"lcs_check": 0, "rref": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    # inverts no metric (34 and 38 eliminations while it did); the
+    # structural identities read rank(ad_v) off the centralizer of v (32
+    # eliminations while they reduced ad_v twice)
 
     # a module that imports lcs_check calls it through its own global
-    for mod in (structures, catalog, constructions):
-        if hasattr(mod, "lcs_check"):
-            monkeypatch.setattr(mod, "lcs_check",
-                                counting("lcs_check", mod.lcs_check))
-    monkeypatch.setattr(linalg, "rref", counting("rref", linalg.rref))
+    lcs_calls = [count_calls(monkeypatch, mod, "lcs_check")
+                 for mod in (structures, catalog, constructions)
+                 if hasattr(mod, "lcs_check")]
+    rref_calls = count_calls(monkeypatch, linalg, "rref")
     assert catalog.run_suite(suite).ok
-    assert calls["lcs_check"] <= lcs_checks, calls
-    assert calls["rref"] <= rrefs, calls
+    assert sum(c() for c in lcs_calls) <= lcs_checks
+    assert rref_calls() <= rrefs
 
 
 @pytest.mark.parametrize("suite, compiled, integrals", [
@@ -105,21 +115,11 @@ def test_suite_census_compiles_each_entry_once(suite, compiled, integrals,
     # entries (a numerator and a denominator each), at 498 (u2) and 482
     # (gl2) points in all; re-deriving the entries at each point made about
     # 10,700 _integral calls per gl2 suite
-    calls = {"compiled": 0, "_integral": 0}
-
-    def counting(name):
-        fn = getattr(scalars.Poly, name)
-
-        def wrapper(self):
-            calls[name] += 1
-            return fn(self)
-        monkeypatch.setattr(scalars.Poly, name, wrapper)
-
-    counting("compiled")
-    counting("_integral")
+    compiled_calls = count_calls(monkeypatch, scalars.Poly, "compiled")
+    integral_calls = count_calls(monkeypatch, scalars.Poly, "_integral")
     assert catalog.run_suite(suite).ok
-    assert calls["compiled"] <= compiled, calls
-    assert calls["_integral"] <= integrals, calls
+    assert compiled_calls() <= compiled
+    assert integral_calls() <= integrals
 
 
 @pytest.mark.parametrize("suite, constructions", [
@@ -136,29 +136,9 @@ def test_suite_scalar_constructions_are_bounded(suite, constructions,
     # while rref divided and subtracted in the pivot column, 2,006 and
     # 3,465, and while a product or a sum with a zero operand built a new
     # scalar, 7,013 and 9,306
-    calls = {"init": 0}
-    init = scalars.Scalar.__init__
-
-    def counting_init(self, *args):
-        calls["init"] += 1
-        init(self, *args)
-
-    monkeypatch.setattr(scalars.Scalar, "__init__", counting_init)
+    inits = count_calls(monkeypatch, scalars.Scalar, "__init__")
     assert catalog.run_suite(suite).ok
-    assert calls["init"] <= constructions, calls
-
-
-def count_inverses(monkeypatch):
-    """Count the calls of linalg.inverse from here to the end of the test."""
-    inverse = linalg.inverse
-    seen = {"inverses": 0}
-
-    def counting(rows):
-        seen["inverses"] += 1
-        return inverse(rows)
-
-    monkeypatch.setattr(linalg, "inverse", counting)
-    return seen
+    assert inits() <= constructions
 
 
 def test_vaisman_check_of_a_large_coefficient_is_bounded(
@@ -196,11 +176,11 @@ def test_vaisman_pass_of_a_gl2_form_to_the_fourth_inverts_no_metric(
     # degree up to 115
     path = swell_document(tmp_path, "gl2r", "(mu1+mu2+1)^4 * ({std})")
     seen = count_poly_products(monkeypatch)
-    inverses = count_inverses(monkeypatch)
+    inverses = count_calls(monkeypatch, linalg, "inverse")
     assert cli.main(["check-vaisman", path, "omega_swell", "J_mu"]) == 0
     out = capsys.readouterr().out.replace(path, "")
     assert "[PASS] Lee field is parallel (Vaisman)" in out
-    assert inverses["inverses"] == 0
+    assert inverses() == 0
     # measured: 141,458 characters, 841,853 products and degree 49
     assert len(out) <= 155_600
     assert seen["products"] <= 926_000
@@ -209,11 +189,11 @@ def test_vaisman_pass_of_a_gl2_form_to_the_fourth_inverts_no_metric(
 
 def test_vaisman_fail_inverts_the_metric_once(monkeypatch, capsys):
     # a FAIL list is made of the entries of nabla xi, which needs G^-1
-    inverses = count_inverses(monkeypatch)
+    inverses = count_calls(monkeypatch, linalg, "inverse")
     assert cli.main(["check-vaisman", os.path.join(DATA, "u2.json"),
                      "omega_general", "J_01"]) == 1
     assert "[FAIL] Lee field is parallel (Vaisman)" in capsys.readouterr().out
-    assert inverses["inverses"] == 1
+    assert inverses() == 1
 
 
 @pytest.mark.parametrize("make, products, constructions", [
@@ -233,25 +213,13 @@ def test_differentials_of_monomials_are_bounded(make, products,
              for c in ("1", "3/2", "a + 1", "1/(a + 1)")
              for k in range(g.dim + 1)
              for idx in combinations(range(g.dim), k)]
-    calls = {"products": 0, "constructions": 0}
-    mul = scalars.Poly.__mul__
-    init = scalars.Scalar.__init__
-
-    def counting_mul(a, b):
-        calls["products"] += 1
-        return mul(a, b)
-
-    def counting_init(self, *args):
-        calls["constructions"] += 1
-        init(self, *args)
-
-    monkeypatch.setattr(scalars.Poly, "__mul__", counting_mul)
-    monkeypatch.setattr(scalars.Scalar, "__init__", counting_init)
+    products_made = count_calls(monkeypatch, scalars.Poly, "__mul__")
+    inits = count_calls(monkeypatch, scalars.Scalar, "__init__")
     for f in forms:
         ce_d(f)
         twisted_d(f, lam)
-    assert calls["products"] <= products, calls
-    assert calls["constructions"] <= constructions, calls
+    assert products_made() <= products
+    assert inits() <= constructions
 
 
 def test_inverse_of_a_constant_metric_skips_normalization(monkeypatch):
@@ -261,20 +229,10 @@ def test_inverse_of_a_constant_metric_skips_normalization(monkeypatch):
     g = catalog.gl2r()
     omega = catalog.lcs_form(g, catalog.oneform(g, {2: 1, 3: -1}))
     lck = structures.assemble_lck(g, omega, catalog.J_mu(g, 1, 0))
-    calls = {"content": 0, "leading": 0}
-
-    def counting(name):
-        fn = getattr(scalars.Poly, name)
-
-        def wrapper(self):
-            calls[name] += 1
-            return fn(self)
-        monkeypatch.setattr(scalars.Poly, name, wrapper)
-
-    counting("content")
-    counting("leading")
+    contents = count_calls(monkeypatch, scalars.Poly, "content")
+    leadings = count_calls(monkeypatch, scalars.Poly, "leading")
     inverse, locus = linalg.inverse(lck.metric.matrix)
-    assert calls == {"content": 0, "leading": 0}
+    assert (contents(), leadings()) == (0, 0)
     assert locus == []
     assert linalg.mat_mul(lck.metric.matrix, inverse) == \
         [[g._scalar(int(i == j)) for j in range(4)] for i in range(4)]
