@@ -2,13 +2,15 @@
 
 The suite verifies, over the rational-function field in the family
 parameters, that the standard structure on u(2) is Vaisman for the whole
-complex-structure family, that its metric is definite exactly when b < 0,
-and that the exceptional member admits only the standard form as a Vaisman
-structure.
+complex-structure family and that its metric is definite exactly when
+b < 0.  The exceptional member J_01 carries no lcK metric: its metric has
+signature (2, 2) at every census sample, so the structure is
+pseudo-Hermitian, with a parallel Lee field only for the standard form.
 
-Run:  python3 demos/02_classification.py            (about 0.3 s)
+Run:  python3 demos/02_classification.py            (about 0.15 s, most of
+                                                     it interpreter start-up)
       python3 demos/02_classification.py gl2        (the non-compact case,
-                                                     about 0.4 s)
+                                                     about 0.15 s)
 """
 
 import sys

@@ -20,7 +20,7 @@ from .exterior import (KForm, ce_d, interior, lie_derivative, solve_potential,
 from .lie_core import MAX_DIM, LieAlgebra, center
 from .structures import (CONVENTION_DEF, CONVENTION_THM, ComplexStructure,
                          StructureReport, assemble_lck, compatibility_check,
-                         nijenhuis, signatures, vaisman_check,
+                         killing, nijenhuis, signatures, vaisman_check,
                          biinvariant_identities)
 
 
@@ -277,18 +277,15 @@ def _check_census(rep, name, metric, points, agrees):
     rep.check(name.format(n=len(points)), good == len(points))
 
 
-def _vaisman_misses(J, convention, samples):
-    """The samples (a1, a2, a3) whose Vaisman verdict is not the expected
-    one, for omega = e^0 ^ phi + d(phi), phi = a1 e^1 + a2 e^2 + a3 e^3, and
-    J on its parameter-free algebra; each sample is assembled anew, as
-    a cross-check independent of the symbolic verdict."""
-    g = J.algebra
-    misses = []
-    for pt, want in samples:
-        om = lcs_form(g, oneform(g, dict(zip((1, 2, 3), pt))))
-        if vaisman_check(assemble_lck(g, om, J, convention))[0] != want:
-            misses.append(pt)
-    return misses
+def _vaisman_misses(K, samples):
+    """The points of the samples (point, expected verdict) whose Vaisman
+    verdict is not the expected one.  A point {name: rational} is Vaisman
+    iff the Killing matrix K (``structures.killing``) of the parametric lcK
+    family vanishes there.  Substituting is exact wherever Pf(omega) and the
+    denominators of J do not vanish; elsewhere ``Scalar.substitute`` raises
+    DenominatorVanishes, so a sample off the family's domain fails loudly."""
+    return [pt for pt, want in samples if want != all(
+        c.substitute(pt).is_zero() for row in K for c in row)]
 
 
 def _check_twisted(rep, g0, om):
@@ -378,16 +375,12 @@ def _suite_u2():
              "vanishing locus {a2, a3}")
 
     # Vaisman verdicts: the standard structure is Vaisman, perturbed ones not
-    g1 = u2(("a1",))
-    lck_std = assemble_lck(g1, lcs_form(g1, oneform(g1, {1: "a1"})),
-                           J_ab(g1, 0, 1), CONVENTION_THM)
-    ok_vs, _, _ = vaisman_check(lck_std)
+    K2 = killing(lck2)
     rep.check("case (ii): omega = a1(e^{01}+e^{23}) is Vaisman over Q(a1)",
-              ok_vs)
+              not _vaisman_misses(K2, [({"a2": 0, "a3": 0}, True)]))
     bad = _vaisman_misses(
-        J_ab(g0, 0, 1), CONVENTION_THM,
-        [(pt, False) for pt in
-         [(0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 3), (2, 0, -1)]])
+        K2, [(dict(zip(ga.params, pt)), False) for pt in
+             [(0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 3), (2, 0, -1)]])
     rep.check("case (ii): samples with (a2,a3) != 0 are never Vaisman",
               not bad, detail=bad or "")
 
@@ -458,10 +451,10 @@ def _suite_gl2():
     rep.check("on that branch the metric is -ap diag(1, 4, 2, 2) (definite)",
               _metric_is(lck_v.metric, {(0, 0): -apv, (1, 1): -4 * apv,
                                         (2, 2): -2 * apv, (3, 3): -2 * apv}))
-    misses = _vaisman_misses(
-        J_mu(g0, 1, 0), CONVENTION_DEF,
+    misses = _vaisman_misses(killing(lck), [
+        (dict(zip(ga.params, pt)), want) for pt, want in
         [((0, 1, -1), True), ((0, 2, -2), True), ((0, -1, 2), False),
-         ((1, 1, -1), False), ((1, 2, 3), False), ((2, 1, 1), False)])
+         ((1, 1, -1), False), ((1, 2, 3), False), ((2, 1, 1), False)]])
     rep.check("Vaisman samples agree with the criterion ah = 0, ap = -am != 0",
               not misses)
 
@@ -514,12 +507,13 @@ def _suite_reductive():
         sub.title = label
         rep.extend(sub)
 
-    for gz in (u2(), gl2r(), su2(), sl2r()):
-        rep.check(f"{gz.name}: dim of the center <= 2", len(center(gz)) <= 2)
-    for gz in (su2(), sl2r()):
+    dims = [(gz, len(center(gz))) for gz in (u2(), gl2r(), su2(), sl2r())]
+    for gz, dim in dims:
+        rep.check(f"{gz.name}: dim of the center <= 2", dim <= 2)
+    for gz, dim in dims[2:]:
         rep.check(f"{gz.name} (the derived part): dim of the center <= 1",
-                  len(center(gz)) <= 1)
-    for gz in (u2(), gl2r()):
+                  dim <= 1)
+    for gz, _ in dims[:2]:
         h1, _ = twisted_cohomology_dim(gz, _minus_e0(gz), 1)
         rep.check(f"{gz.name}: H^1 twisted by -e^0 vanishes", h1 == 0)
     return rep

@@ -18,8 +18,9 @@ from .lie_core import LieError, center
 from .constructions import coadjoint_stabilizer, lcs_from_orbit
 from .scalars import ScalarError
 from .structures import (CONVENTION_DEF, CONVENTION_THM, ComplexStructure,
-                         FAIL, StructureReport, StructureError, assemble_lck,
-                         lcs_check, signatures, vaisman_check)
+                         FAIL, NotIntegrable, StructureReport, StructureError,
+                         assemble_lck, lcs_check, nijenhuis, signatures,
+                         vaisman_check)
 
 
 class CliError(Exception):
@@ -123,10 +124,23 @@ def cmd_check_lcs(args):
     return _run(f"check-lcs {args.omega}", args.format, body)
 
 
+def _exactly_on(what, vanishing, otherwise):
+    """'{what} exactly on the locus: p = 0; ...' for a vanishing list of
+    non-constant polynomials, and otherwise when one entry is constant."""
+    if any(p.is_constant() for p in vanishing):
+        return otherwise
+    return f"{what} exactly on the locus: " + "; ".join(
+        f"{p} = 0" for p in vanishing)
+
+
 def _build_lck(args, rep):
     doc, g, at = _load(args)
     om = doc.build_form(args.omega, g, at)
     J = ComplexStructure(g, doc.build_endo(args.J, g, at))
+    _, _, vanishing = nijenhuis(J)
+    if vanishing:
+        raise NotIntegrable(_exactly_on(
+            "integrable", vanishing, "the Nijenhuis tensor of J is not zero"))
     lck = assemble_lck(g, om, J, args.convention)
     rep.add("omega defines an lcs structure", "PASS")
     rep.add("omega is J-invariant", "PASS")
@@ -155,13 +169,8 @@ def cmd_check_vaisman(args):
     def body(rep):
         g, at, lck = _build_lck(args, rep)
         ok, vanishing, _ = vaisman_check(lck)
-        detail = ""
-        if not ok:
-            if any(p.is_constant() for p in vanishing):
-                detail = "the Lee field is not parallel"
-            else:
-                detail = "Vaisman exactly on the locus: " + "; ".join(
-                    f"{p} = 0" for p in vanishing)
+        detail = "" if ok else _exactly_on(
+            "Vaisman", vanishing, "the Lee field is not parallel")
         if lck.lcs.lam.is_zero():
             detail = "lam = 0: the structure is Kahler, not proper lcK"
         rep.check("Lee field is parallel (Vaisman)", ok, detail)

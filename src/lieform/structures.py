@@ -50,6 +50,10 @@ class NotTransverse(StructureError):
     pass
 
 
+class NotIntegrable(StructureError):
+    pass
+
+
 class DegenerateMetric(Degenerate):
     pass
 
@@ -491,37 +495,38 @@ def assemble_lck(g, omega, J, convention=CONVENTION_THM):
 # The Vaisman test
 # ---------------------------------------------------------------------------
 
-def vaisman_check(lck):
-    """Parallel-Lee-field test, decided by the Killing form of xi.
+def killing(lck):
+    """The Killing matrix K = M + M^T = -L_xi g of the Lee vector xi, with
+    M = G ad_xi; xi is a Killing field exactly when K = 0.  Its only
+    denominators are those of xi and G, so K at a rational point where they
+    do not vanish is the Killing matrix of the structure at that point."""
+    M = linalg.mat_mul(lck.metric.matrix, lck.algebra.ad(lck.xi))
+    return [[a + b for a, b in zip(row, col)] for row, col in zip(M, zip(*M))]
 
-    With M = G ad_xi and G xi = s lam, the Koszul formula for a
-    left-invariant metric reads 2 g(nabla_{e_i} xi, e_k) = -M[k][i] -
-    M[i][k] - s d(lam)(e_k, e_i), and d(lam) = 0 (``lcs_check``).  As G is
-    invertible, nabla xi = 0 exactly when every covector -(M + M^T)[i]/2 is
-    zero, that is when xi is a Killing field.
-    Returns (is_vaisman, vanishing, locus).  A PASS is (True, [], []): its
-    only denominators are those of xi and G, so it holds wherever the lcK
-    data are defined.  A FAIL inverts G once to form nabla_{e_i} xi;
-    vanishing lists the numerators of its nonzero entries, whose common
-    zero locus is where the structure is Vaisman, and locus the pivots of
-    the inverse metric, off which that list is generic.  G = +-Omega J is
-    singular exactly when h != 0 (i_X omega = 0 on h), which raises
-    DegenerateMetric.
+
+def vaisman_check(lck):
+    """Parallel-Lee-field test, decided by the Killing matrix K of xi.
+
+    With G xi = s lam and d(lam) = 0 (``lcs_check``), the Koszul formula for
+    a left-invariant metric reads g(nabla_{e_i} xi, e_k) = -K[i][k]/2, so
+    nabla xi = 0 exactly when K = 0 (``killing``).
+    Returns (is_vaisman, vanishing, locus).  A PASS is (True, [], []) and
+    holds wherever the lcK data are defined.  A FAIL inverts G once to form
+    nabla_{e_i} xi; vanishing lists the numerators of its nonzero entries,
+    whose common zero locus is where the structure is Vaisman, and locus the
+    pivots of the inverse metric, off which that list is generic.
+    G = +-Omega J is singular exactly when h != 0 (i_X omega = 0 on h),
+    which raises DegenerateMetric.
     """
-    g = lck.algebra
-    if linalg.rank(g.h_subalgebra or [])[0]:
+    if linalg.rank(lck.algebra.h_subalgebra or [])[0]:
         raise DegenerateMetric("metric is singular")
-    G = lck.metric.matrix
-    n = len(G)
-    M = linalg.mat_mul(G, g.ad(lck.xi))
-    half = Fraction(1, 2)
-    cov = [[(-M[k][i] - M[i][k]) * half for k in range(n)]
-           for i in range(n)]
-    if all(c.is_zero() for row in cov for c in row):
+    K = killing(lck)
+    if all(c.is_zero() for row in K for c in row):
         return True, [], []
-    ginv, locus = linalg.inverse(G)
-    vanishing = linalg.vanishing(c for row in cov
-                                 for c in linalg.mat_vec(ginv, row))
+    ginv, locus = linalg.inverse(lck.metric.matrix)
+    minus_half = Fraction(-1, 2)
+    vanishing = linalg.vanishing(c for row in K for c in linalg.mat_vec(
+        ginv, [k * minus_half for k in row]))
     return False, vanishing, locus
 
 

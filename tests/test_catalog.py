@@ -11,8 +11,10 @@ import pytest
 
 from lieform import catalog
 from lieform.exterior import KForm, ce_d, wedge
-from lieform.structures import (ComplexStructure, compatibility_check,
-                                metric_from)
+from lieform.structures import (CONVENTION_DEF, CONVENTION_THM,
+                                ComplexStructure, assemble_lck,
+                                compatibility_check, metric_from,
+                                vaisman_check)
 
 
 def _at(form, point):
@@ -120,3 +122,39 @@ def test_suite_metric_comparison_reads_every_entry():
     assert catalog._metric_is(m, upper)
     for key, value in upper.items():
         assert not catalog._metric_is(m, {**upper, key: value + 1})
+
+
+# The suites read each Vaisman sample off the Killing matrix of their
+# parametric family; here each sample is rebuilt on the bare algebra and
+# decided by vaisman_check, independently of that specialisation.
+U2_VAISMAN_SAMPLES = [((0, 1, 0), False), ((0, 0, 1), False),
+                      ((1, 1, 0), False), ((1, 2, 3), False),
+                      ((2, 0, -1), False)]
+GL2_VAISMAN_SAMPLES = [((0, 1, -1), True), ((0, 2, -2), True),
+                       ((0, -1, 2), False), ((1, 1, -1), False),
+                       ((1, 2, 3), False), ((2, 1, 1), False)]
+
+
+FAMILIES = {
+    "u2": (catalog.u2, lambda g: catalog.J_ab(g, 0, 1), CONVENTION_THM),
+    "gl2r": (catalog.gl2r, lambda g: catalog.J_mu(g, 1, 0), CONVENTION_DEF),
+}
+
+
+@pytest.mark.parametrize("family, pt, want", [
+    *(("u2", pt, want) for pt, want in U2_VAISMAN_SAMPLES),
+    *(("gl2r", pt, want) for pt, want in GL2_VAISMAN_SAMPLES),
+])
+def test_vaisman_samples_rebuilt_at_each_point(family, pt, want):
+    make, J, convention = FAMILIES[family]
+    g = make()
+    omega = catalog.lcs_form(g, catalog.oneform(g, dict(zip((1, 2, 3), pt))))
+    assert vaisman_check(assemble_lck(g, omega, J(g), convention))[0] is want
+
+
+def test_vaisman_branch_of_the_u2_exceptional_member():
+    # omega = a1(e^{01} + e^{23}) with J_01 is Vaisman over Q(a1)
+    g = catalog.u2(("a1",))
+    omega = catalog.lcs_form(g, catalog.oneform(g, {1: "a1"}))
+    lck = assemble_lck(g, omega, catalog.J_ab(g, 0, 1), CONVENTION_THM)
+    assert vaisman_check(lck)[0] is True

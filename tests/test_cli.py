@@ -212,6 +212,47 @@ def test_a_lee_form_that_is_not_closed_fails(capsys, tmp_path):
         in out
 
 
+# almost complex structures that keep omega_std but are not integrable;
+# check-vaisman used to pass the u2 one as Vaisman
+NOT_INTEGRABLE = {
+    "u2": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+           ["0", "0", "1", "1"], ["0", "0", "-2", "-1"]],
+    "gl2r": [["1", "2", "1", "-1"], ["1/2", "1", "-1/2", "-1/2"],
+             ["-1/2", "1", "0", "0"], ["5/2", "5", "0", "-2"]],
+}
+
+
+@pytest.mark.parametrize("command", ["check-lck", "check-vaisman"])
+@pytest.mark.parametrize("name", sorted(NOT_INTEGRABLE))
+def test_a_complex_structure_that_is_not_integrable_fails(
+        name, command, capsys, tmp_path):
+    with open(os.path.join(DATA, f"{name}.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["endos"]["J_bad"] = NOT_INTEGRABLE[name]
+    path = tmp_path / f"{name}_not_integrable.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run(capsys, command, str(path), "omega_std", "J_bad")
+    assert code == 1
+    assert "[FAIL] error: NotIntegrable :: the Nijenhuis tensor of J is " \
+        "not zero\n" in out
+
+
+def test_a_complex_structure_integrable_on_a_locus_names_it(capsys,
+                                                           tmp_path):
+    # the transvected block [[a, 1], [-1 - a^2, -a]] keeps omega_std and
+    # J^2 = -Id for every a, and is the shipped J_01 at a = 0
+    path = _u2_document(tmp_path, lambda doc: doc["endos"].update(J_a=[
+        ["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+        ["0", "0", "a", "1"], ["0", "0", "-1 - a^2", "-a"]]))
+    code, out = run(capsys, "check-lck", path, "omega_std", "J_a")
+    assert code == 1
+    assert "[FAIL] error: NotIntegrable :: integrable exactly on the " \
+        "locus: -a^2 = 0; " in out
+    code, out = run(capsys, "check-lck", path, "omega_std", "J_a",
+                    "--at", "a=0")
+    assert code == 0, out
+
+
 def _abelian_document(tmp_path, n, forms):
     doc = {"algebra": {"dim": n, "basis": [f"e{i}" for i in range(n)]},
            "forms": forms}
