@@ -420,13 +420,13 @@ def _suite_gl2():
     # uniqueness: generic omega is not J_mu-invariant, the ah = 0, am = -ap
     # branch is
     gu = gl2r(("mu1", "mu2", "ah", "ap", "am"))
+    Ju = J_mu(gu)
     ok_gen = compatibility_check(
-        lcs_form(gu, oneform(gu, {1: "ah", 2: "ap", 3: "am"})), J_mu(gu))
+        lcs_form(gu, oneform(gu, {1: "ah", 2: "ap", 3: "am"})), Ju)
     rep.check("general (omega, J_mu): not J-invariant identically", not ok_gen)
-    gq = gl2r(("mu1", "mu2", "ap"))
-    apq = gq._scalar("ap")
+    apu = gu._scalar("ap")
     ok_br = compatibility_check(
-        lcs_form(gq, oneform(gq, {2: apq, 3: -apq})), J_mu(gq))
+        lcs_form(gu, oneform(gu, {2: apu, 3: -apu})), Ju)
     rep.check("J-invariance holds identically once ah = 0, am = -ap", ok_br)
 
     # case (ii): mu = 1 is compatible with every omega

@@ -121,17 +121,22 @@ class LieAlgebra:
         return self.zero_vector()
 
     def bracket(self, x, y):
+        """sum x_i y_j [e_i, e_j], read off the table in place; x_i y_j is
+        formed once per pair (i, j) whose bracket is not zero."""
         out = self.zero_vector()
+        table = self._table
         for i, xi in enumerate(x):
             if xi.is_zero():
                 continue
             for j, yj in enumerate(y):
-                if yj.is_zero():
+                if yj.is_zero() or (b := table.get((i, j))) is None:
                     continue
-                b = self.bracket_basis(i, j)
-                for k in range(self.dim):
-                    if not b[k].is_zero():
-                        out[k] = out[k] + xi * yj * b[k]
+                xy = None
+                for k, c in enumerate(b):
+                    if not c.is_zero():
+                        if xy is None:
+                            xy = xi * yj
+                        out[k] = out[k] + xy * c
         return out
 
     def ad(self, v):

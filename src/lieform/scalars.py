@@ -13,10 +13,16 @@ denominators.  An ``int`` prints, compares and hashes like the equal
 
 Equality of scalars compares numerators over equal denominators and
 cross-multiplies otherwise, so correctness never depends on polynomial GCDs.
-A cheap normalization (rational content and common monomial factors) keeps
-sizes under control; a scalar whose denominator is 1 is a polynomial and
-skips it.  Arithmetic skips identity work, and each shortcut returns the
-(num, den) pair the general formula builds, without its products: a product
+A cheap normalization keeps sizes under control: it cancels the monomial
+factor common to numerator and denominator, looked for only when the
+denominator has one, and divides both by the denominator's content, signed
+to make its leading coefficient positive.  The content of a denominator
+with only ``int`` coefficients is their ``math.gcd``; with a ``Fraction``
+among them it is ``Poly.content``.  A scalar whose denominator is 1 is a
+polynomial and skips the normalization.
+
+Arithmetic skips identity work, and each shortcut returns the (num, den)
+pair the general formula builds, without its products: a product
 returns a zero factor, or the other factor of a one, as it is (zero is
 always the pair (0, 1), and normalization is idempotent); a sum or
 difference returns the other operand of a zero summand; a constant factor
@@ -350,12 +356,16 @@ class Scalar:
             if not num.terms or den.is_one():
                 den = one
             else:
-                m_num = num.monomial_gcd()
                 m_den = den.monomial_gcd()
-                mono = tuple(min(a, b) for a, b in zip(m_num, m_den))
-                num = num.shift_down(mono)
-                den = den.shift_down(mono)
-                c = den.content()
+                if any(m_den):
+                    mono = tuple(map(min, num.monomial_gcd(), m_den))
+                    num = num.shift_down(mono)
+                    den = den.shift_down(mono)
+                coeffs = den.terms.values()
+                if all(type(x) is int for x in coeffs):
+                    c = gcd(*coeffs)
+                else:
+                    c = den.content()
                 _, lead = den.leading()
                 if lead < 0:
                     c = -c

@@ -11,15 +11,16 @@ reported as the vanishing locus on which it would hold.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import lcm
+from operator import mul
 
 from . import linalg
 from .exterior import (AmbientMismatch, KForm, ce_d, form_monomials,
                        form_to_vector, interior, matrix_of, solve_potential,
                        vector_to_form, wedge)
 from .lie_core import center, centralizer, derived_subalgebra
-from .scalars import DenominatorVanishes, Evaluator
+from .scalars import DenominatorVanishes, Evaluator, Scalar
 
 
 class StructureError(Exception):
@@ -148,18 +149,46 @@ class StructureReport:
 # ---------------------------------------------------------------------------
 
 class ComplexStructure:
-    """An endomorphism J with J^2 = -Id over the scalar field."""
+    """An endomorphism J with J^2 = -Id over the scalar field.
+
+    ``matrix`` is J itself, whose quotient entries everything printed is
+    computed from.  The yes/no checks are decided over polynomials, on
+    ``cleared`` = N = d J with ``d`` the product of the distinct
+    denominators of J's entries (N is J and d is one when there are none):
+    N_ij is the numerator of J_ij times each of the other denominators.
+    J^2 = -Id is decided here as N N = -d^2 Id, J-invariance of a form by
+    ``compatibility_check`` and integrability by ``nijenhuis``.
+    """
 
     def __init__(self, algebra, matrix):
         self.algebra = algebra
         self.matrix = [[algebra._scalar(c) for c in row] for row in matrix]
-        square = linalg.mat_mul(self.matrix, self.matrix)
+        one = algebra.one()
+        dens = []  # the distinct denominators other than one
+        for row in self.matrix:
+            for c in row:
+                if c.den is not one.den and c.den not in dens:
+                    dens.append(c.den)
+        if not dens:
+            self.d, self.cleared = one, self.matrix
+        else:
+            d = reduce(mul, dens)
+            # the product of every denominator but dens[k]
+            others = [reduce(mul, dens[:k] + dens[k + 1:], one.den)
+                      for k in range(len(dens))]
+            self.d = Scalar(d)
+            self.cleared = [[c if c.is_zero() else Scalar(c.num * (
+                d if c.den is one.den else others[dens.index(c.den)]))
+                for c in row] for row in self.matrix]
+        minus_d2 = -(self.d * self.d)
+        square = linalg.mat_mul(self.cleared, self.cleared)
         for i, row in enumerate(square):
             for j, acc in enumerate(row):
-                want = -algebra.one() if i == j else algebra.zero()
-                if acc != want:
+                if acc != (minus_d2 if i == j else algebra.zero()):
+                    entry = linalg.dot(self.matrix[i],
+                                       [r[j] for r in self.matrix])
                     raise NotAlmostComplex(
-                        f"J^2 != -Id at entry ({i},{j}): {acc}")
+                        f"J^2 != -Id at entry ({i},{j}): {entry}")
 
     def apply(self, v):
         return linalg.mat_vec(self.matrix, v)
@@ -169,20 +198,30 @@ def nijenhuis(J):
     """Nijenhuis tensor on basis pairs and the integrability verdict.
 
     Returns (table, integrable, vanishing) where vanishing lists the
-    numerator polynomials that must vanish for integrability.
+    numerator polynomials that must vanish for integrability.  Decided on
+    N = d J (``ComplexStructure``): with c_i = N e_i, read once,
+    d^2 N_J(e_i, e_j) = [c_i, c_j] - N([c_i, e_j] + [e_i, c_j])
+    - d^2 [e_i, e_j], a polynomial vector; a nonzero entry is divided by
+    d^2 once, so the table holds the values of N_J itself.  Over a
+    denominator of J that is not a monomial, a numerator can keep factors
+    of it, which vanish only where J is not defined.
     """
     g = J.algebra
+    N, d = J.cleared, J.d
+    d2 = d * d
+    cols = linalg.transpose(N)
+    basis = [g.basis_vector(i) for i in range(g.dim)]
     table = {}
     for i in range(g.dim):
-        x = g.basis_vector(i)
-        jx = J.apply(x)
         for j in range(i + 1, g.dim):
-            y = g.basis_vector(j)
-            jy = J.apply(y)
-            n = g.bracket(jx, jy)
-            n = linalg.vec_sub(n, J.apply(g.bracket(jx, y)))
-            n = linalg.vec_sub(n, J.apply(g.bracket(x, jy)))
-            n = linalg.vec_sub(n, g.bracket(x, y))
+            n = g.bracket(cols[i], cols[j])
+            mixed = linalg.vec_add(g.bracket(cols[i], basis[j]),
+                                   g.bracket(basis[i], cols[j]))
+            n = linalg.vec_sub(n, linalg.mat_vec(N, mixed))
+            n = linalg.vec_sub(
+                n, [c * d2 for c in g.bracket(basis[i], basis[j])])
+            if d.rational != 1:
+                n = [c if c.is_zero() else Scalar(c.num, d2.num) for c in n]
             table[(i, j)] = n
     vanishing = linalg.vanishing(c for n in table.values() for c in n)
     return table, not vanishing, vanishing
@@ -313,18 +352,22 @@ def compatibility_check(omega, J):
     """J-invariance of a 2-form: omega(X, JY) = omega(Y, JX).
 
     For J^2 = -Id this is omega(JX, JY) = omega(X, Y).  Returns True iff it
-    holds identically, stopping at the first asymmetric basis pair.  Raises
-    ``AmbientMismatch`` when J lives on another algebra than omega.
+    holds identically, stopping at the first asymmetric basis pair.  Decided
+    on N = d J (``ComplexStructure``): Omega N = d Omega J is symmetric
+    exactly when Omega J is.  Raises ``AmbientMismatch`` when J lives on
+    another algebra than omega.
     """
-    return next(_asymmetric_pairs(_omega_J(omega, J)), None) is None
+    return next(_asymmetric_pairs(_omega_J(omega, J, J.cleared)),
+                None) is None
 
 
-def _omega_J(omega, J):
-    """The matrix omega(e_i, J e_j); omega is J-invariant iff it is
+def _omega_J(omega, J, matrix):
+    """Omega matrix, Omega the Gram matrix of omega and matrix J or N = d J:
+    for J, the matrix omega(e_i, J e_j); omega is J-invariant iff it is
     symmetric."""
     if J.algebra is not omega.algebra:
         raise AmbientMismatch("J lives on another algebra than omega")
-    return linalg.mat_mul(gram_matrix(omega), J.matrix)
+    return linalg.mat_mul(gram_matrix(omega), matrix)
 
 
 def _asymmetric_pairs(M):
@@ -351,7 +394,7 @@ CONVENTION_THM = "thm"   # g = -omega(., J.)
 def metric_from(omega, J, convention=CONVENTION_THM):
     """Metric in either sign convention; the two differ by an overall sign."""
     g = omega.algebra
-    mat = _omega_J(omega, J)
+    mat = _omega_J(omega, J, J.matrix)
     if convention == CONVENTION_THM:
         mat = [[-c for c in row] for row in mat]
     elif convention != CONVENTION_DEF:

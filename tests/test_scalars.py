@@ -463,6 +463,47 @@ def test_int_normal_form_prints_like_the_fraction_reference(x, y, v):
         assert str(got) == _ref_str(want)
 
 
+@st.composite
+def _quotient_terms(draw):
+    """Term maps (num, den) of a quotient to normalize: int or Fraction
+    coefficients, a denominator content of 1, 2 or 6, either sign, and a
+    monomial factor common to both."""
+    def terms(values):
+        out = {}
+        for _ in range(draw(st.integers(1, 3))):
+            e = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+            c = draw(values)
+            if draw(st.booleans()):
+                c = Fraction(c, draw(st.integers(1, 3)))
+            out[e] = c
+        return {e: c for e, c in out.items() if c}
+
+    num = terms(st.integers(-4, 4))
+    den = terms(st.sampled_from([1, -1, 2, -3, 4]))
+    k = draw(st.sampled_from([1, 2, 6, -1, -2, -6]))
+    m = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    shift = lambda p: {(e[0] + m[0], e[1] + m[1]): c for e, c in p.items()}
+    return shift(num), {e: c * k for e, c in shift(den).items()}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.large_base_example])
+@given(_quotient_terms())
+@example(({(1, 0): 3}, {(2, 1): -6, (1, 0): 4}))
+@example(({(0, 1): 1}, {(1, 0): Fraction(-2, 3), (0, 0): Fraction(4, 9)}))
+@example(({(1, 1): 5}, {(0, 0): 1}))
+def test_normalization_matches_the_fraction_reference(pair):
+    # the int content (math.gcd) and the Fraction content (Poly.content)
+    # give the (num, den) pair and int normal form of the reference
+    num, den = pair
+    s = Scalar(Poly(P, num), Poly(P, den))
+    want = _ref_scalar(*({e: Fraction(c) for e, c in p.items()}
+                         for p in (num, den)))
+    assert _ref(s) == want
+    _assert_normal_form(s)
+    assert (s.den is Poly.one(P)) is (want[1] == {(0, 0): 1})
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.large_base_example])
 @given(scalars())

@@ -23,7 +23,7 @@ from lieform.structures import (CONVENTION_DEF, CONVENTION_THM,
                                 J_to_subalgebra, Metric, NotAdInvariant,
                                 NotAlmostComplex, NotCompatible,
                                 NotTransverse, StructureReport, assemble_lck,
-                                biinvariant_identities,
+                                biinvariant_identities, gram_matrix,
                                 _signature_over_z, compatibility_check,
                                 lcs_check, metric_from, nijenhuis,
                                 signatures,
@@ -115,6 +115,155 @@ def test_subalgebra_to_J_rejects_non_transverse_spans():
         subalgebra_to_J(g, [(e(0), e(1)), (e(1), e(0))])
     with pytest.raises(NotTransverse):
         subalgebra_to_J(g, [(e(0), e(1))])
+
+
+# ---------------------------------------------------------------------------
+# The checks of J decided on N = d J, against the quotient definitions
+# ---------------------------------------------------------------------------
+
+GS = u2(("a", "b", "s"))
+
+
+def _matrix(rows):
+    return [[parse_scalar(c, GS.params) for c in row] for row in rows]
+
+
+def _conjugated(M):
+    """D^-1 M D for D = diag(1, s, 1, 1)."""
+    D = [GS.one(), GS._scalar("s"), GS.one(), GS.one()]
+    return [[M[i][j] * D[j] / D[i] for j in range(4)] for i in range(4)]
+
+
+SHEAR = [["0", "-1", "0", "-1"], ["1", "0", "1", "0"],
+         ["0", "0", "0", "1"], ["0", "0", "-1", "0"]]
+POLES = [["0", "-(b + 1)/s", "0", "0"], ["s/(b + 1)", "0", "0", "0"],
+         ["0", "0", "a", "1"], ["0", "0", "-1 - a^2", "-a"]]
+
+# name: (J over Q(a, b, s), its distinct denominators); every J here has
+# J^2 = -Id
+SQUARE_ROOTS = {
+    "J_01": (lambda: J_ab(GS, 0, 1).matrix, []),
+    "shear": (lambda: _matrix(SHEAR), []),
+    "J_ab": (lambda: J_ab(GS).matrix, ["b"]),
+    "shear, conjugated": (lambda: _conjugated(_matrix(SHEAR)), ["s"]),
+    "J_ab, conjugated": (lambda: _conjugated(J_ab(GS).matrix), ["b", "s"]),
+    "two poles": (lambda: _matrix(POLES), ["s", "b + 1"]),
+}
+
+
+def _square_is_minus_id(M):
+    square = linalg.mat_mul(M, M)
+    return all(square[i][j] == -int(i == j)
+               for i in range(4) for j in range(4))
+
+
+def _nijenhuis_by_quotients(J):
+    """N_J(e_i, e_j) = [Je_i, Je_j] - J[Je_i, e_j] - J[e_i, Je_j]
+    - [e_i, e_j], pair by pair through J.apply."""
+    g = J.algebra
+    table = {}
+    for i in range(g.dim):
+        x = g.basis_vector(i)
+        for j in range(i + 1, g.dim):
+            y = g.basis_vector(j)
+            jx, jy = J.apply(x), J.apply(y)
+            n = linalg.vec_sub(g.bracket(jx, jy), J.apply(g.bracket(jx, y)))
+            n = linalg.vec_sub(n, J.apply(g.bracket(x, jy)))
+            table[(i, j)] = linalg.vec_sub(n, g.bracket(x, y))
+    return table
+
+
+@pytest.mark.parametrize("name", sorted(SQUARE_ROOTS))
+def test_cleared_J_is_d_times_J(name):
+    make, dens = SQUARE_ROOTS[name]
+    M = make()
+    J = ComplexStructure(GS, M)
+    d = GS.one()
+    for den in dens:
+        d = d * parse_scalar(den, GS.params)
+    assert J.d == d
+    if not dens:
+        assert J.cleared is J.matrix
+    for i in range(4):
+        for j in range(4):
+            assert J.cleared[i][j].den.is_one()
+            assert J.cleared[i][j] == d * M[i][j]
+
+
+@pytest.mark.parametrize("rows", [
+    [["0", "-(b + 1)/s", "0", "0"], ["s/(b + 2)", "0", "0", "0"],
+     ["0", "0", "a", "1"], ["0", "0", "-1 - a^2", "-a"]],
+    [["0", "-1/s", "0", "0"], ["s", "1/b", "0", "0"],
+     ["0", "0", "0", "-1"], ["0", "0", "1", "0"]],
+    [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+     ["0", "0", "a/s", "1"], ["0", "0", "-1 - a^2", "-a"]],
+], ids=["two poles, perturbed", "off-diagonal pole", "one entry over s"])
+def test_square_check_on_N_matches_the_quotient_definition(rows):
+    M = _matrix(rows)
+    assert not _square_is_minus_id(M)
+    square = linalg.mat_mul(M, M)
+    i, j = next((i, j) for i in range(4) for j in range(4)
+                if square[i][j] != -int(i == j))
+    with pytest.raises(NotAlmostComplex) as exc:
+        ComplexStructure(GS, M)
+    # the message prints the entry of the quotient J^2
+    assert str(exc.value) == f"J^2 != -Id at entry ({i},{j}): {square[i][j]}"
+
+
+@pytest.mark.parametrize("name", sorted(SQUARE_ROOTS))
+def test_nijenhuis_on_N_matches_the_quotient_definition(name):
+    make, dens = SQUARE_ROOTS[name]
+    M = make()
+    assert _square_is_minus_id(M)
+    J = ComplexStructure(GS, M)
+    table, integrable, vanishing = nijenhuis(J)
+    want = _nijenhuis_by_quotients(J)
+    assert table == want
+    entries = [c for n in want.values() for c in n]
+    assert integrable is all(c.is_zero() for c in entries)
+    if name == "two poles":
+        # a numerator can carry factors of the pole b + 1, which vanish
+        # only where J is not defined
+        pole = parse_scalar("b + 1", GS.params).num
+        assert len(vanishing) == len(linalg.vanishing(entries))
+        for p, q in zip(vanishing, linalg.vanishing(entries)):
+            assert any(p == q * pole ** k for k in range(3))
+    else:
+        # monomial denominators: the same (num, den) pairs
+        assert [(c.num, c.den) for n in table.values() for c in n] == \
+            [(c.num, c.den) for c in entries]
+        assert vanishing == linalg.vanishing(entries)
+    verdicts = {"J_01": True, "shear": False, "J_ab": True,
+                "shear, conjugated": False, "J_ab, conjugated": True,
+                "two poles": False}
+    assert integrable is verdicts[name]
+
+
+@pytest.mark.parametrize("name", sorted(SQUARE_ROOTS))
+def test_invariance_on_N_matches_the_quotient_definition(name):
+    make, _ = SQUARE_ROOTS[name]
+    J = ComplexStructure(GS, make())
+    generic = KForm(GS, 2, {(i, j): GS._scalar(c) for (i, j), c in zip(
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+        [1, 2, "a", 5, "s", 11])})
+    # beta + beta(J., J.) is J-invariant, as J^2 = -Id
+    B = gram_matrix(generic)
+    pulled = linalg.mat_mul(linalg.transpose(J.matrix),
+                            linalg.mat_mul(B, J.matrix))
+    invariant = KForm(GS, 2, {(i, j): B[i][j] + pulled[i][j]
+                              for i in range(4) for j in range(i + 1, 4)})
+    forms = [lcs_form(GS, oneform(GS, {1: 1})),
+             lcs_form(GS, oneform(GS, {1: "s", 2: "a"})),
+             KForm(GS, 2, {(0, 2): GS.one(), (1, 3): GS.one()}),
+             generic, invariant]
+    verdicts = []
+    for om in forms:
+        OJ = linalg.mat_mul(gram_matrix(om), J.matrix)
+        symmetric = all(OJ[i][j] == OJ[j][i]
+                        for i in range(4) for j in range(i + 1, 4))
+        assert compatibility_check(om, J) is symmetric
+        verdicts.append(symmetric)
+    assert verdicts[-2:] == [False, True]
 
 
 # ---------------------------------------------------------------------------
