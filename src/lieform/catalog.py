@@ -267,8 +267,8 @@ def _metric_is(metric, upper):
 def _check_census(rep, name, metric, points, agrees):
     """Check agrees(point, signature) at every sample point.
 
-    The metric is compiled once and evaluated at the points over Z
-    (``structures.signatures``).  ``name`` is formatted with the sample
+    The metric is cleared over one common denominator, compiled once and
+    signed at the points over Z (``structures.signatures``).  ``name`` is formatted with the sample
     count n, so a census that shrinks changes the printed check.
     """
     params = metric.algebra.params

@@ -36,11 +36,17 @@ Constants add, subtract, multiply, negate, invert and divide by one
 rational operation on those values, which is all the general formula does
 to them: it keeps the denominator 1 and builds the one numerator term,
 dropped when zero.
+
+Denominators are cleared in one place, ``common_denominator``: scalars as
+polynomials over one polynomial denominator, without dividing.
+``Evaluator`` evaluates polynomials at rational points as ints, all at one
+positive scale.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import comb, gcd, lcm
 from numbers import Rational
 from operator import add, mul, sub, truediv
@@ -54,7 +60,7 @@ class DenominatorVanishes(ScalarError):
     """The denominator of a scalar vanishes at the requested parameter point."""
 
     def __init__(self, point):
-        self.point = dict(point)
+        self.point = {name: Fraction(v) for name, v in point.items()}
         at = ", ".join(f"{name}={v}" for name, v in self.point.items())
         super().__init__(f"denominator vanishes at {at}")
 
@@ -569,59 +575,71 @@ def integer_point(params, assignment):
     return D, [v.numerator * (D // v.denominator) for v in vals]
 
 
-class Evaluator:
-    """Scalars over one parameter list, compiled once (``Poly.compiled``)
-    for evaluation over Z at many points X / D (``integer_point``): from
-    power tables of D and each X_i, a polynomial of total degree deg is
-    v / s with v = sum l c_e X^e D^(deg-|e|) and s = l D^deg, and a scalar
-    num / den is the int pair (v_num s_den, s_num v_den).  A constant
-    polynomial's pair (v, s) = (l c, l) is the same at every point, so it
-    is taken once, when the scalars are compiled."""
+def common_denominator(params, scalars):
+    """(d, nums) with scalars[k] = nums[k] / d: d the product of their
+    distinct denominators other than one (compared with ==), and nums[k]
+    the numerator of scalars[k] times the other ones; nothing is divided."""
+    one = Poly.one(params)
+    dens = []
+    for s in scalars:
+        if s.den is not one and s.den not in dens:
+            dens.append(s.den)
+    if not dens:
+        return one, [s.num for s in scalars]
+    d = reduce(mul, dens)
+    # the product of every denominator but dens[k]
+    others = [reduce(mul, dens[:k] + dens[k + 1:], one)
+              for k in range(len(dens))]
+    return d, [s.num * (d if s.den is one else others[dens.index(s.den)])
+               for s in scalars]
 
-    def __init__(self, params, scalars):
+
+class Evaluator:
+    """Polynomials over one parameter list, compiled once (``Poly.compiled``)
+    for evaluation over Z at many points X / D (``integer_point``): from
+    power tables of D and each X_i, each p is the int L D^deg p(X / D), L
+    the lcm of all their coefficient denominators and deg their largest
+    total degree, so one positive scale for the whole list."""
+
+    def __init__(self, params, polys):
         self.params = tuple(params)
-        compiled = [p.compiled() for s in scalars for p in (s.num, s.den)]
-        self.polys = [(c, _value(c, (1,), ()) if c[1] == 0 else None)
-                      for c in compiled]
+        compiled = [p.compiled() for p in polys]
+        L = lcm(*(l for l, _, _ in compiled))
         self.degree = max((deg for _, deg, _ in compiled), default=0)
+        self.polys = [[(c * (L // l), self.degree - deg + r, mono)
+                       for c, r, mono in terms]
+                      for l, deg, terms in compiled]
 
     def __call__(self, assignment):
-        """[(num, den)], den != 0, for the scalars at the point.  Raises
-        DenominatorVanishes and ParameterValueError (``integer_point``)."""
+        """[int] for the polynomials at the point.  Raises
+        ParameterValueError (``integer_point``)."""
         D, X = integer_point(self.params, assignment)
         powers = range(self.degree + 1)
         Dp = [D ** k for k in powers]
         Xp = [[x ** k for k in powers] for x in X]
         out = []
-        polys = (pair or _value(c, Dp, Xp) for c, pair in self.polys)
-        for (v_num, s_num), (v_den, s_den) in zip(polys, polys):
-            if v_den == 0:
-                raise DenominatorVanishes(
-                    {p: Fraction(v) for p, v in assignment.items()})
-            out.append((v_num * s_den, s_num * v_den))
+        for terms in self.polys:
+            v = 0
+            for c, r, mono in terms:
+                t = c * Dp[r]
+                for i, k in mono:
+                    t *= Xp[i][k]
+                v += t
+            out.append(v)
         return out
-
-
-def _value(compiled, Dp, Xp):
-    """(v, s) of a compiled polynomial from the power tables Dp and Xp."""
-    l, deg, terms = compiled
-    v = 0
-    for c, r, mono in terms:
-        t = c * Dp[r]
-        for i, k in mono:
-            t *= Xp[i][k]
-        v += t
-    return v, l * Dp[deg]
 
 
 def scalar_eval(s, assignment):
     """Evaluate a scalar at a point of ints and Fractions; exact result.
 
-    One compiled evaluation (``Evaluator``) reduced to a Fraction.  Raises
-    DenominatorVanishes when the point lies on the denominator locus and
-    ParameterValueError for a missing or non-rational value.
+    One compiled evaluation of num and den (``Evaluator``) reduced to a
+    Fraction.  Raises DenominatorVanishes when the point lies on the
+    denominator locus and ParameterValueError for a missing or non-rational
+    value.
     """
-    (num, den), = Evaluator(s.params, [s])(assignment)
+    num, den = Evaluator(s.params, [s.num, s.den])(assignment)
+    if den == 0:
+        raise DenominatorVanishes(assignment)
     return Fraction(num, den)
 
 

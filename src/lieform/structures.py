@@ -11,16 +11,15 @@ reported as the vanishing locus on which it would hold.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, reduce
-from math import lcm
-from operator import mul
+from functools import cached_property
 
 from . import linalg
 from .exterior import (AmbientMismatch, KForm, ce_d, form_monomials,
                        form_to_vector, interior, matrix_of, solve_potential,
                        vector_to_form, wedge)
 from .lie_core import center, centralizer, derived_subalgebra
-from .scalars import DenominatorVanishes, Evaluator, Scalar
+from .scalars import (DenominatorVanishes, Evaluator, Scalar,
+                      common_denominator)
 
 
 class StructureError(Exception):
@@ -151,11 +150,12 @@ class StructureReport:
 class ComplexStructure:
     """An endomorphism J with J^2 = -Id over the scalar field.
 
-    ``matrix`` is J itself, whose quotient entries everything printed is
-    computed from.  The yes/no checks are decided over polynomials, on
-    ``cleared`` = N = d J with ``d`` the product of the distinct
-    denominators of J's entries (N is J and d is one when there are none):
-    N_ij is the numerator of J_ij times each of the other denominators.
+    ``matrix`` is J itself, whose quotient entries xi, theta and everything
+    printed are computed from.  The yes/no checks and the metric are
+    decided over polynomials, on ``cleared`` = N = d J, which
+    ``scalars.common_denominator`` builds: ``d`` is the product of the
+    distinct denominators of J's entries (one when there are none) and
+    N_ij the numerator of J_ij times each of the other denominators.
     J^2 = -Id is decided here as N N = -d^2 Id, J-invariance of a form by
     ``compatibility_check`` and integrability by ``nijenhuis``.
     """
@@ -163,23 +163,11 @@ class ComplexStructure:
     def __init__(self, algebra, matrix):
         self.algebra = algebra
         self.matrix = [[algebra._scalar(c) for c in row] for row in matrix]
-        one = algebra.one()
-        dens = []  # the distinct denominators other than one
-        for row in self.matrix:
-            for c in row:
-                if c.den is not one.den and c.den not in dens:
-                    dens.append(c.den)
-        if not dens:
-            self.d, self.cleared = one, self.matrix
-        else:
-            d = reduce(mul, dens)
-            # the product of every denominator but dens[k]
-            others = [reduce(mul, dens[:k] + dens[k + 1:], one.den)
-                      for k in range(len(dens))]
-            self.d = Scalar(d)
-            self.cleared = [[c if c.is_zero() else Scalar(c.num * (
-                d if c.den is one.den else others[dens.index(c.den)]))
-                for c in row] for row in self.matrix]
+        d, nums = common_denominator(algebra.params, sum(self.matrix, []))
+        self.d = Scalar(d)
+        n = len(self.matrix)
+        self.cleared = self.matrix if self.d.rational == 1 else [
+            [Scalar(p) for p in nums[i * n:(i + 1) * n]] for i in range(n)]
         minus_d2 = -(self.d * self.d)
         square = linalg.mat_mul(self.cleared, self.cleared)
         for i, row in enumerate(square):
@@ -357,17 +345,15 @@ def compatibility_check(omega, J):
     exactly when Omega J is.  Raises ``AmbientMismatch`` when J lives on
     another algebra than omega.
     """
-    return next(_asymmetric_pairs(_omega_J(omega, J, J.cleared)),
-                None) is None
+    return next(_asymmetric_pairs(_omega_J(omega, J)), None) is None
 
 
-def _omega_J(omega, J, matrix):
-    """Omega matrix, Omega the Gram matrix of omega and matrix J or N = d J:
-    for J, the matrix omega(e_i, J e_j); omega is J-invariant iff it is
-    symmetric."""
+def _omega_J(omega, J):
+    """Omega N, Omega the Gram matrix of omega and N = d J: d times the
+    matrix omega(e_i, J e_j), symmetric iff omega is J-invariant."""
     if J.algebra is not omega.algebra:
         raise AmbientMismatch("J lives on another algebra than omega")
-    return linalg.mat_mul(gram_matrix(omega), matrix)
+    return linalg.mat_mul(gram_matrix(omega), J.cleared)
 
 
 def _asymmetric_pairs(M):
@@ -392,19 +378,22 @@ CONVENTION_THM = "thm"   # g = -omega(., J.)
 
 
 def metric_from(omega, J, convention=CONVENTION_THM):
-    """Metric in either sign convention; the two differ by an overall sign."""
-    g = omega.algebra
-    mat = _omega_J(omega, J, J.matrix)
-    if convention == CONVENTION_THM:
-        mat = [[-c for c in row] for row in mat]
-    elif convention != CONVENTION_DEF:
+    """Metric in either sign convention; the two differ by an overall sign.
+    G = +-(Omega N) / d, read off the product ``compatibility_check`` scans
+    (``_omega_J``), with no division when d is one."""
+    mat = _omega_J(omega, J)
+    if convention not in (CONVENTION_DEF, CONVENTION_THM):
         raise StructureError(f"unknown metric convention {convention!r}")
     pair = next(_asymmetric_pairs(mat), None)
     if pair:
         i, j = pair
         raise NotCompatible(f"metric not symmetric at ({i},{j}); "
                             "omega is not J-invariant")
-    return Metric(g, mat, convention)
+    if J.d.rational != 1:
+        mat = [[c / J.d for c in row] for row in mat]
+    if convention == CONVENTION_THM:
+        mat = [[-c for c in row] for row in mat]
+    return Metric(omega.algebra, mat, convention)
 
 
 def _signature_over_z(a):
@@ -417,32 +406,19 @@ def _signature_over_z(a):
     p = q = 0
     live = list(range(len(a)))
     while live:
-        piv = None
-        for i in live:
-            if a[i][i] != 0:
-                piv = i
-                break
+        piv = next((i for i in live if a[i][i] != 0), None)
         if piv is not None:
             d = a[piv][piv]
-            if d > 0:
-                p += 1
-            else:
-                q += 1
             sgn = 1 if d > 0 else -1
+            p, q = (p + 1, q) if d > 0 else (p, q + 1)
             live.remove(piv)
             u = {i: a[i][piv] for i in live}
             for i in live:
                 for j in live:
                     a[i][j] = sgn * (d * a[i][j] - u[i] * u[j])
             continue
-        hyper = None
-        for ii, i in enumerate(live):
-            for j in live[ii + 1:]:
-                if a[i][j] != 0:
-                    hyper = (i, j)
-                    break
-            if hyper:
-                break
+        hyper = next(((i, j) for ii, i in enumerate(live)
+                      for j in live[ii + 1:] if a[i][j] != 0), None)
         if hyper is None:
             raise DegenerateAtPoint("matrix is degenerate at the point")
         i, j = hyper
@@ -457,26 +433,28 @@ def signatures(gm, points):
     """Exact signature of the metric at each rational parameter point, as a
     generator; ``next(signatures(gm, [point]))`` signs one point.
 
-    The upper triangle (``metric_from`` has checked symmetry) is compiled
-    once (``scalars.Evaluator``).  At each point its entries are evaluated
-    as int pairs, cleared by one lcm and pivoted by ``_signature_over_z``.
-    Raises DegenerateAtPoint where a denominator vanishes or the metric is
-    degenerate, and ParameterValueError for a missing or non-rational value.
+    The upper triangle (``metric_from`` has checked symmetry) is cleared
+    once to nums / d (``scalars.common_denominator``), and nums and d are
+    compiled once (``scalars.Evaluator``): at each point, ints at one
+    positive scale.  ``_signature_over_z`` signs d times the metric, so
+    (p, q) is swapped where d < 0.  Raises DegenerateAtPoint where d
+    vanishes or the metric is degenerate, and ParameterValueError for a
+    missing or non-rational value.
     """
-    n = len(gm.matrix)
+    n, params = len(gm.matrix), gm.algebra.params
     upper = [(i, j) for i in range(n) for j in range(i, n)]
-    evaluate = Evaluator(gm.algebra.params,
-                         [gm.matrix[i][j] for i, j in upper])
+    d, nums = common_denominator(params, [gm.matrix[i][j] for i, j in upper])
+    evaluate = Evaluator(params, nums + [d])
     for point in points:
-        try:
-            values = evaluate(point)
-        except DenominatorVanishes as exc:
-            raise DegenerateAtPoint(f"cannot evaluate metric: {exc}") from exc
-        l = lcm(*(den for _, den in values))
+        *values, dv = evaluate(point)
+        if dv == 0:
+            raise DegenerateAtPoint(
+                f"cannot evaluate metric: {DenominatorVanishes(point)}")
         a = [[0] * n for _ in range(n)]
-        for (i, j), (num, den) in zip(upper, values):
-            a[i][j] = a[j][i] = num * (l // den)
-        yield _signature_over_z(a)
+        for (i, j), v in zip(upper, values):
+            a[i][j] = a[j][i] = v
+        p, q = _signature_over_z(a)
+        yield (p, q) if dv > 0 else (q, p)
 
 
 # ---------------------------------------------------------------------------
@@ -538,13 +516,19 @@ def assemble_lck(g, omega, J, convention=CONVENTION_THM):
 # The Vaisman test
 # ---------------------------------------------------------------------------
 
-def killing(lck):
-    """The Killing matrix K = M + M^T = -L_xi g of the Lee vector xi, with
-    M = G ad_xi; xi is a Killing field exactly when K = 0.  Its only
-    denominators are those of xi and G, so K at a rational point where they
-    do not vanish is the Killing matrix of the structure at that point."""
-    M = linalg.mat_mul(lck.metric.matrix, lck.algebra.ad(lck.xi))
+def _minus_lie_derivative(B, ad):
+    """-L_X B = M + M^T, M = B ad_X, for a pairing B and ad = ad_X: the
+    entry (j, k) is B([X, e_j], e_k) + B(e_j, [X, e_k])."""
+    M = linalg.mat_mul(B, ad)
     return [[a + b for a, b in zip(row, col)] for row, col in zip(M, zip(*M))]
+
+
+def killing(lck):
+    """The Killing matrix K = -L_xi g of the Lee vector xi; xi is a Killing
+    field exactly when K = 0.  Its only denominators are those of xi and G,
+    so K at a rational point where they do not vanish is the Killing matrix
+    of the structure at that point."""
+    return _minus_lie_derivative(lck.metric.matrix, lck.algebra.ad(lck.xi))
 
 
 def vaisman_check(lck):
@@ -593,12 +577,11 @@ def biinvariant_identities(B, lck):
         raise NotAdInvariant(f"B not symmetric at ({i},{j})")
 
     for i in range(n):
-        # B([e_i, e_j], e_k) + B(e_j, [e_i, e_k]) is M[k][j] + M[j][k],
-        # symmetric in j and k, so k >= j meets the first failure
-        M = linalg.mat_mul(B, g.ad(g.basis_vector(i)))
+        # -L_{e_i} B is symmetric, so k >= j meets the first failure
+        K = _minus_lie_derivative(B, g.ad(g.basis_vector(i)))
         for j in range(n):
             for k in range(j, n):
-                if not (M[j][k] + M[k][j]).is_zero():
+                if not K[j][k].is_zero():
                     raise NotAdInvariant(
                         f"ad-invariance fails on triple ({i},{j},{k})")
     try:

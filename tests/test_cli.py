@@ -472,6 +472,39 @@ def test_construct_orbit_with_an_inner_derivation(capsys, tmp_path):
         in out
 
 
+def test_construct_orbit_ignores_the_documents_h(capsys, tmp_path):
+    # the extension's h is the kernel subalgebra of the orbit (here 0), not
+    # the h the document gives g, on which omega need not vanish
+    assert cli.main(["catalog", "su2", "--emit"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["forms"]["phi"] = "e1"
+    outs = []
+    for h in (None, [["0", "1", "0"]]):
+        if h:
+            doc["h_subalgebra"] = h
+        path = tmp_path / "su2.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = run(capsys, "construct-orbit", str(path), "--phi", "phi")
+        assert code == 0, out
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert "[INFO] dim of the kernel subalgebra h :: 0\n" in outs[1]
+
+
+def test_check_lck_on_a_zero_dimensional_document_fails_cleanly(capsys,
+                                                                  tmp_path):
+    # J = [] has no entries to clear; omega = 0 is a 0-form, not a 2-form
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"algebra": {"dim": 0, "basis": []},
+                                "forms": {"om": "0"}, "endos": {"J": []}}),
+                    encoding="utf-8")
+    code = cli.main(["check-lck", str(path), "om", "J"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "[FAIL] error:" in captured.out
+    assert captured.err == ""
+
+
 def test_construct_orbit_rejects_a_two_form(capsys):
     code = cli.main(["construct-orbit", U2, "--phi", "omega_std"])
     captured = capsys.readouterr()

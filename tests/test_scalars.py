@@ -339,26 +339,24 @@ _points = st.fixed_dictionaries({p: st.fractions(-3, 3, max_denominator=6)
          {"a": Fraction(5, 4), "b": 0})
 @example([S("b/3"), S("(a^2 - b/3)/(2*a - 1)")], {"a": Fraction(1, 2), "b": 1})
 def test_evaluator_matches_the_fraction_route(xs, point):
-    # one compilation of several scalars shares power tables sized by the
-    # largest degree among them
-    want = []
-    for x in xs:
-        den = _value_by_fractions(x.den, point)
-        want.append(None if den == 0 else _value_by_fractions(x.num, point)
-                    / den)
-    if None in want:
-        with pytest.raises(DenominatorVanishes):
-            Evaluator(P, xs)(point)
-        x = xs[want.index(None)]
-        with pytest.raises(DenominatorVanishes):
-            scalar_eval(x, point)
-        return
-    pairs = Evaluator(P, xs)(point)
-    assert all(type(n) is int and type(d) is int and d != 0
-               for n, d in pairs)
-    assert [Fraction(n, d) for n, d in pairs] == want
-    assert [scalar_eval(x, point) for x in xs] == want
-
+    # each polynomial is one positive scale L D^deg times its value at the
+    # point X / D, the same scale for every polynomial compiled together:
+    # L the lcm of all their coefficient denominators and deg their largest
+    # total degree, which also sizes the shared power tables
+    polys = [p for x in xs for p in (x.num, x.den)]
+    values = Evaluator(P, polys)(point)
+    scale = (lcm(*(c.denominator for p in polys for c in p.terms.values()))
+             * lcm(*(Fraction(v).denominator for v in point.values()))
+             ** max(max(p.total_degree(), 0) for p in polys))
+    assert scale > 0
+    assert all(type(v) is int for v in values)
+    assert values == [scale * _value_by_fractions(p, point) for p in polys]
+    for x, num, den in zip(xs, values[::2], values[1::2]):
+        if den == 0:
+            with pytest.raises(DenominatorVanishes):
+                scalar_eval(x, point)
+        else:
+            assert scalar_eval(x, point) == Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lieform import catalog, document, linalg
@@ -263,6 +263,17 @@ def test_invariance_on_N_matches_the_quotient_definition(name):
                         for i in range(4) for j in range(i + 1, 4))
         assert compatibility_check(om, J) is symmetric
         verdicts.append(symmetric)
+        if not symmetric:
+            continue
+        # the metric is read off Omega N / d: the values of +-Omega J, and
+        # over a monomial d also their (num, den) pairs
+        for convention, sign in ((CONVENTION_DEF, 1), (CONVENTION_THM, -1)):
+            G = metric_from(om, J, convention).matrix
+            want = [[c * sign for c in row] for row in OJ]
+            assert G == want
+            if len(J.d.num.terms) == 1:
+                assert [[(c.num, c.den) for c in row] for row in G] == \
+                    [[(c.num, c.den) for c in row] for row in want]
     assert verdicts[-2:] == [False, True]
 
 
@@ -539,11 +550,19 @@ def _parametric_metrics(draw):
 
 
 _SIG_GRID = [Fraction(k, 2) for k in range(-4, 5)] + [Fraction(-1, 3)]
+# positive definite at a = 1/2, b = 1, where the common denominator of its
+# entries, a (a - b) (2a + 1) (ab + 1), is -3/4: the census signs d times
+# the metric and swaps (p, q) where d < 0
+_NEGATIVE_D = [[parse_scalar(c, _SIG_PARAMS) for c in row] for row in [
+    ["1/a", "0", "0"],
+    ["0", "-b/(a - b)", "1/(2*a + 1)"],
+    ["0", "1/(2*a + 1)", "(a + b)/(a*b + 1)"]]]
 
 
 @settings(max_examples=300, deadline=None)
 @given(_parametric_metrics(), st.sampled_from(_SIG_GRID),
        st.sampled_from(_SIG_GRID))
+@example(_NEGATIVE_D, Fraction(1, 2), Fraction(1))
 def test_signature_at_matches_the_fraction_route(matrix, av, bv):
     gm = Metric(u2(_SIG_PARAMS), matrix, None)
     want = _signature_by_fractions(gm, {"a": av, "b": bv})
@@ -559,6 +578,8 @@ def test_signature_at_matches_the_fraction_route(matrix, av, bv):
        st.lists(st.tuples(st.sampled_from(_SIG_GRID),
                           st.sampled_from(_SIG_GRID)), min_size=1,
                 max_size=12))
+@example(_NEGATIVE_D, [(Fraction(1, 2), Fraction(1)), (Fraction(-2), -1),
+                       (Fraction(1), Fraction(1, 2)), (0, Fraction(1))])
 def test_signatures_match_the_fraction_route_at_every_point(matrix, grid):
     gm = Metric(u2(_SIG_PARAMS), matrix, None)
     points = [{"a": av, "b": bv} for av, bv in grid]

@@ -73,8 +73,10 @@ def count_poly_products(monkeypatch):
 def test_gl2_suite_poly_product_work_is_bounded(monkeypatch):
     seen = count_poly_products(monkeypatch)
     assert catalog.run_suite("gl2_classification").ok
-    # measured: 713 products and degree 5, with J's checks decided on
-    # N = d J and one J_mu for both compatibility statements; 898 while
+    # measured: 748 products and degree 5, with the metric read off
+    # Omega N / d and the census cleared over one common denominator; 713
+    # with J's checks decided on N = d J and one J_mu for both
+    # compatibility statements; 898 while
     # they ran on the quotient J, the Killing matrix of the
     # three-parameter Lee vector included; 861 while the suite rebuilt each
     # Vaisman sample at its point; 3,545 and degree 31 while the
@@ -113,16 +115,18 @@ def test_suite_lcs_checks_and_eliminations_are_bounded(
 
 
 @pytest.mark.parametrize("suite, compiled, integrals", [
-    ("u2_classification", 40, 516),
-    ("gl2_classification", 40, 660),
+    ("u2_classification", 22, 516),
+    ("gl2_classification", 22, 660),
 ])
 def test_suite_census_compiles_each_entry_once(suite, compiled, integrals,
                                                monkeypatch):
     # each suite runs two censuses of a metric with 10 upper-triangle
-    # entries (a numerator and a denominator each), at 498 (u2) and 482
-    # (gl2) points in all; re-deriving the entries at each point made about
-    # 10,700 _integral calls per gl2 suite; measured: 380 (u2) and 608 (gl2)
-    # with J's checks decided on N = d J, 320 and 684 before
+    # entries, cleared to 10 numerators over one common denominator (40
+    # compilations while each entry compiled a numerator and a denominator),
+    # at 498 (u2) and 482 (gl2) points in all; re-deriving the entries at
+    # each point made about 10,700 _integral calls per gl2 suite; measured:
+    # 366 (u2) and 590 (gl2), 380 and 608 while the census compiled each
+    # entry's pair, 320 and 684 before J's checks were decided on N = d J
     compiled_calls = count_calls(monkeypatch, scalars.Poly, "compiled")
     integral_calls = count_calls(monkeypatch, scalars.Poly, "_integral")
     assert catalog.run_suite(suite).ok
@@ -136,9 +140,10 @@ def test_suite_census_compiles_each_entry_once(suite, compiled, integrals,
 ])
 def test_suite_scalar_constructions_are_bounded(suite, constructions,
                                                 monkeypatch):
-    # measured: 733 (u2) and 1,379 (gl2), with J's checks decided on
-    # N = d J (building N and d adds constructions on u2) and one J_mu for
-    # both gl2 compatibility statements; 711 and 1,442 before; 1,744 and
+    # measured: 772 (u2) and 1,405 (gl2), with the metric read off
+    # Omega N / d; 733 and 1,379 with J's checks decided on N = d J
+    # (building N and d adds constructions on u2) and one J_mu for both gl2
+    # compatibility statements; 711 and 1,442 before; 1,744 and
     # 2,963 while each
     # Vaisman sample was assembled anew at its point; 1,770 and 3,037 while a
     # Vaisman PASS inverted the metric; 1,815 and 3,130 while the
@@ -162,7 +167,8 @@ def test_vaisman_check_of_a_large_coefficient_is_bounded(
     assert cli.main(["check-vaisman", path, "omega_swell", "J_ab"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] Lee field is parallel (Vaisman)" in out
-    # measured: 20,564 characters, 24,032 products and degree 26; 389,400
+    # measured: 20,564 characters, 24,469 products and degree 26 (24,032
+    # while the metric was formed from the quotient J); 389,400
     # products and degree 62 while the Vaisman test inverted the metric of
     # a PASS, and 438,046 products while it summed the Koszul formula's
     # structure-constant term, which is zero for the Lee vector
@@ -193,7 +199,8 @@ def test_vaisman_pass_of_a_gl2_form_to_the_fourth_inverts_no_metric(
     out = capsys.readouterr().out.replace(path, "")
     assert "[PASS] Lee field is parallel (Vaisman)" in out
     assert inverses() == 0
-    # measured: 141,458 characters, 841,853 products and degree 49
+    # measured: 141,458 characters, 842,049 products and degree 49
+    # (841,853 while the metric was formed from the quotient J)
     assert len(out) <= 155_600
     assert seen["products"] <= 926_000
     assert seen["degree"] <= 53
