@@ -268,8 +268,9 @@ def _check_census(rep, name, metric, points, agrees):
     """Check agrees(point, signature) at every sample point.
 
     The metric is cleared over one common denominator, compiled once and
-    signed at the points over Z (``structures.signatures``).  ``name`` is formatted with the sample
-    count n, so a census that shrinks changes the printed check.
+    signed at the points over Z (``structures.signatures``).  ``name`` is
+    formatted with the sample count n, so a census that shrinks changes the
+    printed check.
     """
     params = metric.algebra.params
     sigs = signatures(metric, [dict(zip(params, pt)) for pt in points])

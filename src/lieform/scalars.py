@@ -277,21 +277,24 @@ class Poly:
         """Substitute a subset of the parameters by exact rationals.
 
         The result lives over the same parameter list; substituted variables
-        simply no longer occur.  Other values raise ParameterValueError.
+        simply no longer occur.  An ``int`` or ``Fraction`` value is used as
+        it is, so int values keep int coefficients; any other rational is
+        read as a ``Fraction``, and a value that is not rational raises
+        ParameterValueError.
         """
         _check_rational(assignment)
-        vals = {p: Fraction(v) for p, v in assignment.items()}
-        idx = [i for i, p in enumerate(self.params) if p in vals]
-        if not idx:
+        vals = {i: _exact(assignment[p]) for i, p in enumerate(self.params)
+                if p in assignment}
+        if not vals:
             return self
         terms = {}
         for e, c in self.terms.items():
-            for i in idx:
+            for i, v in vals.items():
                 if e[i]:
-                    c = c * vals[self.params[i]] ** e[i]
+                    c = c * v ** e[i]
             if c == 0:
                 continue
-            e2 = tuple(0 if i in idx else k for i, k in enumerate(e))
+            e2 = tuple(0 if i in vals else k for i, k in enumerate(e))
             terms[e2] = terms.get(e2, 0) + c
         return Poly(self.params, terms)
 
@@ -499,6 +502,8 @@ class Scalar:
         self.num._check(other.num)
         if other.is_zero():
             raise ZeroDivisionError("division by zero scalar")
+        if self.is_zero():
+            return self
         if (a := self.rational) is not None and \
                 (b := other.rational) is not None:
             return Scalar.const(self.params, Fraction(a) / b)
@@ -555,23 +560,34 @@ class Scalar:
 
 
 def _check_rational(assignment):
-    """ParameterValueError for a value that is not an int or a Fraction."""
+    """ParameterValueError for a value that is not rational."""
     for name, v in assignment.items():
-        if not isinstance(v, Rational):
+        if type(v) is not int and not isinstance(v, Rational):
             raise ParameterValueError(name, f"value {v!r} is not rational")
+
+
+def _exact(v):
+    """A rational value as an int or a Fraction: itself when it is one."""
+    return v if type(v) is int or type(v) is Fraction else Fraction(v)
 
 
 def integer_point(params, assignment):
     """(D, X): a point of ints and Fractions as X / D over Z, with D > 0 the
     lcm of its denominators and X the list of D times each value, in the
-    order of params.  Raises ParameterValueError for a missing parameter and
-    for a value that is not an int or a Fraction."""
+    order of params.  Raises ParameterValueError for a value that is not
+    rational and then for a missing parameter, the first in params."""
     _check_rational(assignment)
+    vals = []
+    D = 1
     for p in params:
         if p not in assignment:
             raise ParameterValueError(p, "no value given")
-    vals = [assignment[p] for p in params]
-    D = lcm(*(v.denominator for v in vals))
+        v = assignment[p]
+        vals.append(v)
+        if type(v) is not int and v.denominator != 1:
+            D = lcm(D, v.denominator)
+    if D == 1:
+        return 1, [v if type(v) is int else v.numerator for v in vals]
     return D, [v.numerator * (D // v.denominator) for v in vals]
 
 
@@ -597,9 +613,10 @@ def common_denominator(params, scalars):
 class Evaluator:
     """Polynomials over one parameter list, compiled once (``Poly.compiled``)
     for evaluation over Z at many points X / D (``integer_point``): from
-    power tables of D and each X_i, each p is the int L D^deg p(X / D), L
-    the lcm of all their coefficient denominators and deg their largest
-    total degree, so one positive scale for the whole list."""
+    power tables of D and each X_i up to deg, each power one product from
+    the one before, each p is the int L D^deg p(X / D), L the lcm of all
+    their coefficient denominators and deg their largest total degree, so
+    one positive scale for the whole list."""
 
     def __init__(self, params, polys):
         self.params = tuple(params)
@@ -614,9 +631,8 @@ class Evaluator:
         """[int] for the polynomials at the point.  Raises
         ParameterValueError (``integer_point``)."""
         D, X = integer_point(self.params, assignment)
-        powers = range(self.degree + 1)
-        Dp = [D ** k for k in powers]
-        Xp = [[x ** k for k in powers] for x in X]
+        Dp = _powers(D, self.degree)
+        Xp = [_powers(x, self.degree) for x in X]
         out = []
         for terms in self.polys:
             v = 0
@@ -627,6 +643,14 @@ class Evaluator:
                 v += t
             out.append(v)
         return out
+
+
+def _powers(x, n):
+    """[x^0, x^1, ..., x^n], each power one product from the last."""
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
 
 
 def scalar_eval(s, assignment):

@@ -398,34 +398,41 @@ def metric_from(omega, J, convention=CONVENTION_THM):
 
 def _signature_over_z(a):
     """Signature (p, q) of a symmetric int matrix, reduced in place over Z
-    by symmetric pivoting (Sylvester's law of inertia): a pivot d counts
-    by its sign and maps the rest S to |d| S - sgn(d) u u^T, u the rest of
-    its column.  A zero diagonal with a nonzero a_ij takes the congruence
-    e_i -> e_i + e_j, a hyperbolic (1,1) pair.
+    by symmetric pivoting (Sylvester's law of inertia): the pivot d is the
+    first nonzero diagonal entry left; it counts by its sign and maps the
+    rest S to |d| S - sgn(d) u u^T, u the rest of its row, read from the
+    pivot row itself.  Only the upper triangle of S is computed, and each
+    entry is mirrored below, so that rows and columns stay equal.  When the
+    diagonal left is zero, a nonzero a_ij takes the congruence
+    e_i -> e_i + e_j, a hyperbolic (1,1) pair, and a_ii = 2 a_ij pivots;
+    when the whole block left is zero, DegenerateAtPoint is raised.
     """
     p = q = 0
     live = list(range(len(a)))
     while live:
-        piv = next((i for i in live if a[i][i] != 0), None)
-        if piv is not None:
-            d = a[piv][piv]
-            sgn = 1 if d > 0 else -1
-            p, q = (p + 1, q) if d > 0 else (p, q + 1)
-            live.remove(piv)
-            u = {i: a[i][piv] for i in live}
-            for i in live:
-                for j in live:
-                    a[i][j] = sgn * (d * a[i][j] - u[i] * u[j])
-            continue
-        hyper = next(((i, j) for ii, i in enumerate(live)
-                      for j in live[ii + 1:] if a[i][j] != 0), None)
-        if hyper is None:
-            raise DegenerateAtPoint("matrix is degenerate at the point")
-        i, j = hyper
-        for c in live:
-            a[i][c] += a[j][c]
-        for r in live:
-            a[r][i] += a[r][j]
+        for piv in live:
+            if a[piv][piv]:
+                break
+        else:
+            hyper = next(((i, j) for ii, i in enumerate(live)
+                          for j in live[ii + 1:] if a[i][j] != 0), None)
+            if hyper is None:
+                raise DegenerateAtPoint("matrix is degenerate at the point")
+            piv, j = hyper
+            for c in live:
+                a[piv][c] += a[j][c]
+            for r in live:
+                a[r][piv] += a[r][j]
+        u = a[piv]
+        sgn = 1 if u[piv] > 0 else -1
+        p, q = (p + 1, q) if sgn > 0 else (p, q + 1)
+        d = sgn * u[piv]
+        live.remove(piv)
+        for k, i in enumerate(live):
+            row = a[i]
+            ui = sgn * u[i]
+            for j in live[k:]:
+                row[j] = a[j][i] = d * row[j] - ui * u[j]
     return p, q
 
 

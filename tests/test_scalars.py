@@ -4,6 +4,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -175,6 +176,8 @@ def test_scalar_eval_exact_and_denominator_guard():
     ({"a": 1}, "parameter 'b': no value given"),
     ({"a": 1, "b": "x"}, "parameter 'b': value 'x' is not rational"),
     ({"a": 1, "b": 0.5}, "parameter 'b': value 0.5 is not rational"),
+    # a value that is not rational is named before a missing parameter
+    ({"b": 0.5}, "parameter 'b': value 0.5 is not rational"),
 ])
 def test_scalar_eval_names_a_missing_or_non_rational_parameter(point,
                                                                message):
@@ -313,6 +316,67 @@ def test_substitute_agrees_with_evaluate(x, v):
         # substitution may reject a denominator that only vanishes partially
         return
     assert scalar_eval(sub, point) == expect
+
+
+def _substitute_by_fractions(poly, assignment):
+    """Reference for ``Poly.substitute``: every value read as a Fraction,
+    the substituted indices in a list."""
+    for name, v in assignment.items():
+        if not isinstance(v, Rational):
+            raise ParameterValueError(name, f"value {v!r} is not rational")
+    vals = {p: Fraction(v) for p, v in assignment.items()}
+    idx = [i for i, p in enumerate(poly.params) if p in vals]
+    if not idx:
+        return poly
+    terms = {}
+    for e, c in poly.terms.items():
+        for i in idx:
+            if e[i]:
+                c = c * vals[poly.params[i]] ** e[i]
+        if c == 0:
+            continue
+        e2 = tuple(0 if i in idx else k for i, k in enumerate(e))
+        terms[e2] = terms.get(e2, 0) + c
+    return Poly(poly.params, terms)
+
+
+@st.composite
+def polys(draw):
+    """A polynomial over P with int and Fraction coefficients, zero too."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        e = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        terms[e] = Fraction(draw(small), draw(st.integers(1, 3)))
+    return Poly(P, terms)
+
+
+_values = st.one_of(st.integers(-4, 4),
+                    st.fractions(-3, 3, max_denominator=5),
+                    st.booleans())
+_non_rational = st.sampled_from([0.5, Decimal("0.1"), "1/2", None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(),
+       st.dictionaries(st.sampled_from(P + ("c",)),
+                       st.one_of(_values, _values, _non_rational)))
+@example(Poly(P, {(2, 1): Fraction(1, 2), (0, 1): -2}), {"a": 2})
+@example(Poly(P, {(1, 0): 3, (0, 0): 1}), {"a": Fraction(-1, 3), "b": 5})
+@example(Poly(P, {(1, 1): 1, (0, 1): 1}), {"a": 0.5, "b": "1/2"})
+def test_substitute_matches_the_fraction_algorithm(p, point):
+    # partial and full points, int, Fraction and bool values and a name
+    # that is not a parameter: the same terms, an int wherever the
+    # coefficient is integral, and the same first error
+    try:
+        want = _substitute_by_fractions(p, point)
+    except ParameterValueError as exc:
+        with pytest.raises(ParameterValueError) as got:
+            p.substitute(point)
+        assert (str(got.value), got.value.name) == (str(exc), exc.name)
+        return
+    got = p.substitute(point)
+    assert {e: (type(c), c) for e, c in got.terms.items()} == \
+        {e: (type(c), c) for e, c in want.terms.items()}
 
 
 def _value_by_fractions(poly, point):

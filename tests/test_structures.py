@@ -439,6 +439,66 @@ def test_exact_signature_matches_eigenvalue_oracle(entries):
     assert exact_signature(a) == want
 
 
+def det_by_fractions(a):
+    """Determinant of a square int matrix by Gaussian elimination over Q,
+    with row swaps."""
+    m = [[Fraction(c) for c in row] for row in a]
+    n, det = len(m), Fraction(1)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for r in range(k + 1, n):
+            f = m[r][k] / m[k][k]
+            m[r] = [x - f * y for x, y in zip(m[r], m[k])]
+    return det
+
+
+@st.composite
+def sparse_symmetric(draw):
+    """A symmetric int matrix of size 2 to 5, most entries zero and some
+    diagonal entries zero, so that the core also meets hyperbolic pairs,
+    pivots past a zero diagonal and degenerate blocks."""
+    n = draw(st.integers(2, 5))
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    a = [[0] * n for _ in range(n)]
+    zero_diagonal = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or i not in zero_diagonal:
+                a[i][j] = a[j][i] = draw(entry)
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_symmetric())
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 0, 0, 1], [0, 0, 0, 1, 0], [0, 0, 0, 0, 0],
+          [0, 1, 0, 0, 0], [1, 0, 0, 0, 0]])
+@example([[0, 2, 1], [2, 0, 1], [1, 1, 0]])
+@example([[1, 1, 0, 0], [1, 1, 2, 0], [0, 2, 0, 3], [0, 0, 3, -1]])
+def test_signature_core_on_sparse_matrices(a):
+    # every branch of the core: pivots after a zero diagonal (their rows
+    # are read from the mirrored lower triangle), hyperbolic pairs, and
+    # DegenerateAtPoint exactly where the determinant is 0
+    numpy = pytest.importorskip("numpy")
+    copy = [row[:] for row in a]
+    if det_by_fractions(a) == 0:
+        with pytest.raises(DegenerateAtPoint,
+                           match="^matrix is degenerate at the point$"):
+            _signature_over_z(copy)
+        return
+    eig = numpy.linalg.eigvalsh(numpy.array(a, dtype=float))
+    # |det| >= 1 and |eigenvalue| <= 15 bound every eigenvalue away from 0
+    assert min(abs(e) for e in eig) > 1e-6
+    want = (int(sum(e > 0 for e in eig)), int(sum(e < 0 for e in eig)))
+    assert _signature_over_z(copy) == want
+
+
 def test_signature_at_uses_exact_evaluation():
     g = u2(("a", "b"))
     om = lcs_form(g, oneform(g, {1: 1}))
