@@ -167,13 +167,13 @@ class LieAlgebra:
                     s = linalg.vec_add(s, self.bracket(self.bracket(ek, ei), ej))
                     if not linalg.vec_is_zero(s):
                         return JacobiReport(False, (i, j, k), "Jacobi fails")
-        # h may be given by a dependent spanning set
+        # h may be a dependent spanning set: closed iff [h, h] keeps its rank
         h = self.h_subalgebra or []
-        for a, x in enumerate(h):
-            for y in h[a:]:
-                if not linalg.in_span(h, self.bracket(x, y)):
-                    return JacobiReport(
-                        False, "h", "h is not closed under the bracket")
+        closure = h + [self.bracket(x, y)
+                       for a, x in enumerate(h) for y in h[a + 1:]]
+        if len(h) > 1 and linalg.rank(closure)[0] != linalg.rank(h)[0]:
+            return JacobiReport(False, "h",
+                                "h is not closed under the bracket")
         return JacobiReport(True)
 
     def structure_table(self):

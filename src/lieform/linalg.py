@@ -169,14 +169,16 @@ def solve(rows, rhs):
 
     Returns (particular, kernel_basis, locus).  Pivot choice depends only on
     the column being reduced, so the first n columns of rref([A|b]) are
-    rref(A) with the same locus, and the kernel is read off them.
+    rref(A) with the same locus, and the kernel of A is read off them
+    whether or not b lies in the image of A: rank A = n - len(kernel).
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     red, pivot_cols, locus = rref(aug)
     if n in pivot_cols:
-        return None, [], locus
+        # the last pivot, in the column of b
+        return None, _kernel(red, pivot_cols[:-1], n), locus
     x = [rows[0][0] * 0] * n if n else []
     for r, pc in enumerate(pivot_cols):
         x[pc] = red[r][n]

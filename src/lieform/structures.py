@@ -17,7 +17,7 @@ from . import linalg
 from .exterior import (AmbientMismatch, KForm, ce_d, form_monomials,
                        form_to_vector, interior, matrix_of, solve_potential,
                        vector_to_form, wedge)
-from .lie_core import center, centralizer, derived_subalgebra
+from .lie_core import centralizer, derived_subalgebra
 from .scalars import (DenominatorVanishes, Evaluator, Scalar,
                       common_denominator)
 
@@ -289,13 +289,13 @@ def lcs_check(g, omega):
     """Verify the lcs equation and extract the Lee form and Reeb vector.
 
     Checks that omega lives on g/h (i_X omega = 0 = L_X omega for X in h)
-    and is nondegenerate there, solves lam ^ omega = d(omega) for the Lee
-    form, checks d(lam) = 0 separately (automatic only above dimension 4),
-    and solves omega(Z, .) = lam/2 for the Reeb vector: lam(Z) = 0 as
-    omega is skew.  That system is consistent once the rank test passes:
-    the kernel of omega is then span(h), and contracting
-    lam ^ omega = d(omega) with X in h gives lam(X) omega = L_X omega = 0,
-    so lam/2 annihilates the kernel and lies in the image of omega.
+    and solves two systems: lam ^ omega = d(omega) for the Lee form (d(lam)
+    = 0 is checked apart, automatic only above dimension 4) and Omega Z =
+    -lam/2, i.e. omega(Z, .) = lam/2, for the Reeb vector, whose
+    elimination also gives the rank of omega: a degenerate omega is
+    reported before a missing Lee form.  With that rank, ker omega = span(h)
+    and lam ^ omega = d(omega) contracted with X in h is lam(X) omega =
+    L_X omega = 0, so lam/2 annihilates the kernel: Z exists.
     """
     if omega.degree != 2:
         raise StructureError(f"omega has degree {omega.degree}, not 2")
@@ -308,27 +308,24 @@ def lcs_check(g, omega):
                 raise StructureError(
                     f"omega does not live on g/h: {name} omega = {rest} "
                     f"for X = [{', '.join(str(c) for c in X)}]")
-    # h may be given by a dependent spanning set
-    h_dim, _ = linalg.rank(g.h_subalgebra or [])
-    M = gram_matrix(omega)
-    r, locus = linalg.rank(M)
-    if r < n - h_dim:
-        raise Degenerate(f"rank {r} on the quotient (need {n - h_dim})")
     # solve lam ^ omega = d(omega), lam = sum x_i e^i
     rows = matrix_of([wedge(KForm.basis_oneform(g, i), omega)
                       for i in range(n)], form_monomials(g, 3))
-    x, _, locus2 = linalg.solve(rows, form_to_vector(dom))
+    x, _, lee_locus = linalg.solve(rows, form_to_vector(dom))
+    # zero with no solution, and with no 3-forms (no rows, x = [])
+    lam = vector_to_form(g, 1, x or [])
+    z, kernel, locus = linalg.solve(gram_matrix(omega), [
+        c * Fraction(-1, 2) for c in form_to_vector(lam)])
+    # h may be given by a dependent spanning set
+    h_dim, _ = linalg.rank(g.h_subalgebra or [])
+    if len(kernel) > h_dim:
+        raise Degenerate(
+            f"rank {n - len(kernel)} on the quotient (need {n - h_dim})")
     if x is None:
         raise NoLeeForm("d(omega) is not of the form lam ^ omega")
-    linalg.merge_locus(locus, locus2)
-    lam = vector_to_form(g, 1, x)
+    linalg.merge_locus(locus, lee_locus)
     if not ce_d(lam).is_zero():
         raise LeeFormNotClosed(f"d(lam) = {ce_d(lam)} != 0")
-    # omega(Z, e_j) = lam(e_j)/2
-    half = Fraction(1, 2)
-    rhs_z = [c * half for c in form_to_vector(lam)]
-    z, _, locus3 = linalg.solve(linalg.transpose(M), rhs_z)
-    linalg.merge_locus(locus, locus3)
     return LcsData(omega, lam, z, proper=not dom.is_zero(), locus=locus)
 
 
@@ -572,8 +569,8 @@ def biinvariant_identities(B, lck):
     """Identities relating d(phi) to ad_v for phi = B(v, .).
 
     B must be symmetric, nondegenerate and ad-invariant.  Returns a
-    StructureReport; rank(ad_v) is read off the centralizer Z_g(v), the
-    kernel of ad_v.
+    StructureReport; w = B^{-1} lam is central exactly when ad_w = 0, and
+    rank(ad_v) is read off the centralizer Z_g(v), the kernel of ad_v.
     """
     g = lck.algebra
     n = g.dim
@@ -612,7 +609,7 @@ def biinvariant_identities(B, lck):
     report.check("d(phi) = B o (-ad_v)", ok)
 
     report.check("A_g xi central (B^{-1} lam in the center)",
-                 linalg.in_span(center(g), w))
+                 all(linalg.vec_is_zero(row) for row in g.ad(w)))
     zv = centralizer(g, v)
     rk = n - len(zv)
     report.check(f"rank(ad_v) = {rk} >= dim - 2", rk >= n - 2)

@@ -139,6 +139,20 @@ def _u2_document(tmp_path, edit):
     return str(path)
 
 
+@pytest.mark.parametrize("degree", range(5))
+def test_cohomology_prints_its_locus(degree, capsys, tmp_path):
+    # u(2) over one parameter a, lam = a e^0: each dimension is generic,
+    # away from a = 0
+    def edit(doc):
+        doc.update(parameters=["a"], forms={"lam": "a * e0"})
+        del doc["endos"], doc["bilinears"]
+    path = _u2_document(tmp_path, edit)
+    code, out = run(capsys, "cohomology", path, "--lambda", "lam",
+                    "--degree", str(degree))
+    assert code == 0
+    assert "[INFO] generic away from :: -a\n" in out
+
+
 def test_cohomology_of_a_form_that_is_not_closed_fails(capsys, tmp_path):
     # d(e1) = e2^e3 on u2
     path = _u2_document(tmp_path, lambda doc: doc["forms"].update(lam="e1"))
@@ -151,6 +165,8 @@ def test_cohomology_of_a_form_that_is_not_closed_fails(capsys, tmp_path):
 @pytest.mark.parametrize("h, closed", [
     ([["0", "1", "0", "0"]], True),
     ([["0", "1", "0", "0"], ["0", "0", "1", "0"]], False),  # [e1, e2] = -e3
+    ([["1", "0", "0", "0"], ["0", "1", "0", "0"]], True),  # e0 is central
+    ([["0", "1", "0", "0"], ["0", "2", "0", "0"]], True),  # dependent
 ])
 def test_check_algebra_checks_h_is_a_subalgebra(h, closed, capsys, tmp_path):
     path = _u2_document(tmp_path, lambda doc: doc.update(h_subalgebra=h))
@@ -502,6 +518,23 @@ def test_check_lck_on_a_zero_dimensional_document_fails_cleanly(capsys,
     captured = capsys.readouterr()
     assert code == 1
     assert "[FAIL] error:" in captured.out
+    assert captured.err == ""
+
+
+def test_construct_orbit_on_a_one_dimensional_algebra_fails_cleanly(
+        capsys, tmp_path):
+    # the extension is 2-dimensional, where lcs_check's Lee system has no
+    # rows and returns lam = 0, not the dual of D
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"algebra": {"dim": 1, "basis": ["e0"]},
+                                "forms": {"phi": "e0"}}), encoding="utf-8")
+    code = cli.main(["construct-orbit", str(path), "--phi", "phi"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert [line for line in captured.out.splitlines()
+            if line.startswith("[FAIL]")] == [
+        "[FAIL] error: ConstructionError :: extracted Lee form differs "
+        "from dual of D"]
     assert captured.err == ""
 
 

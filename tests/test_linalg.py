@@ -66,8 +66,19 @@ def test_solve_consistent_and_inconsistent():
     assert linalg.vec_is_zero(
         linalg.vec_sub(linalg.mat_vec(rows, x), [S("1"), S("2")]))
     assert len(kernel) == 1
-    bad, _, _ = linalg.solve(rows, [S("1"), S("3")])
+    bad, kernel, _ = linalg.solve(rows, [S("1"), S("3")])
     assert bad is None
+    assert kernel == [M([[-2, 1]])[0]]
+
+
+def test_inconsistent_solve_returns_the_kernel_of_a():
+    # x + a y = 0 and 0 = 1: no solution; the kernel of A is spanned by
+    # (-a, 1, 0) and (0, 0, 1), so rank A = 3 - 2
+    rows = M([[1, "a", 0], [0, 0, 0]])
+    x, kernel, locus = linalg.solve(rows, [S("0"), S("1")])
+    assert x is None
+    assert kernel == M([["-a", 1, 0], [0, 0, 1]])
+    assert locus == []
 
 
 def test_parametric_pivot_records_locus():
@@ -247,7 +258,7 @@ def _dense_solve(rows, rhs):
     red, pivot_cols, locus = _dense_rref(
         [list(r) + [b] for r, b in zip(rows, rhs)])
     if n in pivot_cols:
-        return None, [], locus
+        return None, linalg._kernel(red, pivot_cols[:-1], n), locus
     x = [Z] * n
     for r, pc in enumerate(pivot_cols):
         x[pc] = red[r][n]

@@ -15,13 +15,14 @@ from lieform import catalog, document, linalg
 from lieform.catalog import J_ab, J_mu, abelian, gl2r, lcs_form, oneform, u2
 from lieform.exterior import (AmbientMismatch, KForm, NoSolution, ce_d,
                               twisted_d, wedge)
+from lieform.lie_core import LieAlgebra
 from lieform.scalars import (DenominatorVanishes, ParameterValueError, Scalar,
                              parse_scalar, scalar_eval)
 from lieform.structures import (CONVENTION_DEF, CONVENTION_THM,
                                 ComplexStructure, Degenerate,
                                 DegenerateAtPoint, DegenerateB,
                                 J_to_subalgebra, Metric, NotAdInvariant,
-                                NotAlmostComplex, NotCompatible,
+                                NoLeeForm, NotAlmostComplex, NotCompatible,
                                 NotTransverse, StructureReport, assemble_lck,
                                 biinvariant_identities, gram_matrix,
                                 _signature_over_z, compatibility_check,
@@ -310,6 +311,37 @@ def test_lcs_check_rejects_degenerate():
     om = KForm.monomial(g, (0, 1))
     with pytest.raises(Degenerate):
         lcs_check(g, om)
+
+
+def test_lcs_check_reports_a_degenerate_form_before_a_missing_lee_form():
+    # omega = e^01 on u(2) has rank 2, and d(omega) = -e^023 is not
+    # lam ^ omega for any lam either: the rank test decides first
+    g = u2()
+    with pytest.raises(Degenerate,
+                       match=r"^rank 2 on the quotient \(need 4\)$"):
+        lcs_check(g, KForm.monomial(g, (0, 1)))
+
+
+def test_lcs_check_rejects_a_nondegenerate_form_with_no_lee_form():
+    # [e0, e1] = e2 in dimension 6, omega = e^01 + e^24 + e^35: nondegenerate,
+    # and d(omega) = -e^014 is not lam ^ omega (in dimension 4 with h = 0
+    # a nondegenerate omega always has a Lee form)
+    g = LieAlgebra([f"e{i}" for i in range(6)], {(0, 1): {2: 1}})
+    e = lambda *i: KForm.monomial(g, i)
+    om = e(0, 1) + e(2, 4) + e(3, 5)
+    assert ce_d(om) == -e(0, 1, 4)
+    with pytest.raises(NoLeeForm,
+                       match=r"^d\(omega\) is not of the form lam \^ omega$"):
+        lcs_check(g, om)
+
+
+def test_lcs_check_in_dimension_two_has_no_lee_system():
+    # no 3-forms: the Lee system has no rows, and lam = 0, Z = 0
+    g = abelian(2)
+    lcs = lcs_check(g, KForm.monomial(g, (0, 1)))
+    assert lcs.lam.is_zero()
+    assert lcs.Z == g.zero_vector()
+    assert not lcs.proper
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,16 @@ operands, the coefficient products len(a) * len(b) and the largest total
 degree built, and bounds both at the measured values plus at most 10%, so
 a change that swells the suite's scalars fails here.  The second counts
 the calls of ``structures.lcs_check`` and ``linalg.rref`` and bounds them
-at the measured values, so a change that computes a fact twice fails.  The
-third counts the polynomials compiled for evaluation (``Poly.compiled``)
-and the calls of ``Poly._integral`` and bounds them at the measured values,
-so a signature census that re-derives its entries at each point fails.  The
-fourth counts the ``Scalar`` constructions and bounds them at the measured
-values plus at most 10%, so a kernel or a product that stops skipping
-structural zeros fails.  The fifth bounds the products, the degree and the
+at the measured values, so a change that computes a fact twice fails; a
+``check-lck`` call on each shipped general form makes exactly two
+eliminations, and a property test holds the elimination-free centrality
+test ad_w = 0 to the span of the center.  The third counts the
+polynomials compiled for evaluation (``Poly.compiled``) and the calls of
+``Poly._integral`` and bounds them at the measured values, so a signature
+census that re-derives its entries at each point fails.  The fourth
+counts the ``Scalar`` constructions and bounds them at the measured values
+plus at most 10%, so a kernel or a product that stops skipping structural
+zeros fails.  The fifth bounds the products, the degree and the
 report size of ``check-vaisman`` on a form with a 91-term coefficient, and
 the sixth the report size of ``check-vaisman`` on a gl(2, R) form scaled by
 a linear factor.  The seventh bounds the products, the degree and the
@@ -30,9 +33,12 @@ import os
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieform import catalog, cli, constructions, linalg, scalars, structures
 from lieform.exterior import KForm, ce_d, twisted_d
+from lieform.lie_core import center
 from size_table import swell_document
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -90,9 +96,9 @@ def test_gl2_suite_poly_product_work_is_bounded(monkeypatch):
 
 
 @pytest.mark.parametrize("suite, lcs_checks, rrefs", [
-    ("u2_classification", 2, 9),
-    ("gl2_classification", 3, 12),
-    ("reductive_identities", 2, 28),
+    ("u2_classification", 2, 7),
+    ("gl2_classification", 3, 9),
+    ("reductive_identities", 2, 22),
 ])
 def test_suite_lcs_checks_and_eliminations_are_bounded(
         suite, lcs_checks, rrefs, monkeypatch):
@@ -103,7 +109,11 @@ def test_suite_lcs_checks_and_eliminations_are_bounded(
     # anew); a Vaisman PASS inverts no metric (34 and 38 eliminations while
     # it did); the structural identities read rank(ad_v) off the
     # centralizer of v (32 eliminations while they reduced ad_v twice) and
-    # take each center once (30 while they took two of them twice)
+    # take each center once (30 while they took two of them twice); lcs_check
+    # reads the rank of omega off its Reeb elimination, the identities test
+    # centrality as ad_w = 0 and check_jacobi compares two ranks of h
+    # (9, 12 and 28 while the rank, the center and each bracket of h took
+    # an elimination of their own)
 
     # a module that imports lcs_check calls it through its own global
     lcs_calls = [count_calls(monkeypatch, mod, "lcs_check")
@@ -113,6 +123,32 @@ def test_suite_lcs_checks_and_eliminations_are_bounded(
     assert catalog.run_suite(suite).ok
     assert sum(c() for c in lcs_calls) <= lcs_checks
     assert rref_calls() <= rrefs
+
+
+@pytest.mark.parametrize("doc, J", [("u2.json", "J_01"),
+                                     ("gl2r.json", "J_mu1")])
+def test_check_lck_eliminates_twice(doc, J, monkeypatch, capsys):
+    # the Lee form and the Reeb vector, whose elimination also gives the
+    # rank of omega (3 while the rank took an elimination of its own)
+    rref_calls = count_calls(monkeypatch, linalg, "rref")
+    assert cli.main(["check-lck", os.path.join(DATA, doc), "omega_general",
+                     J]) == 0
+    assert "[PASS] omega defines an lcs structure" in capsys.readouterr().out
+    assert rref_calls() == 2
+
+
+@pytest.mark.parametrize("make", [catalog.u2, catalog.gl2r, catalog.su2,
+                                  catalog.sl2r])
+@given(coeffs=st.lists(st.sampled_from([0, 0, 0, 1, -2, "a"]), min_size=4,
+                       max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_ad_w_zero_agrees_with_the_center(make, coeffs):
+    # biinvariant_identities tests "w is central" as ad_w = 0, with no
+    # elimination; the span of the center's nullspace basis is the oracle
+    g = make(("a",))
+    w = g.vector(coeffs[:g.dim])
+    assert all(linalg.vec_is_zero(row) for row in g.ad(w)) == \
+        linalg.in_span(center(g), w)
 
 
 @pytest.mark.parametrize("suite, compiled, integrals", [
