@@ -73,22 +73,22 @@ def coadjoint_stabilizer(phi):
 def lcs_from_orbit(orbit, D=None):
     """Homogeneous lcs data on the derivation extension of the orbit algebra.
 
-    Builds g(D) with the dual 1-form lam of D and h the lifted orbit.h
-    (not the h of g), extends phi by phi(D) = 0, and assembles omega =
-    d_lam(phi) = d(phi) - lam ^ phi.  The lcs equation d_lam(omega) = 0
-    holds by construction: d_lam o d_lam is -d(lam) ^ ., and lam is closed
-    on g(D), whose brackets all lie in span(e_1..e_n).  Before returning,
-    ``lcs_check`` is run on omega, and omega(Z, .) = phi(Z) lam and (when
-    h = 0) the extracted Lee form are checked.
+    Builds g(D) = ``extend_by_derivation(g, D, orbit.h)``, with the dual
+    1-form lam of D and h the lifted orbit.h (not the h of g), extends phi
+    by phi(D) = 0, and assembles omega = d_lam(phi) = d(phi) - lam ^ phi.
+    The lcs equation d_lam(omega) = 0 holds by construction: d_lam o d_lam
+    is -d(lam) ^ ., and lam is closed on g(D), whose brackets all lie in
+    span(e_1..e_n).  Before returning, ``lcs_check`` is run on omega, and
+    omega(Z, .) = phi(Z) lam and (when h = 0) the extracted Lee form are
+    checked.
     """
     g = orbit.phi_prime.algebra
     if not orbit.non_conical:
         raise ConicalOrbit("phi vanishes on its stabilizer")
     if D is None:
         D = [[0] * g.dim for _ in range(g.dim)]
-    ext = extend_by_derivation(g, D)
+    ext = extend_by_derivation(g, D, orbit.h)
     lam = KForm.basis_oneform(ext, 0)
-    ext.h_subalgebra = [[ext.zero()] + list(v) for v in orbit.h] or None
     phi = KForm(ext, 1, {(i + 1,): c
                          for (i,), c in orbit.phi_prime.coeffs.items()})
     omega = twisted_d(phi, lam)

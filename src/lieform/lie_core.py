@@ -47,7 +47,8 @@ class LieAlgebra:
     The bracket table stores [e_i, e_j] as a coefficient vector for every
     ordered pair; pairs given only one way are completed antisymmetrically,
     so deliberately corrupted tables can violate antisymmetry and be caught
-    by check_jacobi.
+    by check_jacobi.  h_subalgebra is kept as a basis: the independent
+    vectors given, in order (the pivot columns of one elimination), or None.
     """
 
     def __init__(self, basis_names, brackets, params=(), h_subalgebra=None,
@@ -68,8 +69,9 @@ class LieAlgebra:
         self._table = table
         self.h_subalgebra = None
         if h_subalgebra:
-            self.h_subalgebra = [
-                [self._scalar(c) for c in v] for v in h_subalgebra]
+            h = [[self._scalar(c) for c in v] for v in h_subalgebra]
+            _, pivots, _ = linalg.rref(linalg.transpose(h))
+            self.h_subalgebra = [h[c] for c in pivots] or None
 
     # -- scalar plumbing ----------------------------------------------
 
@@ -167,11 +169,11 @@ class LieAlgebra:
                     s = linalg.vec_add(s, self.bracket(self.bracket(ek, ei), ej))
                     if not linalg.vec_is_zero(s):
                         return JacobiReport(False, (i, j, k), "Jacobi fails")
-        # h may be a dependent spanning set: closed iff [h, h] keeps its rank
+        # h is a basis: closed iff [h, h] leaves its rank len(h)
         h = self.h_subalgebra or []
         closure = h + [self.bracket(x, y)
                        for a, x in enumerate(h) for y in h[a + 1:]]
-        if len(h) > 1 and linalg.rank(closure)[0] != linalg.rank(h)[0]:
+        if len(h) > 1 and linalg.rank(closure)[0] != len(h):
             return JacobiReport(False, "h",
                                 "h is not closed under the bracket")
         return JacobiReport(True)
@@ -235,10 +237,11 @@ def derived_subalgebra(g):
     return red[:len(pivots)]
 
 
-def extend_by_derivation(g, D):
+def extend_by_derivation(g, D, h=()):
     """The extension with basis (D, e_1..e_n): [D, x] = Dx, for a
     dim x dim matrix D.  Its brackets all lie in span(e_1..e_n), so the
-    dual 1-form e^0 of D is closed."""
+    dual 1-form e^0 of D is closed.  Its h is the vectors h lifted as
+    (0, v), not the h of g."""
     ok, witness = is_derivation(g, D)
     if not ok:
         raise NotADerivation(f"Leibniz identity fails on basis pair {witness}")
@@ -250,9 +253,6 @@ def extend_by_derivation(g, D):
                                                       1))
     for j in range(n):
         brackets[(0, j + 1)] = {k + 1: D[k][j] for k in range(n)}
-    h_sub = None
-    if g.h_subalgebra:
-        h_sub = [[g.zero()] + list(v) for v in g.h_subalgebra]
     return LieAlgebra(["D"] + list(g.basis_names), brackets, params=g.params,
-                      h_subalgebra=h_sub,
+                      h_subalgebra=[[g.zero()] + list(v) for v in h],
                       name=f"{g.name}(D)" if g.name else "extension")

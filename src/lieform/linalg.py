@@ -196,10 +196,3 @@ def inverse(rows):
     if len(pivot_cols) < n or pivot_cols[:n] != list(range(n)):
         raise LinalgError("matrix is singular")
     return [row[n:] for row in red], locus
-
-
-def in_span(vectors, v):
-    """Membership of v in span(vectors): with the vectors and v as columns,
-    v is in the span iff its column is not a pivot column."""
-    _, pivot_cols, _ = rref(transpose(list(vectors) + [v]))
-    return len(vectors) not in pivot_cols

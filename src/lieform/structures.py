@@ -245,19 +245,17 @@ def J_to_subalgebra(J):
     """Basis of ker(J - i Id) as real pairs (u, v) standing for u + iv.
 
     Each x - iJx lies in the kernel; x runs over the basis vectors that are
-    not in the span of the earlier x and Jx.
+    not in the span of the earlier x and Jx.  That span is J-invariant, so
+    x = e_k for each even pivot column 2k of e_0, Je_0, e_1, Je_1, ...
     """
     g = J.algebra
-    seen = []
-    span = []
+    cols = []
     for k in range(g.dim):
         x = g.basis_vector(k)
-        if linalg.in_span(seen, x):
-            continue
-        jx = J.apply(x)
-        seen += [x, jx]
-        span.append((x, [-c for c in jx]))
-    return span
+        cols += [x, J.apply(x)]
+    _, pivots, _ = linalg.rref(linalg.transpose(cols))
+    return [(cols[p], [-c for c in cols[p + 1]]) for p in pivots
+            if p % 2 == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +290,11 @@ def lcs_check(g, omega):
     and solves two systems: lam ^ omega = d(omega) for the Lee form (d(lam)
     = 0 is checked apart, automatic only above dimension 4) and Omega Z =
     -lam/2, i.e. omega(Z, .) = lam/2, for the Reeb vector, whose
-    elimination also gives the rank of omega: a degenerate omega is
-    reported before a missing Lee form.  With that rank, ker omega = span(h)
-    and lam ^ omega = d(omega) contracted with X in h is lam(X) omega =
-    L_X omega = 0, so lam/2 annihilates the kernel: Z exists.
+    elimination also gives the rank of omega, n - len(h) for a nondegenerate
+    omega on g/h: a degenerate omega is reported before a missing Lee form.
+    With that rank, ker omega = span(h) and lam ^ omega = d(omega)
+    contracted with X in h is lam(X) omega = L_X omega = 0, so lam/2
+    annihilates the kernel: Z exists.
     """
     if omega.degree != 2:
         raise StructureError(f"omega has degree {omega.degree}, not 2")
@@ -316,8 +315,7 @@ def lcs_check(g, omega):
     lam = vector_to_form(g, 1, x or [])
     z, kernel, locus = linalg.solve(gram_matrix(omega), [
         c * Fraction(-1, 2) for c in form_to_vector(lam)])
-    # h may be given by a dependent spanning set
-    h_dim, _ = linalg.rank(g.h_subalgebra or [])
+    h_dim = len(g.h_subalgebra or [])
     if len(kernel) > h_dim:
         raise Degenerate(
             f"rank {n - len(kernel)} on the quotient (need {n - h_dim})")
@@ -549,7 +547,7 @@ def vaisman_check(lck):
     G = +-Omega J is singular exactly when h != 0 (i_X omega = 0 on h),
     which raises DegenerateMetric.
     """
-    if linalg.rank(lck.algebra.h_subalgebra or [])[0]:
+    if lck.algebra.h_subalgebra:
         raise DegenerateMetric("metric is singular")
     K = killing(lck)
     if all(c.is_zero() for row in K for c in row):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieform import cli
+from lieform import cli, document
 from lieform.lie_core import LieAlgebra
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -191,12 +191,18 @@ def test_a_form_that_does_not_live_on_g_mod_h_fails(argv, capsys, tmp_path):
         "i_X omega = (1) * e1 for X = [1, 0, 0, 0]\n" in out
 
 
-def _basic_u2_document(tmp_path):
-    """u2 with h = span(e0, e1) and omega = e2^e3, which vanishes on h and
-    is h-invariant: a (Kahler) form on the 2-dimensional g/h."""
+BASIS_H = [["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+# e0, e1, e0 + e1 and a zero row: the last two depend on the rows before
+DEPENDENT_H = BASIS_H + [["1", "1", "0", "0"], ["0", "0", "0", "0"]]
+
+
+def _basic_u2_document(tmp_path, h=BASIS_H):
+    """u2 with h = span(e0, e1) (given by the rows h) and omega = e2^e3,
+    which vanishes on h and is h-invariant: a (Kahler) form on the
+    2-dimensional g/h; lam0 is the zero 1-form."""
     def edit(doc):
-        doc["h_subalgebra"] = [["1", "0", "0", "0"], ["0", "1", "0", "0"]]
-        doc["forms"]["omega_h"] = "e2^e3"
+        doc["h_subalgebra"] = h
+        doc["forms"].update(omega_h="e2^e3", lam0="0 * e0")
     return _u2_document(tmp_path, edit)
 
 
@@ -217,6 +223,32 @@ def test_a_metric_singular_on_g_mod_h_fails_the_vaisman_test(capsys,
     code, out = run(capsys, "check-vaisman", path, "omega_h", "J_01")
     assert code == 1
     assert "[FAIL] error: DegenerateMetric :: metric is singular\n" in out
+
+
+@pytest.mark.parametrize("rows, kept", [
+    (DEPENDENT_H, [0, 1]),
+    ([["1", "1", "0", "0"], ["0", "1", "0", "0"], ["1", "0", "0", "0"]],
+     [0, 1]),
+    ([["0", "0", "0", "0"]] * 2, None),
+])
+def test_h_is_kept_as_the_independent_rows_in_order(rows, kept, tmp_path):
+    g = document.load(_basic_u2_document(tmp_path, rows)).build_algebra()
+    want = kept and [g.vector(map(int, rows[i])) for i in kept]
+    assert g.h_subalgebra == want
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-lcs", "omega_h"),
+    ("check-lck", "omega_h", "J_01"),
+    ("check-algebra",),
+    ("cohomology", "--lambda", "lam0", "--degree", "1"),
+])
+def test_dependent_h_rows_print_what_their_basis_prints(argv, capsys,
+                                                        tmp_path):
+    outs = [run(capsys, argv[0], _basic_u2_document(tmp_path, h), *argv[1:])
+            for h in (BASIS_H, DEPENDENT_H)]
+    assert outs[0][0] == 0, outs[0][1]
+    assert outs[0] == outs[1]
 
 
 def test_a_lee_form_that_is_not_closed_fails(capsys, tmp_path):

@@ -32,7 +32,7 @@ def test_stabilizer_su2():
     g = su2()
     orbit = coadjoint_stabilizer(KForm.basis_oneform(g, 0))
     assert len(orbit.k) == 1
-    assert linalg.in_span(orbit.k, g.basis_vector(0))
+    assert linalg.rank(orbit.k + [g.basis_vector(0)])[0] == len(orbit.k)
     assert len(orbit.h) == 0
     assert orbit.non_conical
 
@@ -70,7 +70,7 @@ def test_lcs_from_orbit_sl2r():
     phi = KForm(g, 1, {(1,): g.one(), (2,): -g.one()})   # e^+ - e^-
     orbit = coadjoint_stabilizer(phi)
     assert len(orbit.k) == 1
-    assert linalg.in_span(orbit.k, g.vector([0, 1, -1]))
+    assert linalg.rank(orbit.k + [g.vector([0, 1, -1])])[0] == len(orbit.k)
     ext, lcs, _ = lcs_from_orbit(orbit)
     # omega = -e^D^(e^+ - e^-) - 2 h^*^(e^+ + e^-)
     want = KForm(ext, 2, {(0, 2): -ext.one(), (0, 3): ext.one(),

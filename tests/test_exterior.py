@@ -400,7 +400,8 @@ def test_solve_potential_reports_nonzero_class():
         solve_potential(om, KForm.zero(g, 1))
     # with h = g, C^1(g, h) = 0 and the system has no columns but still one
     # row per 2-form monomial: only omega = 0 has a potential, phi = 0
-    g.h_subalgebra = [g.basis_vector(i) for i in range(g.dim)]
+    g = LieAlgebra(g.basis_names, {}, h_subalgebra=[
+        g.basis_vector(i) for i in range(g.dim)])
     with pytest.raises(NoSolution):
         solve_potential(wedge(e(g, 0), e(g, 1)), KForm.zero(g, 1))
     assert solve_potential(KForm.zero(g, 2), KForm.zero(g, 1)).is_zero()
@@ -409,7 +410,8 @@ def test_solve_potential_reports_nonzero_class():
 def test_relative_complex_respects_marked_subalgebra():
     # mark the center of u(2); relative 1-forms must kill e0
     g = u2()
-    g.h_subalgebra = [g.basis_vector(0)]
+    g = LieAlgebra(g.basis_names, g.structure_table(),
+                   h_subalgebra=[g.basis_vector(0)])
     from lieform.exterior import relative_basis
     basis = relative_basis(g, 1)
     for b in basis:

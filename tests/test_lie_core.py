@@ -95,7 +95,7 @@ def test_centralizer_known():
     g = su2()
     c = centralizer(g, g.basis_vector(0))
     assert len(c) == 1
-    assert linalg.in_span(c, g.basis_vector(0))
+    assert linalg.rank(c + [g.basis_vector(0)])[0] == len(c)
     with pytest.raises(ZeroVector):
         centralizer(g, g.zero_vector())
 
@@ -149,12 +149,26 @@ def test_extension_by_inner_derivation_keeps_jacobi():
     assert bool(ext.check_jacobi())
 
 
+def test_extension_lifts_exactly_the_given_h():
+    # g's own h is not carried over; the vectors given are lifted as (0, v)
+    g0 = su2()
+    g = LieAlgebra(g0.basis_names, g0.structure_table(),
+                   h_subalgebra=[g0.basis_vector(0)])
+    zero = [[0] * 3 for _ in range(3)]
+    assert extend_by_derivation(g, zero).h_subalgebra is None
+    ext = extend_by_derivation(g, zero, h=[g.vector([0, 1, 1])])
+    assert ext.h_subalgebra == [ext.vector([0, 0, 1, 1])]
+
+
 @pytest.mark.parametrize("make", [u2, gl2r, su2, sl2r, lambda: abelian(4)])
 def test_library_subspaces_hold_bases(make):
     # a subspace is read as a basis list: its length is the rank only for
-    # a basis
+    # a basis; h is given here by a spanning set with a dependent vector
     g = make()
     spaces = [center(g), derived_subalgebra(g)]
     spaces += [centralizer(g, g.basis_vector(i)) for i in range(g.dim)]
+    spanning = spaces[0] + spaces[1] + [g.vector([1] * g.dim)]
+    spaces.append(LieAlgebra(g.basis_names, g.structure_table(),
+                             h_subalgebra=spanning).h_subalgebra)
     for s in spaces:
         assert len(s) == linalg.rank(s)[0]

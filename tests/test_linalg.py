@@ -37,7 +37,7 @@ def test_rank_and_nullspace_known():
     v = basis[0]
     assert linalg.vec_is_zero(linalg.mat_vec(rows, v))
     # proportional to (1, -2, 1)
-    assert linalg.in_span([[S("1"), S("-2"), S("1")]], v)
+    assert linalg.rank([[S("1"), S("-2"), S("1")], v])[0] == 1
 
 
 def test_mat_mul_known():
@@ -92,19 +92,6 @@ def test_parametric_pivot_records_locus():
     assert locus2 == []
 
 
-def test_in_span():
-    span = M([[1, 0, 1], [0, 1, 1]])
-    assert linalg.in_span(span, [S("2"), S("3"), S("5")])
-    assert not linalg.in_span(span, [S("0"), S("0"), S("1")])
-    assert linalg.in_span([], [Z, Z])
-    # over Q(a): (a, 1) and (1, a) span the plane only off a^2 = 1
-    par = M([["a", 1, 0], [1, "a", 0]])
-    assert linalg.in_span(par, [S("a^2 + 1"), S("2*a"), Z])
-    assert linalg.in_span(par, [S("1"), Z, Z])
-    assert not linalg.in_span(par, [Z, Z, S("1")])
-    assert not linalg.in_span(M([["a", 1, 0]]), [S("1"), S("a"), Z])
-
-
 # ---------------------------------------------------------------------------
 # Randomized consistency properties
 # ---------------------------------------------------------------------------
@@ -129,18 +116,6 @@ def test_solve_solutions_verify(rows, rhs):
         for k in kernel:
             assert linalg.vec_is_zero(linalg.mat_vec(rows, k))
         assert kernel == linalg.nullspace(rows)[0]
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.lists(entries, min_size=3, max_size=3), max_size=4),
-       st.lists(entries, min_size=3, max_size=3))
-def test_in_span_matches_rank_comparison(vectors, v):
-    vectors = [[Scalar.const(P, c) for c in w] for w in vectors]
-    v = [Scalar.const(P, c) for c in v]
-    # reference: v is in the span iff appending it leaves the rank unchanged
-    want = (linalg.vec_is_zero(v) if not vectors else
-            linalg.rank(vectors)[0] == linalg.rank(vectors + [v])[0])
-    assert linalg.in_span(vectors, v) == want
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,5 +1,5 @@
-"""Symbolic lcK and Vaisman verdicts against the same checks recomputed at
-rational points.
+"""Symbolic lcs, lcK and Vaisman verdicts against the same checks
+recomputed at rational points.
 
 Each case of the shipped documents is assembled once over Q(parameters).
 At seeded points off every reported locus, the document is rebuilt with
@@ -7,7 +7,9 @@ the point substituted into each literal (``Document.build_*(..., at)``),
 and the parameter-free checks must agree with the symbolic answer
 specialised: the Lee form is the symbolic one at the point, and the
 structure is Vaisman at the point exactly when every polynomial of the
-symbolic vanishing list vanishes there.
+symbolic vanishing list vanishes there.  ``check-lcs``'s data are checked
+the same way: the Reeb vector at the point is the symbolic one specialised,
+and the form is proper there exactly when d(omega) specialised is not zero.
 
 A second oracle computes the Killing list in the test: with M = G ad_xi,
 the Lee field is parallel exactly when M + M^T = 0, since G xi = s lam is
@@ -24,11 +26,11 @@ from fractions import Fraction
 import pytest
 
 from lieform import document, linalg
-from lieform.exterior import FormError, form_to_vector
+from lieform.exterior import FormError, ce_d, form_to_vector
 from lieform.scalars import ScalarError
 from lieform.structures import (CONVENTION_DEF, CONVENTION_THM,
                                 ComplexStructure, StructureError,
-                                assemble_lck, vaisman_check)
+                                assemble_lck, lcs_check, vaisman_check)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -70,6 +72,30 @@ def seeded_points(doc, name, case):
     for n in range(POINTS):
         point = {p: Fraction(rng.randint(-6, 6), 2) for p in doc.parameters}
         yield on_branch(name, point) if n % 2 else point
+
+
+@pytest.mark.parametrize("name", ["u2", "gl2r"])
+@pytest.mark.parametrize("omega", ["omega_std", "omega_general"])
+def test_symbolic_lcs_data_specialise_to_the_pointwise_ones(name, omega):
+    # a point is skipped only where an entry of the lcs locus vanishes;
+    # lcs_check at every other point must succeed
+    doc = document.load(os.path.join(DATA, f"{name}.json"))
+    g = doc.build_algebra()
+    lcs = lcs_check(g, doc.build_form(omega, g))
+    d_omega = form_to_vector(ce_d(lcs.omega))
+    rng = random.Random(f"{name} {omega}")
+    used = 0
+    for _ in range(POINTS):
+        point = {p: Fraction(rng.randint(-6, 6), 2) for p in doc.parameters}
+        if any(vanishes(p, point) for p in lcs.locus):
+            continue
+        g_at = doc.build_algebra(point)
+        at_point = lcs_check(g_at, doc.build_form(omega, g_at, point))
+        used += 1
+        assert [c.substitute(point) for c in lcs.Z] == at_point.Z, point
+        assert at_point.proper == any(
+            not c.substitute(point).is_zero() for c in d_omega), point
+    assert used >= POINTS // 2
 
 
 @functools.cache

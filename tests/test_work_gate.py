@@ -8,8 +8,10 @@ a change that swells the suite's scalars fails here.  The second counts
 the calls of ``structures.lcs_check`` and ``linalg.rref`` and bounds them
 at the measured values, so a change that computes a fact twice fails; a
 ``check-lck`` call on each shipped general form makes exactly two
-eliminations, and a property test holds the elimination-free centrality
-test ad_w = 0 to the span of the center.  The third counts the
+eliminations, the CLI calls on a document with its own h one more (h is
+reduced once, when the algebra is built), ``J_to_subalgebra`` one, and a
+property test holds the elimination-free centrality test ad_w = 0 to the
+span of the center.  The third counts the
 polynomials compiled for evaluation (``Poly.compiled``) and the calls of
 ``Poly._integral`` and bounds them at the measured values, so a signature
 census that re-derives its entries at each point fails.  The fourth
@@ -29,6 +31,7 @@ last counts the content and leading-term reads of inverting a metric with
 constant entries, which a constant pivot's inverse never needs.
 """
 
+import json
 import os
 from itertools import combinations
 
@@ -36,7 +39,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieform import catalog, cli, constructions, linalg, scalars, structures
+from lieform import (catalog, cli, constructions, document, linalg, scalars,
+                     structures)
 from lieform.exterior import KForm, ce_d, twisted_d
 from lieform.lie_core import center
 from size_table import swell_document
@@ -137,6 +141,60 @@ def test_check_lck_eliminates_twice(doc, J, monkeypatch, capsys):
     assert rref_calls() == 2
 
 
+def _g_mod_h_document(tmp_path):
+    """u2 with h = span(e0, e1) and omega_h = e2^e3, a form on g/h."""
+    with open(os.path.join(DATA, "u2.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["h_subalgebra"] = [["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+    doc["forms"]["omega_h"] = "e2^e3"
+    path = tmp_path / "u2_h.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("check-lcs", "omega_h"), 0),
+    (("check-lck", "omega_h", "J_01"), 0),
+    (("check-algebra",), 0),
+    (("check-vaisman", "omega_h", "J_01"), 1),
+])
+def test_g_mod_h_calls_reduce_h_once(argv, code, monkeypatch, tmp_path,
+                                     capsys):
+    # the constructor's reduction of h, then the Lee form and the Reeb
+    # vector, or the rank of h with its brackets; lcs_check, check_jacobi
+    # and vaisman_check read dim h as len(h) (check-vaisman made 4 while
+    # lcs_check and vaisman_check each reduced h)
+    path = _g_mod_h_document(tmp_path)
+    rref_calls = count_calls(monkeypatch, linalg, "rref")
+    assert cli.main([argv[0], path, *argv[1:]]) == code
+    capsys.readouterr()
+    assert rref_calls() == 3
+
+
+def test_construct_orbit_eliminates_five_times(monkeypatch, capsys):
+    # the stabilizer, h = k cap ker(phi), the extension's h, the Lee form
+    # and the Reeb vector; the extension's h is reduced by its constructor
+    # (by lcs_check while the orbit's h was assigned after construction)
+    rref_calls = count_calls(monkeypatch, linalg, "rref")
+    assert cli.main(["construct-orbit", os.path.join(DATA, "u2.json"),
+                     "--phi", "phi_general"]) == 0
+    capsys.readouterr()
+    assert rref_calls() == 5
+
+
+@pytest.mark.parametrize("doc, J", [("u2.json", "J_01"),
+                                     ("gl2r.json", "J_mu")])
+def test_J_to_subalgebra_eliminates_once(doc, J, monkeypatch):
+    # one elimination on the columns e_0, Je_0, e_1, Je_1, ... (4 while
+    # each e_k took a span-membership elimination of its own)
+    d = document.load(os.path.join(DATA, doc))
+    g = d.build_algebra()
+    cs = structures.ComplexStructure(g, d.build_endo(J, g))
+    rref_calls = count_calls(monkeypatch, linalg, "rref")
+    assert len(structures.J_to_subalgebra(cs)) == 2
+    assert rref_calls() == 1
+
+
 @pytest.mark.parametrize("make", [catalog.u2, catalog.gl2r, catalog.su2,
                                   catalog.sl2r])
 @given(coeffs=st.lists(st.sampled_from([0, 0, 0, 1, -2, "a"]), min_size=4,
@@ -144,11 +202,13 @@ def test_check_lck_eliminates_twice(doc, J, monkeypatch, capsys):
 @settings(max_examples=25, deadline=None)
 def test_ad_w_zero_agrees_with_the_center(make, coeffs):
     # biinvariant_identities tests "w is central" as ad_w = 0, with no
-    # elimination; the span of the center's nullspace basis is the oracle
+    # elimination; the span of the center's nullspace basis is the oracle:
+    # w lies in it iff appending w leaves the rank unchanged
     g = make(("a",))
     w = g.vector(coeffs[:g.dim])
+    c = center(g)
     assert all(linalg.vec_is_zero(row) for row in g.ad(w)) == \
-        linalg.in_span(center(g), w)
+        (linalg.rank(c + [w])[0] == len(c))
 
 
 @pytest.mark.parametrize("suite, compiled, integrals", [
